@@ -50,6 +50,7 @@ from .classcount import (
     burnside_lower,
     burnside_orbit_count,
     clifford_count,
+    closed_form,
     coloring_orbit_reps,
     decode_coloring,
     direct_orbit_count,
@@ -109,8 +110,9 @@ __all__ = [
     "SemiprimitiveReport", "StructureReport", "UnknownFamily", "WreathGroup",
     "WreathcountError", "auto_count", "block_decomposition", "brute_force_count",
     "build_wreath_group", "burnside_lower", "burnside_orbit_count", "class_count",
-    "clifford_count", "closure_elements", "coloring_orbit_reps", "coloring_stabilizer",
-    "conjugacy_classes", "count_upper_bound", "counterexample_scan", "cycle_type",
+    "clifford_count", "closed_form", "closure_elements", "coloring_orbit_reps",
+    "coloring_stabilizer", "conjugacy_classes", "count_upper_bound",
+    "counterexample_scan", "cycle_type",
     "decode_coloring", "direct_orbit_count", "encode_coloring", "family",
     "fix_subsets_direct", "fix_subsets_formula", "fixed_subset_fraction_probe",
     "gamma", "is_primitive", "is_semiregular", "is_transitive",

@@ -467,7 +467,8 @@ def semiprimitive_report(group: PermGroup, k: int,
         raise NotSemiprimitive("group is primitive; no proper block system to decompose")
 
     decomp = block_decomposition(group, budgets)
-    assert decomp is not None
+    if decomp is None:
+        raise AssertionError("transitive imprimitive group has no block decomposition")
     n = group.degree
     r = decomp.r
     kernel = decomp.kernel
@@ -591,7 +592,8 @@ def counterexample_scan(m_values: Sequence[int], k: int = 2,
                 rows.append(ScanRow(tag, k, n, order, None,
                                     _fraction_text(bound), "skipped", "exact"))
             continue
-        assert value >= -(-k ** n // order)  # ceil lower bound
+        if value < -(-k ** n // order):
+            raise AssertionError(f"{param}: class count {value} below ceil(k**n/|H|)")
         five = Fraction(5 ** m, m)
         rows.append(ScanRow(f"{param}|5^m/m", k, n, grp.order, value,
                             _fraction_text(five), value >= five, "exact"))

@@ -1,8 +1,11 @@
 """Size budgets that gate every potentially explosive enumeration.
 
-All limits can be overridden per call, via CLI flags, or via environment
-variables (WREATHCOUNT_MAX_ORDER, WREATHCOUNT_MAX_COLORINGS,
-WREATHCOUNT_MAX_LIFT_DEGREE, WREATHCOUNT_MAX_SUBGROUP_ORDER).
+All limits can be overridden per call by passing a Budgets. The CLI builds
+its Budgets from from_env() (environment variables WREATHCOUNT_MAX_ORDER,
+WREATHCOUNT_MAX_COLORINGS, WREATHCOUNT_MAX_LIFT_DEGREE,
+WREATHCOUNT_MAX_SUBGROUP_ORDER) and then its --budget-max-* flags. DEFAULT,
+the library default, holds the built-in limits and never reads the
+environment, so importing the package cannot fail on a bad variable.
 """
 
 from __future__ import annotations
@@ -56,4 +59,4 @@ def from_env(base: Budgets | None = None) -> Budgets:
     return b.with_overrides(**kw)
 
 
-DEFAULT = from_env()
+DEFAULT = Budgets()

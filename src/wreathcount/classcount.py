@@ -7,8 +7,12 @@ separate so they can cross-check each other:
 * clifford_count: sum of k(I_H(c)) over orbit representatives c of H on
   colorings of the domain with k colors, I the coloring stabilizer.
 * brute_force_count: materialize Z_k wr H and run union-find conjugacy.
-* burnside_orbit_count: (1/|H|) sum of k**sigma(h), the orbit count alone,
-  which lower-bounds the class count.
+* closed_form: family formulas for the trivial, symmetric and prime-degree
+  cyclic top groups; None for every other group.
+
+burnside_orbit_count, (1/|H|) sum of k**sigma(h), gives the orbit count
+alone, which lower-bounds the class count. auto_count is the one dispatch:
+closed form, else clifford, else brute, else Infeasible with a bracket.
 """
 
 from __future__ import annotations
@@ -80,19 +84,17 @@ def _apply_generator(digits: tuple[int, ...], images: tuple[int, ...], k: int) -
 
 
 def coloring_orbit_reps(group: PermGroup, k: int, budgets: Budgets = DEFAULT,
-                        mode: str = "auto") -> list[tuple[int, int]]:
+                        mode: str = "bfs") -> list[tuple[int, int]]:
     """Orbit representatives of the group on k-colorings of its domain.
 
     Returns (encoding, orbit size) pairs in increasing encoding order; each
     representative is the lex-smallest coloring of its orbit. ``mode`` is
-    "bfs" (visited table over the whole space, the default via "auto") or
-    "scan" (no table: keep a coloring iff no group element sends it lower;
-    linear memory, |H|-fold slower).
+    "bfs" (visited table over the whole space, the default) or "scan" (no
+    table: keep a coloring iff no group element sends it lower; linear
+    memory, |H|-fold slower; the reference the tests compare bfs against).
     """
     n = group.degree
     space = k ** n
-    if mode == "auto":
-        mode = "bfs"
     if mode == "scan":
         return _orbit_reps_scan(group, k, space)
     if mode != "bfs":
@@ -225,8 +227,7 @@ def burnside_lower(group: PermGroup, k: int) -> CountResult:
                        value=f, orbit_count=f, elapsed=time.perf_counter() - t0)
 
 
-def clifford_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT,
-                   mode: str = "auto") -> CountResult:
+def clifford_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> CountResult:
     """k(X wr H) as the sum of stabilizer class counts over coloring orbits.
 
     Regular orbits have trivial stabilizer and contribute 1 each; only the
@@ -236,7 +237,7 @@ def clifford_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT,
         raise ValueError("k must be >= 1")
     t0 = time.perf_counter()
     n = group.degree
-    reps = coloring_orbit_reps(group, k, budgets, mode)
+    reps = coloring_orbit_reps(group, k, budgets)
     order = group.order
     value = 0
     for enc, size in reps:
@@ -245,7 +246,9 @@ def clifford_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT,
         else:
             stab = coloring_stabilizer(group, decode_coloring(enc, k, n))
             value += class_count(stab)
-    assert value * order >= k ** n, "class count below the orbit-count lower bound"
+    if value * order < k ** n:
+        raise AssertionError(
+            f"class count {value} below the orbit-count lower bound k**n/|H| = {k ** n}/{order}")
     return CountResult(k=k, group=group, degree=n, method="clifford", value=value,
                        orbit_count=len(reps), elapsed=time.perf_counter() - t0)
 
@@ -281,7 +284,8 @@ def schmid_cyclic(k: int, n: int) -> tuple[int | None, int]:
     upper = k ** n - k + k * n
     if not combinatorics.is_prime(n):
         return None, upper
-    assert (k ** n - k) % n == 0  # Fermat
+    if (k ** n - k) % n:
+        raise AssertionError(f"Fermat: {k}**{n} - {k} not divisible by prime {n}")
     return (k ** n - k) // n + k * n, upper
 
 
@@ -290,26 +294,47 @@ def symmetric_closed_form(k: int, n: int) -> int:
     return combinatorics.tuples_of_partitions_count(k, n)
 
 
-def direct_orbit_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT,
-                       mode: str = "auto") -> int:
+def closed_form(group: PermGroup, k: int) -> int | None:
+    """k(X wr H) from a family formula, or None when H has no closed form here.
+
+    Covers the trivial top group (k**n), the full symmetric group (k-tuples
+    of partitions) and cyclic groups of prime degree. Reads only the
+    generators and the family tag: symmetric:40 must not enumerate 40!
+    permutations.
+    """
+    n = group.degree
+    fam = group.family[0] if group.family else None
+    if all(g.is_identity() for g in group.generators):
+        # trivial top group: G = X^n
+        return k ** n
+    if fam == "symmetric":
+        return symmetric_closed_form(k, n)
+    if fam == "cyclic" and combinatorics.is_prime(n):
+        exact, _ = schmid_cyclic(k, n)
+        return exact
+    return None
+
+
+def direct_orbit_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> int:
     """Orbit count by explicit enumeration; the cross-check for Burnside."""
-    return len(coloring_orbit_reps(group, k, budgets, mode))
+    return len(coloring_orbit_reps(group, k, budgets))
 
 
-def nonregular_orbit_stats(group: PermGroup, k: int, budgets: Budgets = DEFAULT,
-                           mode: str = "auto") -> OrbitStats:
+def nonregular_orbit_stats(group: PermGroup, k: int,
+                           budgets: Budgets = DEFAULT) -> OrbitStats:
     """Census of non-regular coloring orbits, with its unconditional size bounds.
 
     For nontrivial H, the number t of non-regular orbits satisfies
     t < 2 * k**max_sigma and the union Delta of those orbits satisfies
     |Delta| <= (|H| - 1) * k**max_sigma. Violations mean a bug, so they raise.
     """
-    reps = coloring_orbit_reps(group, k, budgets, mode)
+    reps = coloring_orbit_reps(group, k, budgets)
     order = group.order
     total = len(reps)
     nonregular = sum(1 for _, size in reps if size < order)
     delta = k ** group.degree - order * (total - nonregular)
-    assert delta == sum(size for _, size in reps if size < order)
+    if delta != sum(size for _, size in reps if size < order):
+        raise AssertionError(f"orbit sizes do not partition the {k ** group.degree} colorings")
     if order > 1:
         ms = max_cycle_count(group)
         if not nonregular < 2 * k ** ms:
@@ -336,23 +361,13 @@ def auto_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> CountRes
     if k < 1:
         raise ValueError("k must be >= 1")
     n = group.degree
-    fam = group.family[0] if group.family else None
 
     t0 = time.perf_counter()
-    # family closed forms are checked before anything that would materialize
-    # the element set; symmetric:40 must not enumerate 40! permutations
-    if all(g.is_identity() for g in group.generators):
-        # trivial top group: G = X^n and the count is just k**n
+    # closed forms come before anything that would materialize the element set
+    value = closed_form(group, k)
+    if value is not None:
         return CountResult(k=k, group=group, degree=n, method="closed-form",
-                           value=k ** n, elapsed=time.perf_counter() - t0)
-    if fam == "symmetric":
-        return CountResult(k=k, group=group, degree=n, method="closed-form",
-                           value=symmetric_closed_form(k, n),
-                           elapsed=time.perf_counter() - t0)
-    if fam == "cyclic" and combinatorics.is_prime(n):
-        exact, _ = schmid_cyclic(k, n)
-        return CountResult(k=k, group=group, degree=n, method="closed-form",
-                           value=exact, elapsed=time.perf_counter() - t0)
+                           value=value, elapsed=time.perf_counter() - t0)
 
     space = k ** n
     if space <= budgets.max_coloring_space:

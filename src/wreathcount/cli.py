@@ -18,23 +18,14 @@ import json
 import math
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import bounds as bounds_mod
 from . import classcount, combinatorics
 from .actions import fix_subsets_direct, parse_group_spec, sigma_prime
 from .budgets import Budgets, from_env
-from .errors import (
-    BudgetExceeded,
-    Infeasible,
-    NotSemiprimitive,
-    ParseError,
-    UnknownFamily,
-    WreathcountError,
-)
+from .errors import BudgetExceeded, Infeasible, NotSemiprimitive, WreathcountError
 from .permgroup import (
     class_count,
     closure_elements,
@@ -58,18 +49,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
-class JobSpec:
-    command: str
-    groups: list[str]
-    k: int
-    method: str
-    budgets: Budgets
-    output: str
-    seed: int
-    jobs: int
-
-
 def _add_common(p: _Parser, with_group: bool = True, with_k: bool = True):
     if with_group:
         p.add_argument("--group", action="append", required=True,
@@ -80,9 +59,6 @@ def _add_common(p: _Parser, with_group: bool = True, with_k: bool = True):
         p.add_argument("--x-gens", default=None, metavar="CYCLES",
                        help="generators of X in cycle notation; only k(X) is used")
     p.add_argument("--output", choices=("table", "json", "csv"), default="table")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="run independent instances on up to N threads; output order is input order")
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     p.add_argument("--budget-max-order", type=int, default=None, metavar="N")
     p.add_argument("--budget-max-colorings", type=int, default=None, metavar="N")
     p.add_argument("--budget-max-lift", type=int, default=None, metavar="N")
@@ -108,6 +84,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run a cross-check suite")
     p.add_argument("suite", choices=VERIFY_SUITES)
+    p.add_argument("--seed", type=int, default=0, help="seed for the sampled formula checks")
     _add_common(p, with_group=False, with_k=False)
 
     p = sub.add_parser("scan", help="exact counts for the counterexample family")
@@ -162,27 +139,8 @@ def _table(rows: list[list[str]], header: list[str]) -> str:
     return "\n".join(lines)
 
 
-def _map_ordered(fn: Callable, items: Sequence, jobs: int) -> list:
-    if jobs > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 # ---------------------------------------------------------------------------
 # count
-
-
-def _closed_form_value(group, k: int) -> int:
-    fam = group.family[0] if group.family else None
-    if all(g.is_identity() for g in group.generators):
-        return k ** group.degree
-    if fam == "symmetric":
-        return classcount.symmetric_closed_form(k, group.degree)
-    if fam == "cyclic" and combinatorics.is_prime(group.degree):
-        exact, _ = classcount.schmid_cyclic(k, group.degree)
-        return exact
-    raise ValueError(f"no closed form for {group.spec_string()}")
 
 
 def _count_one(spec: str, k: int, method: str, budgets: Budgets) -> classcount.CountResult:
@@ -194,20 +152,18 @@ def _count_one(spec: str, k: int, method: str, budgets: Budgets) -> classcount.C
         return classcount.clifford_count(group, k, budgets)
     if method == "brute":
         return classcount.brute_force_count(k, group, budgets)
+    closed = classcount.closed_form(group, k)
     if method == "closed-form":
+        if closed is None:
+            raise ValueError(f"no closed form for {group.spec_string()}")
         return classcount.CountResult(k=k, group=group, degree=n, method="closed-form",
-                                      value=_closed_form_value(group, k))
+                                      value=closed)
     # method == "all": every feasible route must agree
-    ran: dict[str, int] = {}
+    ran = {} if closed is None else {"closed-form": closed}
     try:
-        ran["closed-form"] = _closed_form_value(group, k)
-    except ValueError:
+        ran["clifford"] = classcount.clifford_count(group, k, budgets).value
+    except BudgetExceeded:
         pass
-    if k ** n <= budgets.max_coloring_space:
-        try:
-            ran["clifford"] = classcount.clifford_count(group, k, budgets).value
-        except BudgetExceeded:
-            pass
     try:
         ran["brute"] = classcount.brute_force_count(k, group, budgets).value
     except BudgetExceeded:
@@ -215,7 +171,7 @@ def _count_one(spec: str, k: int, method: str, budgets: Budgets) -> classcount.C
     if not ran:
         return classcount.auto_count(group, k, budgets)  # raises Infeasible with a bracket
     if len(set(ran.values())) != 1:
-        raise AssertionError(f"methods disagree on {spec}, k={k}: {ran}")
+        raise WreathcountError(f"methods disagree on {spec}, k={k}: {ran}")
     return classcount.CountResult(
         k=k, group=group, degree=n, method="all:" + "+".join(sorted(ran)),
         value=next(iter(ran.values())))
@@ -223,11 +179,8 @@ def _count_one(spec: str, k: int, method: str, budgets: Budgets) -> classcount.C
 
 def _cmd_count(args) -> int:
     budgets = _budgets_from_args(args)
-    job = JobSpec(command="count", groups=list(args.group), k=_resolve_k(args, budgets),
-                  method=args.method, budgets=budgets, output=args.output,
-                  seed=args.seed, jobs=args.jobs)
-    results = _map_ordered(lambda s: _count_one(s, job.k, job.method, job.budgets),
-                           job.groups, job.jobs)
+    k = _resolve_k(args, budgets)
+    results = [_count_one(spec, k, args.method, budgets) for spec in args.group]
     if args.output == "json":
         dicts = [r.to_json_dict() for r in results]
         _emit_json(dicts[0] if len(dicts) == 1 else dicts)
@@ -269,7 +222,7 @@ def _classify_one(spec: str, budgets: Budgets) -> dict:
 
 def _cmd_classify(args) -> int:
     budgets = _budgets_from_args(args)
-    results = _map_ordered(lambda s: _classify_one(s, budgets), args.group, args.jobs)
+    results = [_classify_one(spec, budgets) for spec in args.group]
     if args.output == "json":
         _emit_json(results[0] if len(results) == 1 else results)
     elif args.output == "csv":
@@ -359,11 +312,8 @@ def _bounds_one(spec: str, k: int, e_source: str, budgets: Budgets) -> dict:
 
 def _cmd_bounds(args) -> int:
     budgets = _budgets_from_args(args)
-    job = JobSpec(command="bounds", groups=list(args.group), k=_resolve_k(args, budgets),
-                  method=args.e_source, budgets=budgets, output=args.output,
-                  seed=args.seed, jobs=args.jobs)
-    results = _map_ordered(lambda s: _bounds_one(s, job.k, job.method, job.budgets),
-                           job.groups, job.jobs)
+    k = _resolve_k(args, budgets)
+    results = [_bounds_one(spec, k, args.e_source, budgets) for spec in args.group]
     if args.output == "json":
         dicts = []
         for res in results:
@@ -408,10 +358,6 @@ ORACLE_SPECS = ("cyclic:2", "cyclic:3", "cyclic:4", "gens:4,(1 2)(3 4),(1 3)(2 4
                 "symmetric:3", "dihedral:4", "wreath-cyclic:2", "cyclic:5")
 
 
-def _case(name: str, fn: Callable[[], None]):
-    return (name, fn)
-
-
 def _expect(cond: bool, detail: str):
     if not cond:
         raise AssertionError(detail)
@@ -432,14 +378,14 @@ def _oracle_cases(budgets: Budgets) -> list:
 
     for k in (2, 3):
         for spec in ORACLE_SPECS:
-            cases.append(_case(f"clifford=brute {spec} k={k}", make(spec, k)))
+            cases.append((f"clifford=brute {spec} k={k}", make(spec, k)))
 
     goldens = (("cyclic:2", 2, 5), ("cyclic:3", 2, 8), ("cyclic:2", 3, 9))
     for spec, k, want in goldens:
         def run(spec=spec, k=k, want=want):
             got = classcount.clifford_count(parse_group_spec(spec, budgets), k, budgets).value
             _expect(got == want, f"expected {want}, got {got}")
-        cases.append(_case(f"golden {spec} k={k} -> {want}", run))
+        cases.append((f"golden {spec} k={k} -> {want}", run))
     return cases
 
 
@@ -456,11 +402,11 @@ def _burnside_cases(budgets: Budgets) -> list:
 
     for k in (2, 3):
         for spec in ORACLE_SPECS:
-            cases.append(_case(f"burnside=direct {spec} k={k}", make(spec, k)))
+            cases.append((f"burnside=direct {spec} k={k}", make(spec, k)))
     for m, ell in ((4, 2), (5, 2), (6, 2), (6, 3), (7, 2)):
-        cases.append(_case(f"burnside=direct subsets:{m},{ell} k=2", make(f"subsets:{m},{ell}", 2)))
+        cases.append((f"burnside=direct subsets:{m},{ell} k=2", make(f"subsets:{m},{ell}", 2)))
     for m, ell in ((4, 2), (5, 2)):
-        cases.append(_case(f"burnside=direct subsets:{m},{ell} k=3", make(f"subsets:{m},{ell}", 3)))
+        cases.append((f"burnside=direct subsets:{m},{ell} k=3", make(f"subsets:{m},{ell}", 3)))
 
     def comp(n: int, k: int):
         def run():
@@ -472,7 +418,7 @@ def _burnside_cases(budgets: Budgets) -> list:
 
     for n in range(2, 7):
         for k in (2, 3, 4):
-            cases.append(_case(f"compositions symmetric:{n} k={k}", comp(n, k)))
+            cases.append((f"compositions symmetric:{n} k={k}", comp(n, k)))
     return cases
 
 
@@ -502,7 +448,7 @@ def _formula_cases(budgets: Budgets, seed: int) -> list:
         return run
 
     for m in range(1, 7):
-        cases.append(_case(f"fix-subsets formula=direct S_{m} exhaustive", fix_all(m)))
+        cases.append((f"fix-subsets formula=direct S_{m} exhaustive", fix_all(m)))
 
     def fix_random():
         rng = random.Random(seed)
@@ -515,7 +461,7 @@ def _formula_cases(budgets: Budgets, seed: int) -> list:
                 f = combinatorics.fix_subsets_formula(ct, ell, budgets)
                 d = fix_subsets_direct(p, ell, budgets)
                 _expect(f == d, f"random m=12 ell={ell} pi={p.cycle_string()}: {f} != {d}")
-    cases.append(_case("fix-subsets formula=direct m=12 sampled", fix_random))
+    cases.append(("fix-subsets formula=direct m=12 sampled", fix_random))
 
     def stirling_rows():
         # stirling_first(j, m) = permutations of m points with j cycles
@@ -531,7 +477,7 @@ def _formula_cases(budgets: Budgets, seed: int) -> list:
             for j, size in by_cycles.items():
                 want = combinatorics.stirling_first(j, m)
                 _expect(size == want, f"S({j},{m}): class sizes give {size}, table {want}")
-    cases.append(_case("stirling first kind row identities", stirling_rows))
+    cases.append(("stirling first kind row identities", stirling_rows))
 
     def tuples_check():
         for n in range(0, 21):
@@ -544,7 +490,7 @@ def _formula_cases(budgets: Budgets, seed: int) -> list:
                     parse_group_spec(f"symmetric:{n}", budgets), k, budgets).value
                 want = combinatorics.tuples_of_partitions_count(k, n)
                 _expect(got == want, f"clifford S_{n} k={k}: {got} != tuples {want}")
-    cases.append(_case("tuples-of-partitions closed form", tuples_check))
+    cases.append(("tuples-of-partitions closed form", tuples_check))
 
     def schmid():
         for p in (2, 3, 5):
@@ -560,7 +506,7 @@ def _formula_cases(budgets: Budgets, seed: int) -> list:
                 got = classcount.clifford_count(
                     parse_group_spec(f"cyclic:{n}", budgets), k, budgets).value
                 _expect(got <= upper, f"cyclic:{n} k={k}: clifford {got} > upper {upper}")
-    cases.append(_case("cyclic closed form and upper bound", schmid))
+    cases.append(("cyclic closed form and upper bound", schmid))
     return cases
 
 
@@ -609,10 +555,10 @@ def _bounds_cases(budgets: Budgets) -> list:
 
     for spec in ORACLE_SPECS:
         for k in (2, 3):
-            cases.append(_case(f"predicates {spec} k={k}", preds(spec, k)))
-            cases.append(_case(f"count-upper-bound {spec} k={k}", upper(spec, k)))
-            cases.append(_case(f"orbit census {spec} k={k}", census(spec, k)))
-            cases.append(_case(f"inertia identity {spec} k={k}", identity(spec, k)))
+            cases.append((f"predicates {spec} k={k}", preds(spec, k)))
+            cases.append((f"count-upper-bound {spec} k={k}", upper(spec, k)))
+            cases.append((f"orbit census {spec} k={k}", census(spec, k)))
+            cases.append((f"inertia identity {spec} k={k}", identity(spec, k)))
 
     def lifted_half_bound():
         for m in range(2, 7):
@@ -623,7 +569,7 @@ def _bounds_cases(budgets: Budgets) -> list:
                     c = math.comb(m, ell)
                     _expect(2 * sp - fx <= c,
                             f"m={m} ell={ell} pi={p.cycle_string()}: 2*{sp}-{fx} > {c}")
-    cases.append(_case("lifted cycle-count-half-bound S_m ell-subsets", lifted_half_bound))
+    cases.append(("lifted cycle-count-half-bound S_m ell-subsets", lifted_half_bound))
 
     def product_identity():
         for m in (2, 3, 4):
@@ -631,13 +577,13 @@ def _bounds_cases(budgets: Budgets) -> list:
                 for k in (1, 2):
                     rep = bounds_mod.product_orbit_identity(m, 1, t, k, budgets)
                     _expect(rep.holds is True, f"m={m} t={t} k={k}: {rep.lhs} != {rep.rhs}")
-    cases.append(_case("product action orbit identity", product_identity))
+    cases.append(("product action orbit identity", product_identity))
 
     def subset_exact():
         want = classcount.burnside_orbit_count(parse_group_spec("subsets:5,2", budgets), 2)
         got = bounds_mod.subset_orbit_count_exact(5, 2, 2, budgets)
         _expect(got == want, f"cycle-type route {got} != lifted-group route {want}")
-    cases.append(_case("subset orbit count: cycle-type route", subset_exact))
+    cases.append(("subset orbit count: cycle-type route", subset_exact))
     return cases
 
 
@@ -657,7 +603,7 @@ def _semiprimitive_cases(budgets: Budgets) -> list:
 
     for spec in ("cyclic:4", "cyclic:6", "cyclic:8", "quaternion"):
         for k in (2, 3):
-            cases.append(_case(f"decomposition checks {spec} k={k}", good(spec, k)))
+            cases.append((f"decomposition checks {spec} k={k}", good(spec, k)))
 
     def rejected():
         group = parse_group_spec("wreath-cyclic:2", budgets)
@@ -666,7 +612,7 @@ def _semiprimitive_cases(budgets: Budgets) -> list:
         except NotSemiprimitive:
             return
         raise AssertionError("wreath-cyclic:2 accepted but is not semiprimitive")
-    cases.append(_case("wreath-cyclic:2 rejected", rejected))
+    cases.append(("wreath-cyclic:2 rejected", rejected))
 
     def shapes():
         rep4 = bounds_mod.semiprimitive_report(parse_group_spec("cyclic:4", budgets), 2, budgets)
@@ -674,7 +620,7 @@ def _semiprimitive_cases(budgets: Budgets) -> list:
                 f"cyclic:4 expected r=2 |K|=2, got r={rep4.r} |K|={rep4.kernel_order}")
         rep6 = bounds_mod.semiprimitive_report(parse_group_spec("cyclic:6", budgets), 2, budgets)
         _expect(rep6.r in (2, 3), f"cyclic:6 expected r in {{2,3}}, got {rep6.r}")
-    cases.append(_case("decomposition shapes", shapes))
+    cases.append(("decomposition shapes", shapes))
     return cases
 
 
@@ -688,24 +634,16 @@ def _cmd_verify(args) -> int:
         "semiprimitive": lambda: _semiprimitive_cases(budgets),
     }
     cases = builders[args.suite]()
-
-    def run_one(case):
-        name, fn = case
+    failed = 0
+    for name, fn in cases:
         try:
             fn()
-            return name, None
         except Exception as exc:  # noqa: BLE001 - a suite must report, not crash
-            return name, f"{type(exc).__name__}: {exc}"
-
-    results = _map_ordered(run_one, cases, args.jobs)
-    failed = 0
-    for name, err in results:
-        if err is None:
-            print(f"PASS {name}")
-        else:
             failed += 1
-            print(f"FAIL {name}: {err}")
-    print(f"{args.suite}: {len(results) - failed}/{len(results)} passed")
+            print(f"FAIL {name}: {type(exc).__name__}: {exc}")
+        else:
+            print(f"PASS {name}")
+    print(f"{args.suite}: {len(cases) - failed}/{len(cases)} passed")
     return 0 if failed == 0 else 1
 
 
@@ -748,9 +686,7 @@ def _cmd_scan(args) -> int:
                     print(f"m={m}: counterexample at cycle type {w[0]} ell={w[1]}")
         return 0
 
-    chunks = _map_ordered(lambda m: bounds_mod.counterexample_scan([m], args.k, budgets),
-                          m_values, args.jobs)
-    rows = [row for chunk in chunks for row in chunk]
+    rows = bounds_mod.counterexample_scan(m_values, args.k, budgets)
     if args.output == "json":
         _emit_json([{"param": r.param, "k": r.k, "n": r.n, "order": r.order,
                      "value": None if r.value is None else str(r.value),
@@ -793,7 +729,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return 2
-    except (_UsageError, ParseError, UnknownFamily, NotSemiprimitive, ValueError) as exc:
+    except (WreathcountError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,5 +1,7 @@
 """Class counting: Clifford route, brute oracle, closed forms, dispatch."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from wreathcount import (
     brute_force_count,
     class_count,
     clifford_count,
+    closed_form,
     coloring_orbit_reps,
     coloring_stabilizer,
     decode_coloring,
@@ -198,6 +201,34 @@ def test_auto_count_dispatch():
     assert (res.method, res.value) == ("clifford", 16)
     res = auto_count(parse_group_spec("gens:3,()"), 2)
     assert (res.method, res.value) == ("closed-form", 8)
+
+
+@pytest.mark.parametrize("spec, k, want", [
+    ("cyclic:1", 3, 3),        # trivial top group: k**n
+    ("symmetric:5", 2, 36),    # pairs of partitions of total size 5
+    ("cyclic:7", 2, 32),       # (2**7 - 2)/7 + 2*7
+    ("cyclic:4", 2, None),     # composite degree
+    ("dihedral:4", 2, None),
+])
+def test_closed_form_table(spec, k, want):
+    grp = parse_group_spec(spec)
+    assert closed_form(grp, k) == want
+    assert (auto_count(grp, k).method == "closed-form") == (want is not None)
+
+
+def test_invariant_check_survives_optimize_flag():
+    # a class count of 0 for every stabilizer puts clifford below k**n/|H|
+    script = ("import sys\n"
+              "import wreathcount.classcount as cc\n"
+              "from wreathcount import parse_group_spec\n"
+              "cc.class_count = lambda group: 0\n"
+              "print(sys.flags.optimize)\n"
+              "cc.clifford_count(parse_group_spec('dihedral:4'), 2)\n")
+    res = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                         text=True)
+    assert res.stdout == "1\n"
+    assert res.returncode != 0
+    assert "below the orbit-count lower bound" in res.stderr
 
 
 def test_auto_count_huge_symmetric_without_materializing():

@@ -52,6 +52,31 @@ def test_count_method_all_asserts_agreement(run_cli):
     assert doc["value"] == "16"
 
 
+def test_count_method_all_disagreement_exits_one(run_cli, monkeypatch):
+    from wreathcount import classcount
+
+    real = classcount.brute_force_count
+
+    def off_by_one(k, group, budgets):
+        res = real(k, group, budgets)
+        res.value += 1
+        return res
+
+    monkeypatch.setattr(classcount, "brute_force_count", off_by_one)
+    code, out, err = run_cli("count", "--group", "cyclic:2", "--k", "2",
+                             "--method", "all")
+    assert code == 1 and out == ""
+    assert err.startswith("error: methods disagree") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_count_closed_form_refused_without_family_formula(run_cli):
+    code, out, err = run_cli("count", "--group", "dihedral:4", "--k", "2",
+                             "--method", "closed-form")
+    assert code == 1 and out == ""
+    assert "no closed form" in err
+
+
 def test_count_csv_multiple_groups_in_input_order(run_cli):
     code, out, _ = run_cli("count", "--group", "cyclic:3", "--group",
                            "symmetric:3", "--k", "2", "--output", "csv")
@@ -60,10 +85,6 @@ def test_count_csv_multiple_groups_in_input_order(run_cli):
     assert lines[0] == "group,k,degree,method,value,orbit_count"
     assert lines[1].startswith("cyclic:3,2,3,closed-form,8")
     assert lines[2].startswith("symmetric:3,2,3,")
-    code2, out2, _ = run_cli("count", "--group", "cyclic:3", "--group",
-                             "symmetric:3", "--k", "2", "--output", "csv",
-                             "--jobs", "2")
-    assert code2 == 0 and out2 == out
 
 
 def test_count_x_gens_sets_color_count(run_cli):
@@ -89,6 +110,7 @@ def test_usage_errors_exit_one(run_cli):
     assert run_cli("count", "--group", "nosuch:3", "--k", "2")[0] == 1
     assert run_cli("nosuchcommand")[0] == 1
     assert run_cli("verify", "nosuchsuite")[0] == 1
+    assert run_cli("scan", "--seed", "1")[0] == 1  # --seed is verify-only
 
 
 def test_parse_error_reports_column(run_cli):
@@ -112,6 +134,15 @@ def test_budget_env_variable(run_cli):
                            "--method", "brute"],
                           env_extra={"WREATHCOUNT_MAX_ORDER": "100"})
     assert res.returncode == 2
+
+
+def test_bad_budget_env_variable_exits_one():
+    res = _subprocess_run(["count", "--group", "cyclic:3", "--k", "2"],
+                          env_extra={"WREATHCOUNT_MAX_ORDER": "abc"})
+    assert res.returncode == 1
+    err = res.stderr.decode()
+    assert err.startswith("error: WREATHCOUNT_MAX_ORDER must be an integer")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_classify_json(run_cli):
