@@ -73,6 +73,7 @@ from .errors import (
     DegreeMismatch,
     DivisibilityViolation,
     Infeasible,
+    InvariantViolation,
     NotSemiprimitive,
     ParseError,
     UnknownFamily,
@@ -105,8 +106,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockDecomposition", "BoundReport", "BudgetExceeded", "Budgets", "CountResult",
     "CycleType", "DEFAULT", "DegreeMismatch", "DivisibilityViolation", "Infeasible",
-    "NotSemiprimitive", "NumericInvariants", "OrbitStats", "ParseError", "Partition",
-    "PermGroup", "Permutation", "ProductActionElement", "ScanRow",
+    "InvariantViolation", "NotSemiprimitive", "NumericInvariants", "OrbitStats", "ParseError",
+    "Partition", "PermGroup", "Permutation", "ProductActionElement", "ScanRow",
     "SemiprimitiveReport", "StructureReport", "UnknownFamily", "WreathGroup",
     "WreathcountError", "auto_count", "block_decomposition", "brute_force_count",
     "build_wreath_group", "burnside_lower", "burnside_orbit_count", "class_count",

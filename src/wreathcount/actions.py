@@ -14,7 +14,13 @@ from itertools import combinations
 from typing import Sequence
 
 from .budgets import DEFAULT, Budgets
-from .errors import BudgetExceeded, DegreeMismatch, ParseError, UnknownFamily
+from .errors import (
+    BudgetExceeded,
+    DegreeMismatch,
+    InvariantViolation,
+    ParseError,
+    UnknownFamily,
+)
 from .permgroup import (
     PermGroup,
     Permutation,
@@ -465,5 +471,5 @@ def block_decomposition(group: PermGroup, budgets: Budgets = DEFAULT) -> BlockDe
             kernel_elems.append(h)
     kernel = PermGroup.from_elements(kernel_elems, degree=group.degree)
     if kernel.order * quotient.order != group.order:
-        raise AssertionError("kernel/quotient orders do not multiply to the group order")
+        raise InvariantViolation("kernel/quotient orders do not multiply to the group order")
     return BlockDecomposition(r=r, blocks=blocks, kernel=kernel, quotient=quotient)

@@ -34,6 +34,7 @@ from .errors import (
     BudgetExceeded,
     DivisibilityViolation,
     Infeasible,
+    InvariantViolation,
     NotSemiprimitive,
 )
 from .permgroup import (
@@ -468,7 +469,7 @@ def semiprimitive_report(group: PermGroup, k: int,
 
     decomp = block_decomposition(group, budgets)
     if decomp is None:
-        raise AssertionError("transitive imprimitive group has no block decomposition")
+        raise InvariantViolation("transitive imprimitive group has no block decomposition")
     n = group.degree
     r = decomp.r
     kernel = decomp.kernel
@@ -593,7 +594,7 @@ def counterexample_scan(m_values: Sequence[int], k: int = 2,
                                     _fraction_text(bound), "skipped", "exact"))
             continue
         if value < -(-k ** n // order):
-            raise AssertionError(f"{param}: class count {value} below ceil(k**n/|H|)")
+            raise InvariantViolation(f"{param}: class count {value} below ceil(k**n/|H|)")
         five = Fraction(5 ** m, m)
         rows.append(ScanRow(f"{param}|5^m/m", k, n, grp.order, value,
                             _fraction_text(five), value >= five, "exact"))

@@ -56,6 +56,8 @@ def from_env(base: Budgets | None = None) -> Budgets:
             kw[field] = int(raw)
         except ValueError:
             raise ValueError(f"{env} must be an integer, got {raw!r}")
+        if kw[field] < 0:
+            raise ValueError(f"{env} must be >= 0, got {raw!r}")
     return b.with_overrides(**kw)
 
 

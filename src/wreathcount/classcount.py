@@ -5,7 +5,10 @@ every method takes (k, H). Three independent routes are kept deliberately
 separate so they can cross-check each other:
 
 * clifford_count: sum of k(I_H(c)) over orbit representatives c of H on
-  colorings of the domain with k colors, I the coloring stabilizer.
+  colorings of the domain with k colors, I the coloring stabilizer. The
+  representatives come from coloring_orbit_reps: for 2**16 to 2**22
+  colorings, numpy labels every coloring with its orbit minimum through
+  split-radix generator tables; other sizes walk the orbits in pure Python.
 * brute_force_count: materialize Z_k wr H and run union-find conjugacy.
 * closed_form: family formulas for the trivial, symmetric and prime-degree
   cyclic top groups; None for every other group.
@@ -25,9 +28,10 @@ from math import ceil
 from . import combinatorics
 from .actions import WreathGroup, build_wreath_group
 from .budgets import DEFAULT, Budgets
-from .errors import BudgetExceeded, DivisibilityViolation, Infeasible
+from .errors import BudgetExceeded, DivisibilityViolation, Infeasible, InvariantViolation
 from .permgroup import (
     PermGroup,
+    Permutation,
     UnionFind,
     class_count,
     coloring_stabilizer,
@@ -35,9 +39,11 @@ from .permgroup import (
     max_cycle_count,
 )
 
-# above this, orbit walks build per-generator transition tables with numpy
+# coloring spaces in this range are labelled by whole-array numpy work
 _NUMPY_MIN_SPACE = 1 << 16
 _NUMPY_MAX_SPACE = 1 << 22
+# entries per numpy labelling step: int32 blocks small enough to stay in cache
+_SWEEP_BLOCK = 1 << 16
 
 
 def encode_coloring(coloring, k: int) -> int:
@@ -55,23 +61,49 @@ def decode_coloring(e: int, k: int, n: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def _gen_tables_numpy(group: PermGroup, k: int, space: int):
+def _orbit_reps_numpy(gens: list[Permutation], k: int, space: int) -> list[tuple[int, int]]:
     import numpy as np
 
-    n = group.degree
-    weights = [k ** (n - 1 - i) for i in range(n)]
-    ar = np.arange(space, dtype=np.int64)
-    tmp = np.empty(space, dtype=np.int64)
-    tables = []
-    for g in group.generators:
-        acc = np.zeros(space, dtype=np.int64)
-        for i in range(n):
-            np.floor_divide(ar, weights[i], out=tmp)
-            np.mod(tmp, k, out=tmp)
-            tmp *= weights[g(i)]
-            acc += tmp
-        tables.append(acc.astype(np.int32) if space < 2 ** 31 else acc)
-    return tables
+    n = gens[0].degree
+    h = n // 2
+    digits = np.arange(k, dtype=np.int32)
+
+    # the image of a coloring is linear in its digits, sum d_i * k**(n-1-g(i)),
+    # so each table is the outer sum of a top-half and a bottom-half table
+    def half(images, points):
+        part = np.zeros(1, dtype=np.int32)
+        for i in points:
+            part = np.add.outer(part, digits * k ** (n - 1 - images[i])).ravel()
+        return part
+
+    tables = [np.add.outer(half(g.images, range(h)), half(g.images, range(h, n))).ravel()
+              for g in gens]
+
+    # min-label propagation in place, one block at a time through one buffer:
+    # label[x] = min(label[x], label[idx[x]]); label[x] stays in x's orbit and <= x
+    label = np.arange(space, dtype=np.int32)
+    buf = np.empty(min(space, _SWEEP_BLOCK), dtype=np.int32)
+
+    def sweep(idx):
+        for lo in range(0, space, _SWEEP_BLOCK):
+            hi = min(lo + _SWEEP_BLOCK, space)
+            out = buf[:hi - lo]
+            np.take(label, idx[lo:hi], out=out)
+            np.minimum(label[lo:hi], out, out=label[lo:hi])
+
+    while True:
+        before = label.sum(dtype=np.int64)
+        for t in tables:
+            sweep(t)
+        if label.sum(dtype=np.int64) == before:
+            break
+        sweep(label)  # pointer jump
+    # no generator lowers a label, so label[x] <= label[g(x)] around every finite
+    # cycle of g: label is constant on each orbit, hence the orbit minimum
+    del tables  # before bincount allocates its whole-space int64 counts
+    sizes = np.bincount(label)
+    reps = np.flatnonzero(sizes)
+    return list(zip(reps.tolist(), sizes[reps].tolist()))
 
 
 def _apply_generator(digits: tuple[int, ...], images: tuple[int, ...], k: int) -> int:
@@ -89,9 +121,11 @@ def coloring_orbit_reps(group: PermGroup, k: int, budgets: Budgets = DEFAULT,
 
     Returns (encoding, orbit size) pairs in increasing encoding order; each
     representative is the lex-smallest coloring of its orbit. ``mode`` is
-    "bfs" (visited table over the whole space, the default) or "scan" (no
-    table: keep a coloring iff no group element sends it lower; linear
-    memory, |H|-fold slower; the reference the tests compare bfs against).
+    "bfs" (the default) or "scan" (keep a coloring iff no group element sends
+    it lower; linear memory, |H|-fold slower; the reference the tests compare
+    bfs against). bfs labels every coloring with its orbit minimum by numpy
+    array passes when k**n lies in [2**16, 2**22], and otherwise walks each
+    orbit in pure Python over a visited bitmap of the whole space.
     """
     n = group.degree
     space = k ** n
@@ -101,21 +135,16 @@ def coloring_orbit_reps(group: PermGroup, k: int, budgets: Budgets = DEFAULT,
         raise ValueError(f"unknown mode {mode!r}")
     if space > budgets.max_coloring_space:
         raise BudgetExceeded(
-            f"coloring space k**n = {space} exceeds budget "
-            f"{budgets.max_coloring_space}; use scan mode or raise the budget")
+            f"coloring space k**n = {space} exceeds the max_coloring_space budget "
+            f"{budgets.max_coloring_space}")
 
     gens = [g for g in group.generators if not g.is_identity()]
     if not gens:
         return [(e, 1) for e in range(space)]
-
-    tables = None
     if _NUMPY_MIN_SPACE <= space <= _NUMPY_MAX_SPACE:
-        try:
-            tables = _gen_tables_numpy(group, k, space)
-        except ImportError:
-            tables = None
-    gen_images = [g.images for g in gens]
+        return _orbit_reps_numpy(gens, k, space)
 
+    gen_images = [g.images for g in gens]
     visited = bytearray(space)
     reps: list[tuple[int, int]] = []
     for start in range(space):
@@ -124,25 +153,15 @@ def coloring_orbit_reps(group: PermGroup, k: int, budgets: Budgets = DEFAULT,
         visited[start] = 1
         stack = [start]
         size = 0
-        if tables is not None:
-            while stack:
-                x = stack.pop()
-                size += 1
-                for t in tables:
-                    y = int(t[x])
-                    if not visited[y]:
-                        visited[y] = 1
-                        stack.append(y)
-        else:
-            while stack:
-                x = stack.pop()
-                size += 1
-                digits = decode_coloring(x, k, n)
-                for images in gen_images:
-                    y = _apply_generator(digits, images, k)
-                    if not visited[y]:
-                        visited[y] = 1
-                        stack.append(y)
+        while stack:
+            x = stack.pop()
+            size += 1
+            digits = decode_coloring(x, k, n)
+            for images in gen_images:
+                y = _apply_generator(digits, images, k)
+                if not visited[y]:
+                    visited[y] = 1
+                    stack.append(y)
         reps.append((start, size))
     return reps
 
@@ -247,7 +266,7 @@ def clifford_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> Coun
             stab = coloring_stabilizer(group, decode_coloring(enc, k, n))
             value += class_count(stab)
     if value * order < k ** n:
-        raise AssertionError(
+        raise InvariantViolation(
             f"class count {value} below the orbit-count lower bound k**n/|H| = {k ** n}/{order}")
     return CountResult(k=k, group=group, degree=n, method="clifford", value=value,
                        orbit_count=len(reps), elapsed=time.perf_counter() - t0)
@@ -285,7 +304,7 @@ def schmid_cyclic(k: int, n: int) -> tuple[int | None, int]:
     if not combinatorics.is_prime(n):
         return None, upper
     if (k ** n - k) % n:
-        raise AssertionError(f"Fermat: {k}**{n} - {k} not divisible by prime {n}")
+        raise InvariantViolation(f"Fermat: {k}**{n} - {k} not divisible by prime {n}")
     return (k ** n - k) // n + k * n, upper
 
 
@@ -334,14 +353,14 @@ def nonregular_orbit_stats(group: PermGroup, k: int,
     nonregular = sum(1 for _, size in reps if size < order)
     delta = k ** group.degree - order * (total - nonregular)
     if delta != sum(size for _, size in reps if size < order):
-        raise AssertionError(f"orbit sizes do not partition the {k ** group.degree} colorings")
+        raise InvariantViolation(f"orbit sizes do not partition the {k ** group.degree} colorings")
     if order > 1:
         ms = max_cycle_count(group)
         if not nonregular < 2 * k ** ms:
-            raise AssertionError(
+            raise InvariantViolation(
                 f"non-regular orbit count {nonregular} >= 2*k**max_sigma = {2 * k ** ms}")
         if not delta <= (order - 1) * k ** ms:
-            raise AssertionError(
+            raise InvariantViolation(
                 f"non-regular union {delta} > (|H|-1)*k**max_sigma = {(order - 1) * k ** ms}")
     return OrbitStats(total_orbits=total, nonregular_orbits=nonregular, delta_size=delta)
 

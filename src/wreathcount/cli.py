@@ -49,6 +49,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _budget_limit(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_common(p: _Parser, with_group: bool = True, with_k: bool = True):
     if with_group:
         p.add_argument("--group", action="append", required=True,
@@ -59,9 +69,9 @@ def _add_common(p: _Parser, with_group: bool = True, with_k: bool = True):
         p.add_argument("--x-gens", default=None, metavar="CYCLES",
                        help="generators of X in cycle notation; only k(X) is used")
     p.add_argument("--output", choices=("table", "json", "csv"), default="table")
-    p.add_argument("--budget-max-order", type=int, default=None, metavar="N")
-    p.add_argument("--budget-max-colorings", type=int, default=None, metavar="N")
-    p.add_argument("--budget-max-lift", type=int, default=None, metavar="N")
+    p.add_argument("--budget-max-order", type=_budget_limit, default=None, metavar="N")
+    p.add_argument("--budget-max-colorings", type=_budget_limit, default=None, metavar="N")
+    p.add_argument("--budget-max-lift", type=_budget_limit, default=None, metavar="N")
 
 
 def build_parser() -> _Parser:

@@ -33,6 +33,10 @@ class DivisibilityViolation(WreathcountError):
     """Burnside sum not divisible by the group order. Signals a bug; must never fire."""
 
 
+class InvariantViolation(WreathcountError):
+    """A mathematical invariant failed on a computed result. Signals a bug; must never fire."""
+
+
 class NotSemiprimitive(WreathcountError):
     """Group fails the preconditions of the semiprimitive decomposition report."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .budgets import DEFAULT, Budgets
-from .errors import BudgetExceeded, DegreeMismatch, ParseError
+from .errors import BudgetExceeded, DegreeMismatch, InvariantViolation, ParseError
 
 
 class Permutation:
@@ -651,7 +651,7 @@ def _min_base_size(group: PermGroup) -> int:
     for depth in range(1, d + 1):
         if dfs(elems, 0, depth):
             return depth
-    raise AssertionError("faithful permutation group must have a base")
+    raise InvariantViolation("faithful permutation group must have a base")
 
 
 def numeric_invariants(group: PermGroup, want_e: bool = False,

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wreathcount import (
@@ -78,6 +79,34 @@ def test_orbit_reps_scan_mode_agrees():
         for k in (2, 3):
             assert (coloring_orbit_reps(grp, k, mode="scan")
                     == coloring_orbit_reps(grp, k))
+
+
+@pytest.mark.parametrize("spec", ["symmetric:3", "cyclic:4", "dihedral:4", "wreath-cyclic:2",
+                                  "gens:4,(1 2)(3 4),(1 3)(2 4)"])
+def test_numpy_orbit_walk_agrees_with_scan(spec, monkeypatch):
+    from wreathcount import classcount
+
+    monkeypatch.setattr(classcount, "_NUMPY_MIN_SPACE", 1)  # every space takes the numpy path
+    grp = parse_group_spec(spec)
+    for k in (1, 2, 3):
+        assert coloring_orbit_reps(grp, k) == coloring_orbit_reps(grp, k, mode="scan")
+
+
+def test_numpy_orbit_walk_reps_are_orbit_minima():
+    grp, k = parse_group_spec("dihedral:12"), 3
+    n, order = grp.degree, grp.order
+    reps = coloring_orbit_reps(grp, k)  # 3**12 colorings: the numpy range
+    assert len(reps) == burnside_orbit_count(grp, k)
+    assert sum(size for _, size in reps) == k ** n
+    codes = np.array([code for code, _ in reps], dtype=np.int64)
+    weights = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    digits = codes[:, None] // weights % k
+    fixes = np.zeros(len(codes), dtype=np.int64)
+    for g in grp.elements:
+        images = digits @ weights[list(g.images)]  # digit i lands at position g(i)
+        assert (images >= codes).all()
+        fixes += images == codes
+    assert [size for _, size in reps] == (order // fixes).tolist()
 
 
 def test_orbit_reps_are_orbit_minima():

@@ -129,6 +129,41 @@ def test_budget_refusal_exits_two(run_cli):
     assert "budget refusal" in err
 
 
+def test_budget_refusal_names_the_budget(run_cli):
+    code, out, err = run_cli("count", "--group", "cyclic:4", "--k", "2",
+                             "--method", "clifford", "--budget-max-colorings", "8")
+    assert code == 2 and out == ""
+    assert "k**n = 16 exceeds the max_coloring_space budget 8" in err
+    assert "scan mode" not in err
+
+
+@pytest.mark.parametrize("flag", ["--budget-max-order", "--budget-max-colorings",
+                                  "--budget-max-lift"])
+def test_negative_budget_flag_is_a_usage_error(run_cli, flag):
+    code, out, err = run_cli("count", "--group", "cyclic:4", "--k", "2", flag, "-1")
+    assert code == 1 and out == ""
+    assert err == f"error: argument {flag}: must be >= 0, got -1\n"
+
+
+def test_negative_budget_env_variable_exits_one(run_cli, monkeypatch):
+    # a negative limit would refuse every coloring space and fall through to brute
+    monkeypatch.setenv("WREATHCOUNT_MAX_COLORINGS", "-5")
+    code, out, err = run_cli("count", "--group", "cyclic:4", "--k", "2")
+    assert code == 1 and out == ""
+    assert err == "error: WREATHCOUNT_MAX_COLORINGS must be >= 0, got '-5'\n"
+
+
+def test_tripped_invariant_exits_one_without_traceback(run_cli, monkeypatch):
+    from wreathcount import classcount
+
+    monkeypatch.setattr(classcount, "class_count", lambda group: 0)
+    code, out, err = run_cli("count", "--group", "dihedral:4", "--k", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "below the orbit-count lower bound" in err
+    assert "Traceback" not in err
+
+
 def test_budget_env_variable(run_cli):
     res = _subprocess_run(["count", "--group", "symmetric:5", "--k", "2",
                            "--method", "brute"],
