@@ -6,7 +6,7 @@ separate so they can cross-check each other:
 
 * clifford_count: sum of k(I_H(c)) over orbit representatives c of H on
   colorings of the domain with k colors, I the coloring stabilizer. The
-  representatives come from coloring_orbit_reps: for 2**16 to 2**22
+  representatives come from coloring_orbit_reps: for 2**14 to 2**22
   colorings, numpy labels every coloring with its orbit minimum through
   split-radix generator tables; other sizes walk the orbits in pure Python.
 * brute_force_count: materialize Z_k wr H and run union-find conjugacy.
@@ -39,8 +39,10 @@ from .permgroup import (
     max_cycle_count,
 )
 
-# coloring spaces in this range are labelled by whole-array numpy work
-_NUMPY_MIN_SPACE = 1 << 16
+# coloring spaces in this range are labelled by whole-array numpy work; near
+# 2**14 the pure-Python walk (about 2.4 us a coloring) costs as much as
+# importing numpy (about 0.035 s), which only this path needs
+_NUMPY_MIN_SPACE = 1 << 14
 _NUMPY_MAX_SPACE = 1 << 22
 # entries per numpy labelling step: int32 blocks small enough to stay in cache
 _SWEEP_BLOCK = 1 << 16
@@ -124,7 +126,7 @@ def coloring_orbit_reps(group: PermGroup, k: int, budgets: Budgets = DEFAULT,
     "bfs" (the default) or "scan" (keep a coloring iff no group element sends
     it lower; linear memory, |H|-fold slower; the reference the tests compare
     bfs against). bfs labels every coloring with its orbit minimum by numpy
-    array passes when k**n lies in [2**16, 2**22], and otherwise walks each
+    array passes when k**n lies in [2**14, 2**22], and otherwise walks each
     orbit in pure Python over a visited bitmap of the whole space.
     """
     n = group.degree

@@ -1,8 +1,9 @@
 """Desk-scale permutation groups with fully materialized element sets.
 
 Everything here works by explicit element enumeration: closures are BFS over
-generator products, conjugacy classes and orbits are union-find, stabilizers
-are filters. No stabilizer chains. That keeps results exact, deterministic
+generator products, run on raw image tuples and wrapped as Permutations once
+at the end; conjugacy classes and orbits are union-find, stabilizers are
+filters. No stabilizer chains. That keeps results exact, deterministic
 and easy to audit, and is the right tradeoff for the group orders this
 package targets (closure budget defaults to 10**6 elements).
 """
@@ -221,23 +222,32 @@ def parse_generators(text: str, degree: int | None = None) -> list[Permutation]:
 
 
 def _closure(generators: Sequence[Permutation], limit: int) -> set[Permutation]:
-    """BFS product closure; always contains the identity."""
-    ident = Permutation.identity(generators[0].degree)
+    """BFS product closure; always contains the identity.
+
+    The walk runs on raw image tuples, so products, hashing and membership
+    tests stay in C; each element is wrapped as a Permutation once at the end.
+    """
+    degree = generators[0].degree
+    if any(g.degree != degree for g in generators):
+        raise DegreeMismatch(f"mixed generator degrees {sorted({g.degree for g in generators})}")
+    getters = [g.images.__getitem__ for g in generators]
+    ident = tuple(range(degree))
     seen = {ident}
     frontier = [ident]
     while frontier:
         fresh = []
         for b in frontier:
-            for g in generators:
-                c = g * b
+            for g in getters:
+                c = tuple(map(g, b))  # images of g * b
                 if c not in seen:
                     if len(seen) >= limit:
                         raise BudgetExceeded(
-                            f"group order exceeds budget {limit} during closure")
+                            f"group order exceeds the max_group_order budget {limit} "
+                            f"during closure")
                     seen.add(c)
                     fresh.append(c)
         frontier = fresh
-    return seen
+    return {Permutation._unsafe(c) for c in seen}
 
 
 class PermGroup:
@@ -288,9 +298,12 @@ class PermGroup:
         for x in elems:
             if x not in known:
                 gens.append(x)
-                known = _closure(gens, limit=len(elems))
-        if len(known) != len(elems):
-            raise ValueError("element set is not closed under products")
+                try:
+                    # known ends as a superset of elems, so a closed set never
+                    # outgrows len(elems) and an open one always does
+                    known = _closure(gens, limit=len(elems))
+                except BudgetExceeded as exc:
+                    raise ValueError("element set is not closed under products") from exc
         grp = cls(gens or [Permutation.identity(degree)], degree=degree,
                   family=family, budgets=budgets)
         grp._elements = tuple(elems)
@@ -460,8 +473,8 @@ def normal_subgroups(group: PermGroup, budgets: Budgets = DEFAULT) -> list[froze
     """
     if group.order > budgets.max_normal_order:
         raise BudgetExceeded(
-            f"normal subgroup enumeration refused: order {group.order} > "
-            f"{budgets.max_normal_order}")
+            f"normal subgroup enumeration refused: order {group.order} exceeds the "
+            f"max_normal_order budget {budgets.max_normal_order}")
     classes = conjugacy_classes(group)
     trivial = frozenset({group.identity})
     found = {trivial}
@@ -474,7 +487,9 @@ def normal_subgroups(group: PermGroup, budgets: Budgets = DEFAULT) -> list[froze
             grown = _class_closed_subgroup(base, cls, limit=group.order)
             if grown not in found:
                 if len(found) >= budgets.max_subgroup_count:
-                    raise BudgetExceeded("normal subgroup lattice larger than safety cap")
+                    raise BudgetExceeded(
+                        f"normal subgroup lattice larger than safety cap: more than the "
+                        f"max_subgroup_count budget {budgets.max_subgroup_count}")
                 found.add(grown)
                 queue.append(grown)
     return sorted(found, key=lambda s: (len(s), sorted(s)))
@@ -593,11 +608,15 @@ def subgroups(group: PermGroup, budgets: Budgets = DEFAULT) -> list[frozenset[Pe
     """Every subgroup, as an element set; refuses groups over the lattice budget.
 
     Walk the lattice by extending each known subgroup with one more element.
-    Every subgroup is reachable this way from the trivial one.
+    Every subgroup is reachable this way from the trivial one. For s, t in
+    sub, <sub, x> = <sub, s*x*t>, so once x is closed the rest of its double
+    coset sub*x*sub (which holds x*sub and sub*x) is skipped: it can only
+    reach the same subgroup again.
     """
     if group.order > budgets.max_subgroup_order:
         raise BudgetExceeded(
-            f"subgroup lattice refused: order {group.order} > {budgets.max_subgroup_order}")
+            f"subgroup lattice refused: order {group.order} exceeds the "
+            f"max_subgroup_order budget {budgets.max_subgroup_order}")
     elems = group.elements
     trivial = frozenset({group.identity})
     seen = {trivial: ()}
@@ -605,15 +624,26 @@ def subgroups(group: PermGroup, budgets: Budgets = DEFAULT) -> list[frozenset[Pe
     while queue:
         sub = queue.pop()
         gens = seen[sub]
+        sub_images = [s.images for s in sub]
+        done = set(sub_images)
         for x in elems:
-            if x in sub:
+            xi = x.images
+            if xi in done:
                 continue
-            grown = frozenset(_closure(list(gens) + [x], limit=group.order))
+            # a skipped x reaches what an earlier closed x did: seen matches the full walk
+            grown = frozenset(_closure(gens + (x,), limit=group.order))
             if grown not in seen:
                 if len(seen) >= budgets.max_subgroup_count:
-                    raise BudgetExceeded("subgroup lattice larger than safety cap")
+                    raise BudgetExceeded(
+                        f"subgroup lattice larger than safety cap: more than the "
+                        f"max_subgroup_count budget {budgets.max_subgroup_count}")
                 seen[grown] = gens + (x,)
                 queue.append(grown)
+            for si in sub_images:
+                y = tuple(map(si.__getitem__, xi))  # s * x
+                if y not in done:  # done is a union of cosets y*sub
+                    y_of = y.__getitem__
+                    done.update([tuple(map(y_of, ti)) for ti in sub_images])  # s * x * t
     return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
 

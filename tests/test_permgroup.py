@@ -28,7 +28,7 @@ from wreathcount import (
     structure_classify,
     subgroups,
 )
-from wreathcount.permgroup import centralizer_order
+from wreathcount.permgroup import _closure, centralizer_order
 
 
 def test_parse_permutation_images():
@@ -122,6 +122,42 @@ def test_closure_order_divides_symmetric_order():
         assert math.factorial(6) % grp.order == 0
 
 
+def _reference_closure(generators):
+    """Plain BFS over Permutation products: the reference for the image-tuple kernel."""
+    ident = Permutation.identity(generators[0].degree)
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        fresh = []
+        for b in frontier:
+            for g in generators:
+                c = g * b
+                if c not in seen:
+                    seen.add(c)
+                    fresh.append(c)
+        frontier = fresh
+    return seen
+
+
+def test_closure_matches_permutation_product_reference():
+    rng = random.Random(29)
+    for _ in range(10):
+        gens = []
+        for _ in range(2):
+            images = list(range(6))
+            rng.shuffle(images)
+            gens.append(Permutation(images))
+        assert _closure(gens, limit=DEFAULT.max_group_order) == _reference_closure(gens)
+
+
+def test_from_elements_rejects_non_closed_set():
+    elems = [Permutation.identity(3), parse_permutation("(1 2 3)")]
+    with pytest.raises(ValueError, match="element set is not closed under products"):
+        PermGroup.from_elements(elems)
+    with pytest.raises(ValueError, match="element set is not closed under products"):
+        PermGroup.from_elements([parse_permutation("(1 2)")])
+
+
 def test_orbits():
     grp = parse_group_spec("gens:4,(1 2)")
     assert orbits(grp) == ((0, 1), (2,), (3,))
@@ -198,6 +234,52 @@ def test_subgroups_of_klein():
     klein = parse_group_spec("gens:4,(1 2)(3 4),(1 3)(2 4)")
     subs = subgroups(klein)
     assert sorted(len(s) for s in subs) == [1, 2, 2, 2, 4]
+
+
+def _reference_subgroups(group):
+    """The lattice walk without coset skipping, closing over Permutation products."""
+    trivial = frozenset({group.identity})
+    seen = {trivial: ()}
+    queue = [trivial]
+    while queue:
+        sub = queue.pop()
+        gens = seen[sub]
+        for x in group.elements:
+            if x in sub:
+                continue
+            grown = frozenset(_reference_closure(list(gens) + [x]))
+            if grown not in seen:
+                seen[grown] = gens + (x,)
+                queue.append(grown)
+    return sorted(seen, key=lambda s: (len(s), sorted(s)))
+
+
+@pytest.mark.parametrize("spec,count", [
+    ("symmetric:4", 30), ("dihedral:4", 10), ("alternating:4", 10),
+    ("quaternion", 6), ("cyclic:6", 4), ("wreath-cyclic:2", 10)])
+def test_subgroups_match_naive_lattice_walk(spec, count):
+    grp = parse_group_spec(spec)
+    subs = subgroups(grp)
+    assert len(subs) == count
+    assert subs == _reference_subgroups(grp)
+
+
+@pytest.mark.parametrize("call,field", [
+    (lambda b: subgroups(parse_group_spec("symmetric:4"), b), "max_subgroup_order"),
+    (lambda b: normal_subgroups(parse_group_spec("symmetric:4"), b), "max_normal_order"),
+    (lambda b: PermGroup(parse_generators("(1 2), (1 2 3 4)"), budgets=b).elements,
+     "max_group_order"),
+], ids=["subgroups", "normal_subgroups", "closure"])
+def test_refusal_names_its_budget(call, field):
+    with pytest.raises(BudgetExceeded, match=f"the {field} budget 10"):
+        call(DEFAULT.with_overrides(**{field: 10}))
+
+
+@pytest.mark.parametrize("enumerate_", [subgroups, normal_subgroups])
+def test_lattice_safety_cap_names_its_budget(enumerate_):
+    tight = DEFAULT.with_overrides(max_subgroup_count=2)
+    with pytest.raises(BudgetExceeded, match="max_subgroup_count budget 2"):
+        enumerate_(parse_group_spec("symmetric:4"), tight)
 
 
 def test_primitivity():
