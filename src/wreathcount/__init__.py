@@ -2,22 +2,22 @@
 
 The count k(X wr H) depends on the base group X only through k = k(X), so the
 whole API takes an integer k and a permutation group H. Three independent
-counting routes (stabilizer sums, brute-force union-find, Burnside orbit
-counting) cross-check each other, and a bounds module evaluates the exact
-inequalities that govern the census of coloring orbits.
+counting routes (stabilizer sums, brute-force union-find, family closed
+forms) cross-check each other; Burnside orbit counting gives the orbit
+count, a lower bound. A bounds module evaluates the exact inequalities that
+govern the census of coloring orbits, and the verify module holds the
+cross-check suites behind ``wreathcount verify``.
 """
 
 from .actions import (
     BlockDecomposition,
     CycleType,
-    ProductActionElement,
     WreathGroup,
     block_decomposition,
     build_wreath_group,
     cycle_type,
     family,
     fix_subsets_direct,
-    gamma,
     parse_group_spec,
     product_action_build,
     sigma,
@@ -107,7 +107,7 @@ __all__ = [
     "BlockDecomposition", "BoundReport", "BudgetExceeded", "Budgets", "CountResult",
     "CycleType", "DEFAULT", "DegreeMismatch", "DivisibilityViolation", "Infeasible",
     "InvariantViolation", "NotSemiprimitive", "NumericInvariants", "OrbitStats", "ParseError",
-    "Partition", "PermGroup", "Permutation", "ProductActionElement", "ScanRow",
+    "Partition", "PermGroup", "Permutation", "ScanRow",
     "SemiprimitiveReport", "StructureReport", "UnknownFamily", "WreathGroup",
     "WreathcountError", "auto_count", "block_decomposition", "brute_force_count",
     "build_wreath_group", "burnside_lower", "burnside_orbit_count", "class_count",
@@ -116,7 +116,7 @@ __all__ = [
     "counterexample_scan", "cycle_type",
     "decode_coloring", "direct_orbit_count", "encode_coloring", "family",
     "fix_subsets_direct", "fix_subsets_formula", "fixed_subset_fraction_probe",
-    "gamma", "is_primitive", "is_semiregular", "is_transitive",
+    "is_primitive", "is_semiregular", "is_transitive",
     "large_base_count_bound", "large_base_match", "nonregular_orbit_stats",
     "normal_subgroups", "numeric_invariants", "orbits", "parse_generators",
     "parse_group_spec", "parse_permutation", "partition_count", "partition_enum",

@@ -51,12 +51,6 @@ class CycleType:
     def fixed(self) -> int:
         return dict(self.alpha).get(1, 0)
 
-    def keys(self):  # lets Mapping-style consumers accept a CycleType directly
-        return self.as_dict().keys()
-
-    def __getitem__(self, length: int) -> int:
-        return self.as_dict()[length]
-
 
 def sigma(p: Permutation) -> int:
     """Cycle count of p on its full domain, fixed points included."""
@@ -143,18 +137,6 @@ def fix_subsets_direct(p: Permutation, ell: int, budgets: Budgets = DEFAULT) -> 
 # Product action of S_m wr S_t on t-tuples of ell-subsets.
 
 
-@dataclass(frozen=True)
-class ProductActionElement:
-    """Coordinate permutations plus a top permutation of the coordinates."""
-
-    coords: tuple[Permutation, ...]
-    top: Permutation
-
-    def __post_init__(self):
-        if self.top.degree != len(self.coords):
-            raise DegreeMismatch("top degree must equal the number of coordinates")
-
-
 def product_action_build(coords: Sequence[Permutation], top: Permutation,
                          m: int, ell: int, budgets: Budgets = DEFAULT) -> Permutation:
     """Permutation of the C(m,ell)^t tuples realized by (coords, top).
@@ -164,9 +146,10 @@ def product_action_build(coords: Sequence[Permutation], top: Permutation,
     position j, coords[top^-1(j)] applied to w_{top^-1(j)}.
     """
     t = len(coords)
-    elem = ProductActionElement(tuple(coords), top)
+    if top.degree != t:
+        raise DegreeMismatch("top degree must equal the number of coordinates")
     base = math.comb(m, ell)
-    for c in elem.coords:
+    for c in coords:
         if c.degree != base:
             raise DegreeMismatch(
                 f"coordinate degree {c.degree} != C({m},{ell}) = {base}")
@@ -186,14 +169,9 @@ def product_action_build(coords: Sequence[Permutation], top: Permutation,
         img = 0
         for j in range(t):
             src = topinv(j)
-            img = img * base + elem.coords[src](w[src])
+            img = img * base + coords[src](w[src])
         images[point] = img
     return Permutation._unsafe(tuple(images))
-
-
-def gamma(p: Permutation) -> int:
-    """Cycle count of a product-action permutation; coincides with sigma."""
-    return p.cycle_count()
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +410,6 @@ def induced_block_permutation(h: Permutation, blocks: Sequence[Sequence[int]]) -
             index[pt] = bi
     images = [index[h(block[0])] for block in blocks]
     return Permutation(images)
-
-
-def block_cycle_count(h: Permutation, blocks: Sequence[Sequence[int]]) -> int:
-    """Cycle count of h on the block set."""
-    return induced_block_permutation(h, blocks).cycle_count()
 
 
 def block_decomposition(group: PermGroup, budgets: Budgets = DEFAULT) -> BlockDecomposition | None:

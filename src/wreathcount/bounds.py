@@ -18,8 +18,10 @@ from typing import Sequence
 from . import combinatorics
 from .actions import (
     block_decomposition,
+    cycle_type,
     cycle_type_class_size,
     induced_block_permutation,
+    sigma_prime,
     subsets_action_lift,
 )
 from .budgets import DEFAULT, Budgets
@@ -39,6 +41,7 @@ from .errors import (
 )
 from .permgroup import (
     PermGroup,
+    Permutation,
     class_count,
     coloring_stabilizer,
     is_semiregular,
@@ -67,11 +70,7 @@ class BoundReport:
 
     def to_json_dict(self) -> dict:
         def render(x):
-            if x is None or isinstance(x, float):
-                return x
-            if isinstance(x, Fraction):
-                return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-            return str(x)
+            return x if x is None or isinstance(x, float) else fraction_text(x)
 
         out = {
             "name": self.name,
@@ -240,25 +239,6 @@ def predicates(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> list[Bou
 # Subset-action orbit counts and the large-base bounds.
 
 
-def _lift_cycle_lengths(m: int, ell: int, parts: tuple[int, ...],
-                        budgets: Budgets) -> dict[int, int]:
-    """Cycle length multiset of the ell-subset lift of a permutation with given type."""
-    from .permgroup import Permutation
-
-    images = []
-    start = 0
-    for length in parts:
-        images.extend(range(start + 1, start + length))
-        images.append(start)
-        start += length
-    rep = Permutation._unsafe(tuple(images))
-    lift = subsets_action_lift(rep, ell, budgets)
-    lengths: dict[int, int] = {}
-    for cyc in lift.cycles(include_fixed=True):
-        lengths[len(cyc)] = lengths.get(len(cyc), 0) + 1
-    return lengths
-
-
 def subset_orbit_count_exact(m: int, ell: int, k: int,
                              budgets: Budgets = DEFAULT) -> int:
     """n(S_m, k-colorings of the ell-subsets), exactly, via per-cycle-type Burnside."""
@@ -267,22 +247,17 @@ def subset_orbit_count_exact(m: int, ell: int, k: int,
     fact = math.factorial(m)
     total = 0
     for part in combinatorics.partition_enum(m):
-        ct = cycle_type_from_parts(part.parts)
-        size = cycle_type_class_size(ct)
-        sp = sum(_lift_cycle_lengths(m, ell, part.parts, budgets).values())
-        total += size * k ** sp
+        # one permutation of this cycle type: consecutive runs of points as cycles
+        images = []
+        for length in part.parts:
+            start = len(images)
+            images.extend(range(start + 1, start + length))
+            images.append(start)
+        rep = Permutation._unsafe(tuple(images))
+        total += cycle_type_class_size(cycle_type(rep)) * k ** sigma_prime(rep, ell, budgets)
     if total % fact:
         raise DivisibilityViolation("subset-action Burnside sum not divisible by m!")
     return total // fact
-
-
-def cycle_type_from_parts(parts: Sequence[int]):
-    from .actions import CycleType
-
-    counts: dict[int, int] = {}
-    for p in parts:
-        counts[p] = counts.get(p, 0) + 1
-    return CycleType(tuple(sorted(counts.items())))
 
 
 def subset_orbit_bound(m: int, ell: int, k: int, budgets: Budgets = DEFAULT) -> BoundReport:
@@ -325,8 +300,6 @@ def product_orbit_identity(m: int, ell: int, t: int, k: int,
     product-action domain: already for m=3, t=2, k=2 the latter space has
     36 orbits while the tuple space has 4**2 = 16.
     """
-    from .permgroup import Permutation
-
     if t < 1:
         raise ValueError("t must be >= 1")
     c = math.comb(m, ell)
@@ -438,14 +411,8 @@ class SemiprimitiveReport:
     note: str = ""
 
     def to_json_dict(self) -> dict:
-        def render(x):
-            if isinstance(x, Fraction):
-                return f"{x.numerator}/{x.denominator}"
-            if isinstance(x, (int, type(None), float, bool, str)):
-                return x
-            return str(x)
-
-        return {k: render(v) for k, v in self.__dict__.items() if k != "blocks"} | {
+        return {k: fraction_text(v) if isinstance(v, Fraction) else v
+                for k, v in self.__dict__.items() if k != "blocks"} | {
             "blocks": [list(b) for b in self.blocks]}
 
 
@@ -591,22 +558,21 @@ def counterexample_scan(m_values: Sequence[int], k: int = 2,
             for tag, bound in ((f"{param}|5^m/m", Fraction(5 ** m, m)),
                                (f"{param}|k^n", k ** n)):
                 rows.append(ScanRow(tag, k, n, order, None,
-                                    _fraction_text(bound), "skipped", "exact"))
+                                    fraction_text(bound), "skipped", "exact"))
             continue
         if value < -(-k ** n // order):
             raise InvariantViolation(f"{param}: class count {value} below ceil(k**n/|H|)")
         five = Fraction(5 ** m, m)
         rows.append(ScanRow(f"{param}|5^m/m", k, n, grp.order, value,
-                            _fraction_text(five), value >= five, "exact"))
+                            fraction_text(five), value >= five, "exact"))
         rows.append(ScanRow(f"{param}|k^n", k, n, grp.order, value,
                             str(k ** n), value > k ** n, "exact"))
     return rows
 
 
-def _fraction_text(x) -> str:
-    if isinstance(x, Fraction) and x.denominator != 1:
-        return f"{x.numerator}/{x.denominator}"
-    return str(int(x))
+def fraction_text(x: int | Fraction) -> str:
+    """An exact rational as "p/q", or as "p" when it is an integer."""
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def fixed_subset_fraction_probe(m_values: Sequence[int],

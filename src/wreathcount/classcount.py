@@ -16,19 +16,26 @@ separate so they can cross-check each other:
 burnside_orbit_count, (1/|H|) sum of k**sigma(h), gives the orbit count
 alone, which lower-bounds the class count. auto_count is the one dispatch:
 closed form, else clifford, else brute, else Infeasible with a bracket.
+route_values runs every route that fits the budgets and raises when two
+disagree; count --method all and the verify oracles both use it.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
 from . import combinatorics
-from .actions import WreathGroup, build_wreath_group
+from .actions import build_wreath_group
 from .budgets import DEFAULT, Budgets
-from .errors import BudgetExceeded, DivisibilityViolation, Infeasible, InvariantViolation
+from .errors import (
+    BudgetExceeded,
+    DivisibilityViolation,
+    Infeasible,
+    InvariantViolation,
+    WreathcountError,
+)
 from .permgroup import (
     PermGroup,
     Permutation,
@@ -199,7 +206,6 @@ class CountResult:
     method: str                 # clifford | brute | burnside-lower | closed-form
     value: int
     orbit_count: int | None = None
-    elapsed: float = field(default=0.0, compare=False)
 
     def to_json_dict(self) -> dict:
         # class counts travel as decimal strings: they routinely pass 2**64
@@ -242,10 +248,9 @@ def burnside_orbit_count(group: PermGroup, k: int) -> int:
 
 def burnside_lower(group: PermGroup, k: int) -> CountResult:
     """Orbit count packaged as a lower bound on the class count."""
-    t0 = time.perf_counter()
     f = burnside_orbit_count(group, k)
     return CountResult(k=k, group=group, degree=group.degree, method="burnside-lower",
-                       value=f, orbit_count=f, elapsed=time.perf_counter() - t0)
+                       value=f, orbit_count=f)
 
 
 def clifford_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> CountResult:
@@ -256,7 +261,6 @@ def clifford_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> Coun
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    t0 = time.perf_counter()
     n = group.degree
     reps = coloring_orbit_reps(group, k, budgets)
     order = group.order
@@ -271,7 +275,7 @@ def clifford_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> Coun
         raise InvariantViolation(
             f"class count {value} below the orbit-count lower bound k**n/|H| = {k ** n}/{order}")
     return CountResult(k=k, group=group, degree=n, method="clifford", value=value,
-                       orbit_count=len(reps), elapsed=time.perf_counter() - t0)
+                       orbit_count=len(reps))
 
 
 def brute_force_count(k: int, group: PermGroup, budgets: Budgets = DEFAULT) -> CountResult:
@@ -280,7 +284,6 @@ def brute_force_count(k: int, group: PermGroup, budgets: Budgets = DEFAULT) -> C
     Independent of the Clifford route end to end: no coloring enumeration,
     no stabilizers, just union-find over the full wreath group.
     """
-    t0 = time.perf_counter()
     wr = build_wreath_group(k, group, budgets)
     index = {el: i for i, el in enumerate(wr.elements)}
     uf = UnionFind(len(wr.elements))
@@ -291,7 +294,7 @@ def brute_force_count(k: int, group: PermGroup, budgets: Budgets = DEFAULT) -> C
             uf.union(i, index[y])
     value = sum(1 for i in range(len(wr.elements)) if uf.find(i) == i)
     return CountResult(k=k, group=group, degree=group.degree, method="brute",
-                       value=value, elapsed=time.perf_counter() - t0)
+                       value=value)
 
 
 def schmid_cyclic(k: int, n: int) -> tuple[int | None, int]:
@@ -334,6 +337,28 @@ def closed_form(group: PermGroup, k: int) -> int | None:
         exact, _ = schmid_cyclic(k, n)
         return exact
     return None
+
+
+def route_values(group: PermGroup, k: int, budgets: Budgets) -> dict[str, int]:
+    """The value of every exact route that fits the budgets, keyed by route name.
+
+    Routes are "closed-form" (when the family has one), "clifford" and
+    "brute"; a route the budgets refuse is left out. Raises WreathcountError
+    when two routes disagree.
+    """
+    closed = closed_form(group, k)
+    ran = {} if closed is None else {"closed-form": closed}
+    try:
+        ran["clifford"] = clifford_count(group, k, budgets).value
+    except BudgetExceeded:
+        pass
+    try:
+        ran["brute"] = brute_force_count(k, group, budgets).value
+    except BudgetExceeded:
+        pass
+    if len(set(ran.values())) > 1:
+        raise WreathcountError(f"methods disagree on {group.spec_string()}, k={k}: {ran}")
+    return ran
 
 
 def direct_orbit_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> int:
@@ -383,12 +408,11 @@ def auto_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> CountRes
         raise ValueError("k must be >= 1")
     n = group.degree
 
-    t0 = time.perf_counter()
     # closed forms come before anything that would materialize the element set
     value = closed_form(group, k)
     if value is not None:
         return CountResult(k=k, group=group, degree=n, method="closed-form",
-                           value=value, elapsed=time.perf_counter() - t0)
+                           value=value)
 
     space = k ** n
     if space <= budgets.max_coloring_space:

@@ -1,9 +1,10 @@
-"""Command line surface.
+"""Command line surface: argument parsing and rendering only.
 
-Subcommands: count, classify, bounds, verify, scan. Output is a human table
-by default, or machine JSON/CSV; JSON and CSV are byte-identical across runs
-for a fixed invocation and seed (class counts travel as decimal strings, and
-timings are never serialized).
+Subcommands: count, classify, bounds, verify, scan. Each one calls into the
+library (verify runs a suite of wreathcount.verify) and renders the result.
+Output is a human table by default, or machine JSON/CSV; JSON and CSV are
+byte-identical across runs for a fixed invocation and seed (class counts
+travel as decimal strings, and timings are never serialized).
 
 Exit codes: 0 success, 1 invalid input or failed verification, 2 budget
 refusal (the job was understood but is too large for the configured limits).
@@ -15,27 +16,21 @@ import argparse
 import csv
 import io
 import json
-import math
-import random
 import sys
-from fractions import Fraction
 from typing import Sequence
 
 from . import bounds as bounds_mod
-from . import classcount, combinatorics
-from .actions import fix_subsets_direct, parse_group_spec, sigma_prime
+from . import classcount, verify
+from .actions import parse_group_spec
 from .budgets import Budgets, from_env
-from .errors import BudgetExceeded, Infeasible, NotSemiprimitive, WreathcountError
+from .errors import BudgetExceeded, Infeasible, WreathcountError
 from .permgroup import (
     class_count,
     closure_elements,
-    coloring_stabilizer,
     numeric_invariants,
     parse_generators,
     structure_classify,
 )
-
-VERIFY_SUITES = ("oracles", "burnside", "formulas", "bounds", "semiprimitive")
 
 
 class _UsageError(WreathcountError):
@@ -93,7 +88,7 @@ def build_parser() -> _Parser:
                    help="where the subgroup class-count maximum e comes from")
 
     p = sub.add_parser("verify", help="run a cross-check suite")
-    p.add_argument("suite", choices=VERIFY_SUITES)
+    p.add_argument("suite", choices=tuple(verify.SUITES))
     p.add_argument("--seed", type=int, default=0, help="seed for the sampled formula checks")
     _add_common(p, with_group=False, with_k=False)
 
@@ -162,26 +157,16 @@ def _count_one(spec: str, k: int, method: str, budgets: Budgets) -> classcount.C
         return classcount.clifford_count(group, k, budgets)
     if method == "brute":
         return classcount.brute_force_count(k, group, budgets)
-    closed = classcount.closed_form(group, k)
     if method == "closed-form":
-        if closed is None:
+        value = classcount.closed_form(group, k)
+        if value is None:
             raise ValueError(f"no closed form for {group.spec_string()}")
         return classcount.CountResult(k=k, group=group, degree=n, method="closed-form",
-                                      value=closed)
+                                      value=value)
     # method == "all": every feasible route must agree
-    ran = {} if closed is None else {"closed-form": closed}
-    try:
-        ran["clifford"] = classcount.clifford_count(group, k, budgets).value
-    except BudgetExceeded:
-        pass
-    try:
-        ran["brute"] = classcount.brute_force_count(k, group, budgets).value
-    except BudgetExceeded:
-        pass
+    ran = classcount.route_values(group, k, budgets)
     if not ran:
         return classcount.auto_count(group, k, budgets)  # raises Infeasible with a bracket
-    if len(set(ran.values())) != 1:
-        raise WreathcountError(f"methods disagree on {spec}, k={k}: {ran}")
     return classcount.CountResult(
         k=k, group=group, degree=n, method="all:" + "+".join(sorted(ran)),
         value=next(iter(ran.values())))
@@ -262,11 +247,7 @@ def _plain(val) -> str:
 def _render_cell(x) -> str:
     if x is None:
         return "-"
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+    return repr(x) if isinstance(x, float) else bounds_mod.fraction_text(x)
 
 
 def _nonregular_reports(group, k: int, budgets: Budgets) -> list:
@@ -363,298 +344,9 @@ def _cmd_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-# the shared small-group matrix: every (k, H) with k**n * |H| <= 10**6
-ORACLE_SPECS = ("cyclic:2", "cyclic:3", "cyclic:4", "gens:4,(1 2)(3 4),(1 3)(2 4)",
-                "symmetric:3", "dihedral:4", "wreath-cyclic:2", "cyclic:5")
-
-
-def _expect(cond: bool, detail: str):
-    if not cond:
-        raise AssertionError(detail)
-
-
-def _oracle_cases(budgets: Budgets) -> list:
-    cases = []
-
-    def make(spec: str, k: int):
-        def run():
-            group = parse_group_spec(spec, budgets)
-            if k ** group.degree * group.order > 1_000_000:
-                return
-            c = classcount.clifford_count(group, k, budgets).value
-            b = classcount.brute_force_count(k, group, budgets).value
-            _expect(c == b, f"clifford {c} != brute {b}")
-        return run
-
-    for k in (2, 3):
-        for spec in ORACLE_SPECS:
-            cases.append((f"clifford=brute {spec} k={k}", make(spec, k)))
-
-    goldens = (("cyclic:2", 2, 5), ("cyclic:3", 2, 8), ("cyclic:2", 3, 9))
-    for spec, k, want in goldens:
-        def run(spec=spec, k=k, want=want):
-            got = classcount.clifford_count(parse_group_spec(spec, budgets), k, budgets).value
-            _expect(got == want, f"expected {want}, got {got}")
-        cases.append((f"golden {spec} k={k} -> {want}", run))
-    return cases
-
-
-def _burnside_cases(budgets: Budgets) -> list:
-    cases = []
-
-    def make(spec: str, k: int):
-        def run():
-            group = parse_group_spec(spec, budgets)
-            averaged = classcount.burnside_orbit_count(group, k)
-            direct = classcount.direct_orbit_count(group, k, budgets)
-            _expect(averaged == direct, f"burnside {averaged} != direct {direct}")
-        return run
-
-    for k in (2, 3):
-        for spec in ORACLE_SPECS:
-            cases.append((f"burnside=direct {spec} k={k}", make(spec, k)))
-    for m, ell in ((4, 2), (5, 2), (6, 2), (6, 3), (7, 2)):
-        cases.append((f"burnside=direct subsets:{m},{ell} k=2", make(f"subsets:{m},{ell}", 2)))
-    for m, ell in ((4, 2), (5, 2)):
-        cases.append((f"burnside=direct subsets:{m},{ell} k=3", make(f"subsets:{m},{ell}", 3)))
-
-    def comp(n: int, k: int):
-        def run():
-            group = parse_group_spec(f"symmetric:{n}", budgets)
-            got = classcount.burnside_orbit_count(group, k)
-            want = combinatorics.weak_composition_count(n, k)
-            _expect(got == want, f"symmetric:{n} k={k}: burnside {got} != C(n+k-1,k-1) {want}")
-        return run
-
-    for n in range(2, 7):
-        for k in (2, 3, 4):
-            cases.append((f"compositions symmetric:{n} k={k}", comp(n, k)))
-    return cases
-
-
-def _iter_sym(m: int):
-    from itertools import permutations
-
-    from .permgroup import Permutation
-
-    for images in permutations(range(m)):
-        yield Permutation._unsafe(images)
-
-
-def _formula_cases(budgets: Budgets, seed: int) -> list:
-    from .actions import cycle_type
-    from .permgroup import Permutation
-
-    cases = []
-
-    def fix_all(m: int):
-        def run():
-            for p in _iter_sym(m):
-                ct = cycle_type(p)
-                for ell in range(0, m + 1):
-                    f = combinatorics.fix_subsets_formula(ct, ell, budgets)
-                    d = fix_subsets_direct(p, ell, budgets)
-                    _expect(f == d, f"m={m} ell={ell} pi={p.cycle_string()}: {f} != {d}")
-        return run
-
-    for m in range(1, 7):
-        cases.append((f"fix-subsets formula=direct S_{m} exhaustive", fix_all(m)))
-
-    def fix_random():
-        rng = random.Random(seed)
-        for _ in range(50):
-            images = list(range(12))
-            rng.shuffle(images)
-            p = Permutation(images)
-            ct = cycle_type(p)
-            for ell in range(1, 6):
-                f = combinatorics.fix_subsets_formula(ct, ell, budgets)
-                d = fix_subsets_direct(p, ell, budgets)
-                _expect(f == d, f"random m=12 ell={ell} pi={p.cycle_string()}: {f} != {d}")
-    cases.append(("fix-subsets formula=direct m=12 sampled", fix_random))
-
-    def stirling_rows():
-        # stirling_first(j, m) = permutations of m points with j cycles
-        for m in range(1, 13):
-            total = sum(combinatorics.stirling_first(j, m) for j in range(0, m + 1))
-            _expect(total == math.factorial(m), f"row {m} sums to {total}, not {m}!")
-            by_cycles = {}
-            for part in combinatorics.partition_enum(m):
-                size = math.factorial(m)
-                for length, mult in part.multiplicities().items():
-                    size //= length ** mult * math.factorial(mult)
-                by_cycles[part.num_parts] = by_cycles.get(part.num_parts, 0) + size
-            for j, size in by_cycles.items():
-                want = combinatorics.stirling_first(j, m)
-                _expect(size == want, f"S({j},{m}): class sizes give {size}, table {want}")
-    cases.append(("stirling first kind row identities", stirling_rows))
-
-    def tuples_check():
-        for n in range(0, 21):
-            _expect(combinatorics.tuples_of_partitions_count(1, n)
-                    == combinatorics.partition_count(n), f"k=1 mismatch at n={n}")
-        _expect(combinatorics.tuples_of_partitions_count(2, 3) == 10, "tuples(2,3) != 10")
-        for n in range(1, 6):
-            for k in (2, 3):
-                got = classcount.clifford_count(
-                    parse_group_spec(f"symmetric:{n}", budgets), k, budgets).value
-                want = combinatorics.tuples_of_partitions_count(k, n)
-                _expect(got == want, f"clifford S_{n} k={k}: {got} != tuples {want}")
-    cases.append(("tuples-of-partitions closed form", tuples_check))
-
-    def schmid():
-        for p in (2, 3, 5):
-            for k in range(1, 5):
-                exact, upper = classcount.schmid_cyclic(k, p)
-                got = classcount.clifford_count(
-                    parse_group_spec(f"cyclic:{p}", budgets), k, budgets).value
-                _expect(got == exact, f"cyclic:{p} k={k}: clifford {got} != formula {exact}")
-                _expect(got <= upper, f"cyclic:{p} k={k}: clifford {got} > upper {upper}")
-        for n in range(2, 9):
-            for k in range(1, 5):
-                _, upper = classcount.schmid_cyclic(k, n)
-                got = classcount.clifford_count(
-                    parse_group_spec(f"cyclic:{n}", budgets), k, budgets).value
-                _expect(got <= upper, f"cyclic:{n} k={k}: clifford {got} > upper {upper}")
-    cases.append(("cyclic closed form and upper bound", schmid))
-    return cases
-
-
-def _bounds_cases(budgets: Budgets) -> list:
-    cases = []
-
-    def preds(spec: str, k: int):
-        def run():
-            group = parse_group_spec(spec, budgets)
-            for rep in bounds_mod.predicates(group, k, budgets):
-                if rep.name in ("min-degree-base-product", "fixed-point-ratio",
-                                "cycle-count-half-bound"):
-                    _expect(rep.holds is True,
-                            f"{rep.name}: lhs={rep.lhs} rhs={rep.rhs} holds={rep.holds}")
-        return run
-
-    def upper(spec: str, k: int):
-        def run():
-            group = parse_group_spec(spec, budgets)
-            rep = bounds_mod.count_upper_bound(group, k, "exact-lattice", budgets)
-            _expect(rep.holds is True, f"lhs={rep.lhs} rhs={rep.rhs} holds={rep.holds}")
-        return run
-
-    def census(spec: str, k: int):
-        def run():
-            group = parse_group_spec(spec, budgets)
-            classcount.nonregular_orbit_stats(group, k, budgets)  # raises on violation
-        return run
-
-    def identity(spec: str, k: int):
-        def run():
-            group = parse_group_spec(spec, budgets)
-            n, order = group.degree, group.order
-            reps = classcount.coloring_orbit_reps(group, k, budgets)
-            delta = sum(size for _, size in reps if size < order)
-            inertia = 0
-            for enc, size in reps:
-                if size < order:
-                    stab = coloring_stabilizer(group, classcount.decode_coloring(enc, k, n))
-                    inertia += class_count(stab)
-            _expect((k ** n - delta) % order == 0, "regular part not divisible by |H|")
-            want = (k ** n - delta) // order + inertia
-            got = classcount.clifford_count(group, k, budgets).value
-            _expect(got == want, f"identity value {want} != clifford {got}")
-        return run
-
-    for spec in ORACLE_SPECS:
-        for k in (2, 3):
-            cases.append((f"predicates {spec} k={k}", preds(spec, k)))
-            cases.append((f"count-upper-bound {spec} k={k}", upper(spec, k)))
-            cases.append((f"orbit census {spec} k={k}", census(spec, k)))
-            cases.append((f"inertia identity {spec} k={k}", identity(spec, k)))
-
-    def lifted_half_bound():
-        for m in range(2, 7):
-            for p in _iter_sym(m):
-                for ell in range(1, m):
-                    sp = sigma_prime(p, ell, budgets)
-                    fx = fix_subsets_direct(p, ell, budgets)
-                    c = math.comb(m, ell)
-                    _expect(2 * sp - fx <= c,
-                            f"m={m} ell={ell} pi={p.cycle_string()}: 2*{sp}-{fx} > {c}")
-    cases.append(("lifted cycle-count-half-bound S_m ell-subsets", lifted_half_bound))
-
-    def product_identity():
-        for m in (2, 3, 4):
-            for t in (1, 2):
-                for k in (1, 2):
-                    rep = bounds_mod.product_orbit_identity(m, 1, t, k, budgets)
-                    _expect(rep.holds is True, f"m={m} t={t} k={k}: {rep.lhs} != {rep.rhs}")
-    cases.append(("product action orbit identity", product_identity))
-
-    def subset_exact():
-        want = classcount.burnside_orbit_count(parse_group_spec("subsets:5,2", budgets), 2)
-        got = bounds_mod.subset_orbit_count_exact(5, 2, 2, budgets)
-        _expect(got == want, f"cycle-type route {got} != lifted-group route {want}")
-    cases.append(("subset orbit count: cycle-type route", subset_exact))
-    return cases
-
-
-def _semiprimitive_cases(budgets: Budgets) -> list:
-    cases = []
-
-    def good(spec: str, k: int):
-        def run():
-            group = parse_group_spec(spec, budgets)
-            rep = bounds_mod.semiprimitive_report(group, k, budgets)
-            _expect(rep.kernel_semiregular, "kernel is not semiregular")
-            _expect(rep.cycle_bound_holds, "sigma <= (n/r)*sigma_blocks failed")
-            _expect(rep.alpha_bound_holds, "alpha bound failed")
-            _expect(rep.chain_holds is True,
-                    f"chain {rep.orbit_count} < {rep.chain_rhs} failed ({rep.chain_mode})")
-        return run
-
-    for spec in ("cyclic:4", "cyclic:6", "cyclic:8", "quaternion"):
-        for k in (2, 3):
-            cases.append((f"decomposition checks {spec} k={k}", good(spec, k)))
-
-    def rejected():
-        group = parse_group_spec("wreath-cyclic:2", budgets)
-        try:
-            bounds_mod.semiprimitive_report(group, 2, budgets)
-        except NotSemiprimitive:
-            return
-        raise AssertionError("wreath-cyclic:2 accepted but is not semiprimitive")
-    cases.append(("wreath-cyclic:2 rejected", rejected))
-
-    def shapes():
-        rep4 = bounds_mod.semiprimitive_report(parse_group_spec("cyclic:4", budgets), 2, budgets)
-        _expect(rep4.r == 2 and rep4.kernel_order == 2,
-                f"cyclic:4 expected r=2 |K|=2, got r={rep4.r} |K|={rep4.kernel_order}")
-        rep6 = bounds_mod.semiprimitive_report(parse_group_spec("cyclic:6", budgets), 2, budgets)
-        _expect(rep6.r in (2, 3), f"cyclic:6 expected r in {{2,3}}, got {rep6.r}")
-    cases.append(("decomposition shapes", shapes))
-    return cases
-
 
 def _cmd_verify(args) -> int:
-    budgets = _budgets_from_args(args)
-    builders = {
-        "oracles": lambda: _oracle_cases(budgets),
-        "burnside": lambda: _burnside_cases(budgets),
-        "formulas": lambda: _formula_cases(budgets, args.seed),
-        "bounds": lambda: _bounds_cases(budgets),
-        "semiprimitive": lambda: _semiprimitive_cases(budgets),
-    }
-    cases = builders[args.suite]()
-    failed = 0
-    for name, fn in cases:
-        try:
-            fn()
-        except Exception as exc:  # noqa: BLE001 - a suite must report, not crash
-            failed += 1
-            print(f"FAIL {name}: {type(exc).__name__}: {exc}")
-        else:
-            print(f"PASS {name}")
-    print(f"{args.suite}: {len(cases) - failed}/{len(cases)} passed")
-    return 0 if failed == 0 else 1
+    return verify.run_suite(args.suite, _budgets_from_args(args), args.seed)
 
 
 # ---------------------------------------------------------------------------

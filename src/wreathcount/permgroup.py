@@ -381,8 +381,8 @@ class UnionFind:
         return True
 
 
-def orbits(group: PermGroup, points: Iterable[int] | None = None) -> tuple[tuple[int, ...], ...]:
-    """Orbit partition of the domain (or of the orbits meeting ``points``).
+def orbits(group: PermGroup) -> tuple[tuple[int, ...], ...]:
+    """Orbit partition of the domain.
 
     Only generators are applied, so this never materializes the group.
     """
@@ -394,11 +394,7 @@ def orbits(group: PermGroup, points: Iterable[int] | None = None) -> tuple[tuple
     buckets: dict[int, list[int]] = {}
     for i in range(d):
         buckets.setdefault(uf.find(i), []).append(i)
-    parts = sorted(tuple(sorted(v)) for v in buckets.values())
-    if points is not None:
-        wanted = set(points)
-        parts = [p for p in parts if wanted.intersection(p)]
-    return tuple(parts)
+    return tuple(sorted(tuple(sorted(v)) for v in buckets.values()))
 
 
 def is_transitive(group: PermGroup) -> bool:
@@ -457,19 +453,15 @@ def centralizer_order(group: PermGroup, x: Permutation) -> int:
     return sum(1 for g in group.elements if g * x == x * g)
 
 
-def _class_closed_subgroup(base: frozenset[Permutation], extra: Sequence[Permutation],
-                           limit: int) -> frozenset[Permutation]:
-    gens = sorted(base.union(extra))
-    return frozenset(_closure(gens, limit=limit))
-
-
 def normal_subgroups(group: PermGroup, budgets: Budgets = DEFAULT) -> list[frozenset[Permutation]]:
     """All normal subgroups, as element sets.
 
     Every normal subgroup is a union of conjugacy classes and is generated by
     the classes it contains, so the lattice is exactly the join-closure of
     class closures: grow each known normal subgroup by one whole class at a
-    time until nothing new appears.
+    time until nothing new appears. Each found subgroup keeps the classes
+    that generated it, so a closure runs over those classes plus the new
+    one rather than over every element of the subgroup.
     """
     if group.order > budgets.max_normal_order:
         raise BudgetExceeded(
@@ -477,20 +469,21 @@ def normal_subgroups(group: PermGroup, budgets: Budgets = DEFAULT) -> list[froze
             f"max_normal_order budget {budgets.max_normal_order}")
     classes = conjugacy_classes(group)
     trivial = frozenset({group.identity})
-    found = {trivial}
+    found = {trivial: ()}
     queue = [trivial]
     while queue:
         base = queue.pop()
+        gens = found[base]
         for cls in classes:
             if cls[0] in base:
                 continue
-            grown = _class_closed_subgroup(base, cls, limit=group.order)
+            grown = frozenset(_closure(gens + cls, limit=group.order))
             if grown not in found:
                 if len(found) >= budgets.max_subgroup_count:
                     raise BudgetExceeded(
                         f"normal subgroup lattice larger than safety cap: more than the "
                         f"max_subgroup_count budget {budgets.max_subgroup_count}")
-                found.add(grown)
+                found[grown] = gens + cls
                 queue.append(grown)
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 

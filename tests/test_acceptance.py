@@ -48,17 +48,7 @@ from wreathcount import (
     Permutation,
 )
 from wreathcount.actions import cycle_type_class_size
-
-ORACLE_SPECS = (
-    "cyclic:2",
-    "cyclic:3",
-    "cyclic:4",
-    "gens:4,(1 2)(3 4),(1 3)(2 4)",
-    "symmetric:3",
-    "dihedral:4",
-    "wreath-cyclic:2",
-    "cyclic:5",
-)
+from wreathcount.verify import ORACLE_SPECS
 
 TRIANGULATION_GOLDENS = {
     ("cyclic:2", 2): 5,
@@ -100,6 +90,10 @@ def _run_triangulation() -> float:
             assert cl == br, (spec, k, cl, br)
             assert cl == TRIANGULATION_GOLDENS[(spec, k)], (spec, k)
     return time.perf_counter() - t0
+
+
+def test_triangulation_goldens_pin_the_oracle_matrix():
+    assert set(TRIANGULATION_GOLDENS) == {(s, k) for s in ORACLE_SPECS for k in (2, 3)}
 
 
 def test_criterion_1_oracle_triangulation():

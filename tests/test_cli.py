@@ -50,6 +50,9 @@ def test_count_method_all_asserts_agreement(run_cli):
     doc = json.loads(out)
     assert doc["method"] == "all:brute+clifford"  # no closed form here
     assert doc["value"] == "16"
+    code, out, _ = run_cli("count", "--group", "cyclic:5", "--k", "2", "--method", "all")
+    assert code == 0
+    assert out.splitlines()[1].split() == ["cyclic:5", "2", "all:brute+clifford+closed-form", "16"]
 
 
 def test_count_method_all_disagreement_exits_one(run_cli, monkeypatch):
@@ -251,6 +254,14 @@ def test_bounds_json_shape(run_cli):
     assert first["inputs"]["e"] == "3"
 
 
+def test_bounds_json_integral_rationals_print_as_integers(run_cli):
+    code, out, _ = run_cli("bounds", "--group", "cyclic:4", "--k", "2", "--output", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["reports"][0]["rhs"] == "36"
+    assert doc["semiprimitive"]["chain_rhs"] == "18"
+
+
 @pytest.mark.parametrize("suite", ["oracles", "burnside", "formulas",
                                    "bounds", "semiprimitive"])
 def test_verify_suites_pass(run_cli, suite):
@@ -261,6 +272,29 @@ def test_verify_suites_pass(run_cli, suite):
     assert "FAIL" not in out
     total = summary.split()[-2].split("/")
     assert total[0] == total[1]
+
+
+def test_verify_formulas_stdout(run_cli):
+    code, out, _ = run_cli("verify", "formulas")
+    assert code == 0
+    assert out == "".join(f"PASS {name}\n" for name in (
+        *(f"fix-subsets formula=direct S_{m} exhaustive" for m in range(1, 7)),
+        "fix-subsets formula=direct m=12 sampled",
+        "stirling first kind row identities",
+        "tuples-of-partitions closed form",
+        "cyclic closed form and upper bound",
+    )) + "formulas: 10/10 passed\n"
+
+
+def test_verify_oracles_reports_a_refused_brute_route(run_cli):
+    code, out, _ = run_cli("verify", "oracles", "--budget-max-order", "100")
+    assert code == 1
+    lines = out.splitlines()
+    # brute fits the budget only where k**n * |H| <= 100
+    refused = [line for line in lines if line.startswith("FAIL clifford=brute ")]
+    assert len(refused) == 9
+    assert all("brute refused by the budgets" in line for line in refused)
+    assert lines[-1] == "oracles: 10/19 passed"
 
 
 def test_scan_csv(run_cli):

@@ -264,6 +264,33 @@ def test_subgroups_match_naive_lattice_walk(spec, count):
     assert subs == _reference_subgroups(grp)
 
 
+def _reference_normal_subgroups(group):
+    """The class-growing walk closing over every element of the base subgroup."""
+    classes = conjugacy_classes(group)
+    trivial = frozenset({group.identity})
+    found = {trivial}
+    queue = [trivial]
+    while queue:
+        base = queue.pop()
+        for cls in classes:
+            if cls[0] in base:
+                continue
+            grown = frozenset(_reference_closure(sorted(base.union(cls))))
+            if grown not in found:
+                found.add(grown)
+                queue.append(grown)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+@pytest.mark.parametrize("spec", [
+    "symmetric:4", "dihedral:4", "alternating:4", "alternating:5", "quaternion",
+    "cyclic:6", "wreath-cyclic:2", "wreath-cyclic:3", "gens:4,(1 2)(3 4),(1 3)(2 4)",
+    "gens:6,(1 2),(3 4),(5 6)"])
+def test_normal_subgroups_match_reference_walk(spec):
+    grp = parse_group_spec(spec)
+    assert normal_subgroups(grp) == _reference_normal_subgroups(grp)
+
+
 @pytest.mark.parametrize("call,field", [
     (lambda b: subgroups(parse_group_spec("symmetric:4"), b), "max_subgroup_order"),
     (lambda b: normal_subgroups(parse_group_spec("symmetric:4"), b), "max_normal_order"),
