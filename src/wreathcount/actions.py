@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
+from operator import mul
 from typing import Sequence
 
 from .budgets import DEFAULT, Budgets
@@ -107,7 +108,8 @@ def subsets_action_lift(p: Permutation, ell: int, budgets: Budgets = DEFAULT) ->
         raise ValueError(f"need 1 <= ell <= {m}, got {ell}")
     n = math.comb(m, ell)
     if n > budgets.max_lift_degree:
-        raise BudgetExceeded(f"lifted degree C({m},{ell}) = {n} > {budgets.max_lift_degree}")
+        raise BudgetExceeded(f"lifted degree C({m},{ell}) = {n} exceeds the max_lift_degree "
+                             f"budget {budgets.max_lift_degree}")
     images = [0] * n
     for subset in combinations(range(m), ell):
         images[subset_rank(subset)] = subset_rank([p(x) for x in subset])
@@ -124,8 +126,10 @@ def fix_subsets_direct(p: Permutation, ell: int, budgets: Budgets = DEFAULT) -> 
     m = p.degree
     if not 0 <= ell <= m:
         raise ValueError(f"need 0 <= ell <= {m}")
-    if math.comb(m, ell) > budgets.max_lift_degree:
-        raise BudgetExceeded(f"C({m},{ell}) exceeds lift budget")
+    n = math.comb(m, ell)
+    if n > budgets.max_lift_degree:
+        raise BudgetExceeded(f"C({m},{ell}) = {n} exceeds the max_lift_degree budget "
+                             f"{budgets.max_lift_degree}")
     count = 0
     for subset in combinations(range(m), ell):
         if set(map(p, subset)) == set(subset):
@@ -155,7 +159,8 @@ def product_action_build(coords: Sequence[Permutation], top: Permutation,
                 f"coordinate degree {c.degree} != C({m},{ell}) = {base}")
     degree = base ** t
     if degree > budgets.max_lift_degree:
-        raise BudgetExceeded(f"product action degree {degree} > {budgets.max_lift_degree}")
+        raise BudgetExceeded(f"product action degree {degree} exceeds the max_lift_degree "
+                             f"budget {budgets.max_lift_degree}")
     topinv = top.inverse()
     images = [0] * degree
     for point in range(degree):
@@ -179,11 +184,14 @@ def product_action_build(coords: Sequence[Permutation], top: Permutation,
 
 
 class WreathGroup:
-    """The abstract group Z_k wr H with every element materialized.
+    """The abstract group Z_k wr H, for the brute-force oracle.
 
     Elements are pairs (v, h) with v in (Z_k)^n and h in H; the product is
-    (v, h)(w, g) = (v + h.w, h g) where (h.w)_i = w_{h^-1(i)}. Only meant as
-    an oracle: order is k**n * |H| and everything is stored.
+    (v, h)(w, g) = (v + h.w, h g) where (h.w)_i = w_{h^-1(i)}. The order
+    k**n * |H| is checked against the budget up front, but no element is
+    stored: conjugates() walks every element by its integer code
+    v * |H| + index(h), with v read in base k, point 0 most significant, and
+    index(h) the position of h in H's sorted element list.
     """
 
     def __init__(self, k: int, top: PermGroup, budgets: Budgets = DEFAULT):
@@ -193,19 +201,12 @@ class WreathGroup:
         size = k ** n * top.order
         if size > budgets.max_group_order:
             raise BudgetExceeded(
-                f"wreath group order {size} exceeds budget {budgets.max_group_order}")
+                f"wreath group order k**n * |H| = {size} exceeds the max_group_order "
+                f"budget {budgets.max_group_order}")
         self.k = k
         self.top = top
         self.n = n
         self.order = size
-        vectors = self._all_vectors()
-        self.elements = tuple((v, h) for v in vectors for h in top.elements)
-
-    def _all_vectors(self) -> list[tuple[int, ...]]:
-        vecs: list[tuple[int, ...]] = [()]
-        for _ in range(self.n):
-            vecs = [v + (d,) for v in vecs for d in range(self.k)]
-        return sorted(vecs)
 
     @property
     def identity(self):
@@ -234,6 +235,50 @@ class WreathGroup:
         for g in self.top.generators:
             gens.append((zero, g))
         return gens
+
+    def decode(self, code: int):
+        """The element (v, h) with the given integer code."""
+        code, hidx = divmod(code, self.top.order)
+        digits = [0] * self.n
+        for i in range(self.n - 1, -1, -1):
+            code, digits[i] = divmod(code, self.k)
+        return (tuple(digits), self.top.elements[hidx])
+
+    def conjugates(self):
+        """Yield (x, images) for every element code x, in increasing order.
+
+        images[j] is the code of g x g^-1 for g = generators()[j], from
+        (e_i, 1)(v, h)(e_i, 1)^-1 = (v + e_i - e_{h(i)}, h) and
+        (0, g)(v, h)(0, g)^-1 = (g.v, g h g^-1). Per generator only an |H|
+        table is kept (h(i), or the index of g h g^-1), so memory stays
+        O(|H| + n) beyond the caller's.
+        """
+        k, n = self.k, self.n
+        elems = self.top.elements
+        order = len(elems)
+        index = {h: i for i, h in enumerate(elems)}
+        # a unit step of digit j moves the code by steps[j]
+        steps = [k ** (n - 1 - j) * order for j in range(n)]
+        tops = self.top.generators
+        top_conj = [[index[g * h * g.inverse()] for h in elems] for g in tops]
+        # (g.v)_{g(j)} = v_j, so g.v has code sum_j v_j * steps[g(j)]
+        top_steps = [[steps[g(j)] for j in range(n)] for g in tops]
+        # k = 1 has no base generators, so no base images
+        h_images = [h.images for h in elems] if k > 1 else [()] * order
+        wrap = [(k - 1) * s for s in steps]
+        x = 0
+        for v in product(range(k), repeat=n):
+            # code shift of v + e_j (up) and v - e_j (down), digit by digit mod k
+            up = [s if d < k - 1 else -w for s, w, d in zip(steps, wrap, v)]
+            down = [-s if d else w for s, w, d in zip(steps, wrap, v)]
+            moved = [sum(map(mul, v, ts)) for ts in top_steps]
+            for hidx in range(order):
+                # h(i) == i leaves x fixed; up[i] + down[i] would wrap twice
+                images = [x if hi == i else x + up[i] + down[hi]
+                          for i, hi in enumerate(h_images[hidx])]
+                images += [gv + conj[hidx] for gv, conj in zip(moved, top_conj)]
+                yield x, images
+                x += 1
 
 
 def build_wreath_group(k: int, top: PermGroup, budgets: Budgets = DEFAULT) -> WreathGroup:

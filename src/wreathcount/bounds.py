@@ -242,8 +242,10 @@ def predicates(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> list[Bou
 def subset_orbit_count_exact(m: int, ell: int, k: int,
                              budgets: Budgets = DEFAULT) -> int:
     """n(S_m, k-colorings of the ell-subsets), exactly, via per-cycle-type Burnside."""
-    if math.comb(m, ell) > budgets.max_lift_degree:
-        raise BudgetExceeded(f"C({m},{ell}) exceeds lift budget")
+    c = math.comb(m, ell)
+    if c > budgets.max_lift_degree:
+        raise BudgetExceeded(f"C({m},{ell}) = {c} exceeds the max_lift_degree budget "
+                             f"{budgets.max_lift_degree}")
     fact = math.factorial(m)
     total = 0
     for part in combinatorics.partition_enum(m):
@@ -303,10 +305,15 @@ def product_orbit_identity(m: int, ell: int, t: int, k: int,
     if t < 1:
         raise ValueError("t must be >= 1")
     c = math.comb(m, ell)
-    if t * c > budgets.max_lift_degree or math.factorial(m) ** t > budgets.max_group_order:
-        raise BudgetExceeded(f"product Burnside refused: t*C({m},{ell}) or (m!)^{t} too large")
+    if t * c > budgets.max_lift_degree:
+        raise BudgetExceeded(f"product Burnside refused: t*C({m},{ell}) = {t * c} exceeds "
+                             f"the max_lift_degree budget {budgets.max_lift_degree}")
+    if math.factorial(m) ** t > budgets.max_group_order:
+        raise BudgetExceeded(f"product Burnside refused: ({m}!)**{t} = {math.factorial(m) ** t} "
+                             f"exceeds the max_group_order budget {budgets.max_group_order}")
     if k ** (t * c) > budgets.max_coloring_space:
-        raise BudgetExceeded("tuple coloring space too large for the exact check")
+        raise BudgetExceeded(f"tuple coloring space k**(t*C({m},{ell})) = {k ** (t * c)} exceeds "
+                             f"the max_coloring_space budget {budgets.max_coloring_space}")
 
     from .actions import _symmetric_gens
 
@@ -591,12 +598,11 @@ def fixed_subset_fraction_probe(m_values: Sequence[int],
         for part in combinatorics.partition_enum(m):
             if 4 * part.num_parts > 3 * m:
                 continue
-            ct = part.multiplicities()
+            # fix[ell] = ell-subsets fixed by this type, for every 1 <= ell < m/2
+            fix = combinatorics.fixed_subset_polynomial(
+                part.multiplicities(), max(m - 1, 0) // 2, budgets)
             for ell in range(1, (m + 1) // 2):
-                if 2 * ell >= m:
-                    break
-                fix = combinatorics.fix_subsets_formula(ct, ell, budgets)
-                if 4 * fix >= 3 * math.comb(m, ell):
+                if 4 * fix[ell] >= 3 * math.comb(m, ell):
                     witness = (part.parts, ell)
                     break
             if witness:

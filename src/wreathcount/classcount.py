@@ -9,7 +9,9 @@ separate so they can cross-check each other:
   representatives come from coloring_orbit_reps: for 2**14 to 2**22
   colorings, numpy labels every coloring with its orbit minimum through
   split-radix generator tables; other sizes walk the orbits in pure Python.
-* brute_force_count: materialize Z_k wr H and run union-find conjugacy.
+* brute_force_count: union-find over conjugation by the generators of
+  Z_k wr H, walking every element by its integer code without storing the
+  group.
 * closed_form: family formulas for the trivial, symmetric and prime-degree
   cyclic top groups; None for every other group.
 
@@ -279,22 +281,23 @@ def clifford_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> Coun
 
 
 def brute_force_count(k: int, group: PermGroup, budgets: Budgets = DEFAULT) -> CountResult:
-    """k(X wr H) by materializing Z_k wr H and counting conjugation orbits.
+    """k(X wr H) by union-find over conjugation in Z_k wr H, element by element.
 
     Independent of the Clifford route end to end: no coloring enumeration,
-    no stabilizers, just union-find over the full wreath group.
+    no stabilizers. Every element of the wreath group is visited by its
+    integer code and merged with its conjugate by each generator as that
+    conjugate is computed; the class count is the order minus the merges.
     """
     wr = build_wreath_group(k, group, budgets)
-    index = {el: i for i, el in enumerate(wr.elements)}
-    uf = UnionFind(len(wr.elements))
-    conj = [(g, wr.inverse(g)) for g in wr.generators()]
-    for i, x in enumerate(wr.elements):
-        for g, ginv in conj:
-            y = wr.multiply(wr.multiply(g, x), ginv)
-            uf.union(i, index[y])
-    value = sum(1 for i in range(len(wr.elements)) if uf.find(i) == i)
+    uf = UnionFind(wr.order)
+    union = uf.union
+    merges = 0
+    for x, images in wr.conjugates():
+        for y in images:
+            if y != x and union(x, y):
+                merges += 1
     return CountResult(k=k, group=group, degree=group.degree, method="brute",
-                       value=value)
+                       value=wr.order - merges)
 
 
 def schmid_cyclic(k: int, n: int) -> tuple[int | None, int]:

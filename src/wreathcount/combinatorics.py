@@ -1,7 +1,10 @@
 """Exact counting helpers: partitions, Stirling numbers, compositions.
 
 Every function here returns unbounded Python ints; no floats enter any
-counting path.
+counting path. Two kernels carry the closed forms and the probes: Euler's
+recurrence for k-tuples of partitions (k(X wr S_n)), and the fixed-subset
+polynomial, product over the cycles of a permutation of (1 + x**len),
+whose coefficients count the subsets each size fixes.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .budgets import DEFAULT, Budgets
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvariantViolation
 
 
 @dataclass(frozen=True)
@@ -104,54 +107,64 @@ def weak_composition_count(n: int, k: int) -> int:
     return math.comb(n + k - 1, k - 1)
 
 
+def fixed_subset_polynomial(cycle_type: Mapping[int, int], degree: int,
+                            budgets: Budgets = DEFAULT) -> list[int]:
+    """Coefficients of x**0 .. x**degree in the product over cycles of (1 + x**len).
+
+    ``cycle_type`` maps cycle length to multiplicity (fixed points as length
+    1). A subset fixed setwise by a permutation is a union of whole cycles,
+    so the coefficient of x**ell counts the fixed ell-subsets.
+    """
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    if degree > budgets.max_partition_size:
+        raise BudgetExceeded(
+            f"fixed-subset polynomial refused: degree {degree} exceeds the "
+            f"max_partition_size budget {budgets.max_partition_size}")
+    alpha = dict(getattr(cycle_type, "alpha", cycle_type))
+    coeffs = [1] + [0] * degree
+    for length, mult in alpha.items():
+        for _ in range(mult):
+            # multiply by (1 + x**length), truncated; high degrees first
+            for d in range(degree, length - 1, -1):
+                coeffs[d] += coeffs[d - length]
+    return coeffs
+
+
 def fix_subsets_formula(cycle_type: Mapping[int, int], ell: int,
                         budgets: Budgets = DEFAULT) -> int:
     """Number of ell-subsets fixed setwise by a permutation with the given cycle type.
 
-    ``cycle_type`` maps cycle length to multiplicity (fixed points as length
-    1). A fixed subset is a union of whole cycles, so the count is the sum
-    over partitions of ell into available cycle lengths of the product of
-    binomial choices per length; evaluated as a DP over the lengths.
+    The x**ell coefficient of fixed_subset_polynomial; callers that need
+    several ell for one type should read that polynomial once instead.
     """
     if ell < 0:
         raise ValueError("ell must be nonnegative")
-    if ell > budgets.max_partition_size:
-        raise BudgetExceeded(
-            f"fixed-subset formula refused: ell {ell} > {budgets.max_partition_size}")
-    alpha = dict(getattr(cycle_type, "alpha", cycle_type))
-    lengths = sorted(alpha)
-
-    @lru_cache(maxsize=None)
-    def ways(idx: int, remaining: int) -> int:
-        if remaining == 0:
-            return 1
-        if idx == len(lengths):
-            return 0
-        length = lengths[idx]
-        avail = alpha[length]
-        total = 0
-        for take in range(0, min(avail, remaining // length) + 1):
-            total += math.comb(avail, take) * ways(idx + 1, remaining - take * length)
-        return total
-
-    result = ways(0, ell)
-    ways.cache_clear()
-    return result
+    return fixed_subset_polynomial(cycle_type, ell, budgets)[ell]
 
 
 def tuples_of_partitions_count(k: int, n: int) -> int:
     """Number of k-tuples of partitions with total size n.
 
-    Convolution power of the partition counting sequence: sum over weak
-    k-compositions (x_1, ..., x_k) of n of p(x_1) * ... * p(x_k).
+    The x**n coefficient F_n of P(x)**k, P the partition generating function,
+    by Euler's recurrence m * F_m = k * sum_{j=1..m} sigma(j) * F_{m-j}
+    (the logarithmic derivative of P(x)**k). O(n**2) with no k term; each
+    division is exact, so a remainder means a bug and raises.
     """
     if k < 1 or n < 0:
         raise ValueError("need k >= 1 and n >= 0")
-    p = _partition_table(n)
-    acc = list(p)
-    for _ in range(k - 1):
-        acc = [sum(acc[i] * p[s - i] for i in range(s + 1)) for s in range(n + 1)]
-    return acc[n]
+    sigma = [0] * (n + 1)  # sigma[j], the sum of the divisors of j
+    for d in range(1, n + 1):
+        for multiple in range(d, n + 1, d):
+            sigma[multiple] += d
+    f = [1] + [0] * n
+    for m in range(1, n + 1):
+        total = k * sum(sigma[j] * f[m - j] for j in range(1, m + 1))
+        f[m], rem = divmod(total, m)
+        if rem:
+            raise InvariantViolation(
+                f"Euler recurrence: {total} not divisible by {m} (k={k}, n={n})")
+    return f[n]
 
 
 def is_prime(n: int) -> bool:

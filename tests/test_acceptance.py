@@ -83,8 +83,9 @@ def _run_triangulation() -> float:
     for spec in ORACLE_SPECS:
         grp = parse_group_spec(spec)
         for k in (2, 3):
-            if k ** grp.degree * grp.order > 10 ** 6:
-                continue
+            assert k ** grp.degree * grp.order <= 10 ** 6, (
+                f"{spec} k={k}: k**n * |H| = {k ** grp.degree * grp.order} is past the "
+                f"brute-force budget 10**6, so the cell cannot be triangulated")
             cl = clifford_count(grp, k).value
             br = brute_force_count(k, grp).value
             assert cl == br, (spec, k, cl, br)

@@ -1,0 +1,100 @@
+"""Integer kernels of the oracles: coded wreath conjugation, Euler's recurrence,
+the fixed-subset polynomial, and property checks that the routes agree."""
+
+import math
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wreathcount import (
+    DEFAULT,
+    PermGroup,
+    Permutation,
+    build_wreath_group,
+    burnside_orbit_count,
+    direct_orbit_count,
+    fix_subsets_formula,
+    parse_group_spec,
+    partition_enum,
+    tuples_of_partitions_count,
+)
+from wreathcount.classcount import route_values
+from wreathcount.combinatorics import _partition_table, fixed_subset_polynomial
+
+
+@st.composite
+def small_groups(draw):
+    degree = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    return PermGroup([Permutation(g) for g in gens])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(group=small_groups(), k=st.integers(1, 3))
+def test_routes_agree_on_random_generator_sets(group, k):
+    ran = route_values(group, k, DEFAULT)  # raises when two routes disagree
+    assert {"clifford", "brute"} <= set(ran), ran
+    assert burnside_orbit_count(group, k) == direct_orbit_count(group, k)
+
+
+@pytest.mark.parametrize("spec", ["symmetric:3", "dihedral:4", "quaternion"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_coded_conjugation_matches_the_group_product(spec, k):
+    wr = build_wreath_group(k, parse_group_spec(spec))
+    gens = [(g, wr.inverse(g)) for g in wr.generators()]
+    codes = []
+    for x, images in wr.conjugates():
+        codes.append(x)
+        element = wr.decode(x)
+        assert len(images) == len(gens)
+        for (g, ginv), y in zip(gens, images):
+            assert wr.decode(y) == wr.multiply(wr.multiply(g, element), ginv), (x, g)
+    assert codes == list(range(wr.order))
+    # the codes name every element once
+    assert len({wr.decode(x) for x in codes}) == wr.order
+
+
+def _convolution_reference(k, n):
+    # the k-fold convolution power of p(n), the formula the recurrence replaced
+    p = _partition_table(n)
+    acc = list(p)
+    for _ in range(k - 1):
+        acc = [sum(acc[i] * p[s - i] for i in range(s + 1)) for s in range(n + 1)]
+    return acc[n]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 50, 1000])
+def test_euler_recurrence_matches_convolution(k):
+    for n in range(31):
+        assert tuples_of_partitions_count(k, n) == _convolution_reference(k, n), (k, n)
+
+
+def _dp_reference(alpha, ell):
+    # the per-length DP over how many cycles of each length the subset takes
+    lengths = sorted(alpha)
+
+    @lru_cache(maxsize=None)
+    def ways(idx, remaining):
+        if remaining == 0:
+            return 1
+        if idx == len(lengths):
+            return 0
+        length, avail = lengths[idx], alpha[lengths[idx]]
+        return sum(math.comb(avail, take) * ways(idx + 1, remaining - take * length)
+                   for take in range(min(avail, remaining // length) + 1))
+
+    return ways(0, ell)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_fixed_subset_polynomial_matches_dp(m):
+    for part in partition_enum(m):
+        alpha = part.multiplicities()
+        poly = fixed_subset_polynomial(alpha, m + 1)
+        assert poly[m + 1] == 0
+        for ell in range(m + 1):
+            want = _dp_reference(alpha, ell)
+            assert poly[ell] == want, (part.parts, ell)
+            assert fix_subsets_formula(alpha, ell) == want, (part.parts, ell)

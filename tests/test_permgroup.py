@@ -11,10 +11,13 @@ from wreathcount import (
     ParseError,
     PermGroup,
     Permutation,
+    build_wreath_group,
     class_count,
     closure_elements,
     coloring_stabilizer,
     conjugacy_classes,
+    fix_subsets_direct,
+    fix_subsets_formula,
     is_primitive,
     is_semiregular,
     is_transitive,
@@ -25,8 +28,12 @@ from wreathcount import (
     parse_group_spec,
     parse_permutation,
     point_stabilizer,
+    product_action_build,
+    product_orbit_identity,
     structure_classify,
     subgroups,
+    subset_orbit_count_exact,
+    subsets_action_lift,
 )
 from wreathcount.permgroup import _closure, centralizer_order
 
@@ -296,7 +303,19 @@ def test_normal_subgroups_match_reference_walk(spec):
     (lambda b: normal_subgroups(parse_group_spec("symmetric:4"), b), "max_normal_order"),
     (lambda b: PermGroup(parse_generators("(1 2), (1 2 3 4)"), budgets=b).elements,
      "max_group_order"),
-], ids=["subgroups", "normal_subgroups", "closure"])
+    (lambda b: build_wreath_group(2, parse_group_spec("symmetric:3"), b), "max_group_order"),
+    (lambda b: subsets_action_lift(Permutation.identity(6), 3, b), "max_lift_degree"),
+    (lambda b: fix_subsets_direct(Permutation.identity(6), 3, b), "max_lift_degree"),
+    (lambda b: product_action_build([Permutation.identity(3)] * 3, Permutation.identity(3),
+                                    3, 1, b), "max_lift_degree"),
+    (lambda b: subset_orbit_count_exact(6, 3, 2, b), "max_lift_degree"),
+    (lambda b: product_orbit_identity(3, 1, 4, 2, b), "max_lift_degree"),
+    (lambda b: product_orbit_identity(3, 1, 2, 2, b), "max_group_order"),
+    (lambda b: product_orbit_identity(3, 1, 2, 2, b), "max_coloring_space"),
+    (lambda b: fix_subsets_formula({1: 12}, 11, b), "max_partition_size"),
+], ids=["subgroups", "normal_subgroups", "closure", "wreath", "subsets_lift",
+        "fix_subsets_direct", "product_action", "subset_orbit_count", "product_identity_lift",
+        "product_identity_order", "product_identity_colorings", "fix_subsets_formula"])
 def test_refusal_names_its_budget(call, field):
     with pytest.raises(BudgetExceeded, match=f"the {field} budget 10"):
         call(DEFAULT.with_overrides(**{field: 10}))
