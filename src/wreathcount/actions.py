@@ -29,6 +29,7 @@ from .permgroup import (
     closure_elements,
     is_primitive,
     is_transitive,
+    orbits,
     parse_generators,
 )
 
@@ -224,14 +225,17 @@ class WreathGroup:
         w = tuple((-v[h(i)]) % self.k for i in range(self.n))
         return (w, h.inverse())
 
+    def _base_points(self) -> list[int]:
+        # (0, h)(e_i, 1)(0, h)^-1 = (e_{h(i)}, 1): one e_i per orbit of H
+        # together with the lifted top generators reaches every e_j
+        return [orbit[0] for orbit in orbits(self.top)] if self.k > 1 else []
+
     def generators(self):
-        """Base unit vectors plus lifted top generators; generates the whole group."""
-        gens = []
-        for i in range(self.n):
-            if self.k > 1:
-                vec = tuple(1 if j == i else 0 for j in range(self.n))
-                gens.append((vec, self.top.identity))
-        zero = (0,) * self.n
+        """One base unit vector per orbit of H plus the lifted top generators."""
+        n = self.n
+        gens = [(tuple(1 if j == i else 0 for j in range(n)), self.top.identity)
+                for i in self._base_points()]
+        zero = (0,) * n
         for g in self.top.generators:
             gens.append((zero, g))
         return gens
@@ -263,8 +267,8 @@ class WreathGroup:
         top_conj = [[index[g * h * g.inverse()] for h in elems] for g in tops]
         # (g.v)_{g(j)} = v_j, so g.v has code sum_j v_j * steps[g(j)]
         top_steps = [[steps[g(j)] for j in range(n)] for g in tops]
-        # k = 1 has no base generators, so no base images
-        h_images = [h.images for h in elems] if k > 1 else [()] * order
+        base = self._base_points()
+        h_images = [[h.images[i] for i in base] for h in elems]
         wrap = [(k - 1) * s for s in steps]
         x = 0
         for v in product(range(k), repeat=n):
@@ -275,7 +279,7 @@ class WreathGroup:
             for hidx in range(order):
                 # h(i) == i leaves x fixed; up[i] + down[i] would wrap twice
                 images = [x if hi == i else x + up[i] + down[hi]
-                          for i, hi in enumerate(h_images[hidx])]
+                          for i, hi in zip(base, h_images[hidx])]
                 images += [gv + conj[hidx] for gv, conj in zip(moved, top_conj)]
                 yield x, images
                 x += 1
@@ -487,7 +491,7 @@ def block_decomposition(group: PermGroup, budgets: Budgets = DEFAULT) -> BlockDe
     for h in group.elements:
         if induced_block_permutation(h, blocks).is_identity():
             kernel_elems.append(h)
-    kernel = PermGroup.from_elements(kernel_elems, degree=group.degree)
+    kernel = PermGroup.from_elements(kernel_elems, degree=group.degree, budgets=budgets)
     if kernel.order * quotient.order != group.order:
         raise InvariantViolation("kernel/quotient orders do not multiply to the group order")
     return BlockDecomposition(r=r, blocks=blocks, kernel=kernel, quotient=quotient)

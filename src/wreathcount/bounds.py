@@ -496,7 +496,8 @@ def semiprimitive_report(group: PermGroup, k: int,
 
     e_k_quot = None
     if e_k is not None and quotient.order <= budgets.max_subgroup_order:
-        best = max(class_count(PermGroup.from_elements(s, degree=quotient.degree))
+        best = max(class_count(PermGroup.from_elements(s, degree=quotient.degree,
+                                                       budgets=budgets))
                    for s in subgroups(quotient, budgets))
         e_k_quot = e_k <= best
     e_k_58 = None

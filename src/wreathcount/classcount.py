@@ -5,7 +5,8 @@ every method takes (k, H). Three independent routes are kept deliberately
 separate so they can cross-check each other:
 
 * clifford_count: sum of k(I_H(c)) over orbit representatives c of H on
-  colorings of the domain with k colors, I the coloring stabilizer. The
+  colorings of the domain with k colors, I the coloring stabilizer (H
+  itself for a fixed coloring, so k(H) is counted once). The
   representatives come from coloring_orbit_reps: for 2**14 to 2**22
   colorings, numpy labels every coloring with its orbit minimum through
   split-radix generator tables; other sizes walk the orbits in pure Python.
@@ -27,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
+from operator import eq
 
 from . import combinatorics
 from .actions import build_wreath_group
@@ -258,21 +260,38 @@ def burnside_lower(group: PermGroup, k: int) -> CountResult:
 def clifford_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> CountResult:
     """k(X wr H) as the sum of stabilizer class counts over coloring orbits.
 
-    Regular orbits have trivial stabilizer and contribute 1 each; only the
-    non-regular representatives need an explicit stabilizer.
+    Regular orbits have trivial stabilizer and contribute 1 each. A fixed
+    coloring (orbit size 1) has stabilizer H, so k(H) is counted once per
+    call and reused, after checking that every generator fixes the coloring.
+    Only the other representatives get an explicit stabilizer, which must
+    satisfy |I_H(c)| * |orbit| = |H|.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n = group.degree
     reps = coloring_orbit_reps(group, k, budgets)
     order = group.order
+    whole = None  # k(H), counted at the first fixed coloring
     value = 0
     for enc, size in reps:
         if size == order:
             value += 1
-        else:
-            stab = coloring_stabilizer(group, decode_coloring(enc, k, n))
-            value += class_count(stab)
+            continue
+        coloring = decode_coloring(enc, k, n)
+        if size == 1:
+            if not all(all(map(eq, map(coloring.__getitem__, g.images), coloring))
+                       for g in group.generators):
+                raise InvariantViolation(f"coloring {coloring} has orbit size 1 but is moved")
+            if whole is None:
+                whole = class_count(group)
+            value += whole
+            continue
+        stab = coloring_stabilizer(group, coloring)
+        if stab.order * size != order:
+            raise InvariantViolation(
+                f"orbit-stabilizer: |I_H(c)| * |orbit| = {stab.order} * {size} != |H| = "
+                f"{order} for coloring {coloring}")
+        value += class_count(stab)
     if value * order < k ** n:
         raise InvariantViolation(
             f"class count {value} below the orbit-count lower bound k**n/|H| = {k ** n}/{order}")

@@ -1,16 +1,19 @@
 """Desk-scale permutation groups with fully materialized element sets.
 
-Everything here works by explicit element enumeration: closures are BFS over
-generator products, run on raw image tuples and wrapped as Permutations once
-at the end; conjugacy classes and orbits are union-find, stabilizers are
-filters. No stabilizer chains. That keeps results exact, deterministic
-and easy to audit, and is the right tradeoff for the group orders this
-package targets (closure budget defaults to 10**6 elements).
+Everything here works by explicit element enumeration on raw image tuples,
+wrapped as Permutations only where a caller sees them: closures are BFS over
+generator products, conjugacy classes are BFS over generator conjugations,
+orbits are union-find, and stabilizers are C-level filters over a group's
+cached image tuples whose generating set is found by an incremental greedy
+walk. No stabilizer chains. That keeps results exact, deterministic and easy
+to audit, and is the right tradeoff for the group orders this package
+targets (closure budget defaults to 10**6 elements).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import eq
 from typing import Iterable, Sequence
 
 from .budgets import DEFAULT, Budgets
@@ -278,6 +281,7 @@ class PermGroup:
         self.budgets = budgets
         self._elements: tuple[Permutation, ...] | None = None
         self._elemset: frozenset[Permutation] | None = None
+        self._images: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
     def from_elements(cls, elements: Iterable[Permutation], degree: int | None = None,
@@ -286,37 +290,60 @@ class PermGroup:
         """Wrap an explicit, already-closed element set; finds a small generating set.
 
         The greedy walk adds the smallest element not yet generated, so the
-        generating set (and everything derived from it) is deterministic.
+        generating set (and everything derived from it) is deterministic. It
+        runs on sorted image tuples and grows the generated set incrementally:
+        a new generator x is applied to every known element, then every
+        generator to the new elements only. Raises ValueError when the set
+        is not closed under products.
         """
-        elems = sorted(set(elements))
-        if not elems:
+        by_image = {p.images: p for p in elements}
+        if not by_image:
             raise ValueError("empty element set")
+        images = sorted(by_image)
         if degree is None:
-            degree = elems[0].degree
+            degree = len(images[0])
+        if any(len(im) != degree for im in images):
+            raise DegreeMismatch(
+                f"element degrees {sorted({len(im) for im in images})} vs degree {degree}")
         gens: list[Permutation] = []
-        known: set[Permutation] = {Permutation.identity(degree)}
-        for x in elems:
-            if x not in known:
-                gens.append(x)
-                try:
-                    # known ends as a superset of elems, so a closed set never
-                    # outgrows len(elems) and an open one always does
-                    known = _closure(gens, limit=len(elems))
-                except BudgetExceeded as exc:
-                    raise ValueError("element set is not closed under products") from exc
+        getters = []
+        known = {tuple(range(degree))}
+        for x in images:
+            if x in known:
+                continue
+            gens.append(by_image[x])
+            x_of = x.__getitem__
+            getters.append(x_of)
+            candidates = [tuple(map(x_of, y)) for y in known]  # x * y
+            while candidates:
+                fresh = set(candidates)
+                fresh -= known
+                known |= fresh
+                # known ends as a superset of the elements, so a closed set
+                # never outgrows it and an open one always does
+                if len(known) > len(images):
+                    raise ValueError("element set is not closed under products")
+                candidates = [tuple(map(g, y)) for y in fresh for g in getters]
         grp = cls(gens or [Permutation.identity(degree)], degree=degree,
                   family=family, budgets=budgets)
-        grp._elements = tuple(elems)
-        grp._elemset = frozenset(elems)
+        grp._elements = tuple(map(by_image.__getitem__, images))
+        grp._images = tuple(images)
         return grp
 
     @property
     def elements(self) -> tuple[Permutation, ...]:
         if self._elements is None:
             closed = _closure(self.generators, limit=self.budgets.max_group_order)
-            self._elements = tuple(sorted(closed))
-            self._elemset = frozenset(closed)
+            by_image = {p.images: p for p in closed}
+            self._images = tuple(sorted(by_image))  # tuple order is Permutation order
+            self._elements = tuple(map(by_image.__getitem__, self._images))
         return self._elements
+
+    @property
+    def image_tuples(self) -> tuple[tuple[int, ...], ...]:
+        """The image tuples of ``elements``, in the same (sorted) order."""
+        self.elements  # sets _images alongside _elements
+        return self._images
 
     @property
     def order(self) -> int:
@@ -327,7 +354,8 @@ class PermGroup:
         return Permutation.identity(self.degree)
 
     def __contains__(self, p: Permutation) -> bool:
-        self.elements
+        if self._elemset is None:
+            self._elemset = frozenset(self.elements)
         return p in self._elemset
 
     def is_abelian(self) -> bool:
@@ -410,47 +438,66 @@ def point_stabilizer(group: PermGroup, point: int) -> PermGroup:
     if not 0 <= point < group.degree:
         raise ValueError(f"point {point} out of range")
     return PermGroup.from_elements(
-        [g for g in group.elements if g(point) == point], degree=group.degree)
+        [g for g, im in zip(group.elements, group.image_tuples) if im[point] == point],
+        degree=group.degree, budgets=group.budgets)
 
 
 def coloring_stabilizer(group: PermGroup, coloring: Sequence[int]) -> PermGroup:
     """Subgroup preserving a coloring of the domain: {h : c(h(i)) = c(i) for all i}."""
     if len(coloring) != group.degree:
         raise DegreeMismatch(f"coloring length {len(coloring)} vs degree {group.degree}")
-    keep = []
-    for g in group.elements:
-        imgs = g.images
-        if all(coloring[imgs[i]] == coloring[i] for i in range(group.degree)):
-            keep.append(g)
-    return PermGroup.from_elements(keep, degree=group.degree)
+    c = tuple(coloring)
+    color_of = c.__getitem__
+    # all() over map() short-circuits at the first moved color, all in C
+    keep = [g for g, im in zip(group.elements, group.image_tuples)
+            if all(map(eq, map(color_of, im), c))]
+    return PermGroup.from_elements(keep, degree=group.degree, budgets=group.budgets)
+
+
+def _class_indices(group: PermGroup) -> list[list[int]]:
+    """Conjugacy classes as lists of element positions, ordered by smallest member.
+
+    BFS from each element not yet reached, in sorted order, under
+    x -> g*x*g^-1 for each generator g; generator conjugations suffice
+    because they generate all conjugations. A class is complete before the
+    next start, so each class starts at its smallest member. Conjugates are
+    looked up by position, so no product outlives its lookup.
+    """
+    images = group.image_tuples
+    position = dict(zip(images, range(len(images))))
+    conj = [(g.images.__getitem__, g.inverse().images) for g in group.generators]
+    seen = bytearray(len(images))
+    classes = []
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        cls = [start]
+        frontier = [start]
+        while frontier:
+            fresh = []
+            for i in frontier:
+                x_of = images[i].__getitem__
+                for g_of, g_inv in conj:
+                    j = position[tuple(map(g_of, map(x_of, g_inv)))]  # g * x * g^-1
+                    if not seen[j]:
+                        seen[j] = 1
+                        fresh.append(j)
+            cls += fresh
+            frontier = fresh
+        classes.append(cls)
+    return classes
 
 
 def conjugacy_classes(group: PermGroup) -> list[tuple[Permutation, ...]]:
-    """Conjugacy classes as sorted element tuples, ordered by smallest member.
-
-    Union-find over elements, uniting x with g*x*g^-1 for each generator g;
-    generator conjugations suffice because they generate all conjugations.
-    """
-    elems = group.elements
-    index = {g: i for i, g in enumerate(elems)}
-    uf = UnionFind(len(elems))
-    conj = [(g, g.inverse()) for g in group.generators]
-    for i, x in enumerate(elems):
-        for g, ginv in conj:
-            uf.union(i, index[g * x * ginv])
-    buckets: dict[int, list[Permutation]] = {}
-    for i, x in enumerate(elems):
-        buckets.setdefault(uf.find(i), []).append(x)
-    return sorted((tuple(v) for v in buckets.values()), key=lambda c: c[0])
+    """Conjugacy classes as sorted element tuples, ordered by smallest member."""
+    element = group.elements.__getitem__
+    return [tuple(map(element, sorted(cls))) for cls in _class_indices(group)]
 
 
 def class_count(group: PermGroup) -> int:
     """Number of conjugacy classes."""
-    return len(conjugacy_classes(group))
-
-
-def centralizer_order(group: PermGroup, x: Permutation) -> int:
-    return sum(1 for g in group.elements if g * x == x * g)
+    return len(_class_indices(group))
 
 
 def normal_subgroups(group: PermGroup, budgets: Budgets = DEFAULT) -> list[frozenset[Permutation]]:
@@ -688,7 +735,7 @@ def numeric_invariants(group: PermGroup, want_e: bool = False,
     b = _min_base_size(group)
     e = None
     if want_e:
-        e = max(class_count(PermGroup.from_elements(s, degree=group.degree))
+        e = max(class_count(PermGroup.from_elements(s, degree=group.degree, budgets=budgets))
                 for s in subgroups(group, budgets))
     return NumericInvariants(mu=mu, b=b, max_sigma=max_sigma, e=e)
 

@@ -260,6 +260,28 @@ def test_invariant_check_survives_optimize_flag():
     assert "below the orbit-count lower bound" in res.stderr
 
 
+@pytest.mark.parametrize("patch, message", [
+    # a trivial stabilizer for every non-regular orbit breaks |I_H(c)| * |orbit| = |H|
+    ("cc.coloring_stabilizer = lambda group, coloring: PermGroup([], degree=group.degree)",
+     "InvariantViolation: orbit-stabilizer"),
+    # an orbit walk that calls every coloring fixed would skip its stabilizer
+    ("cc.coloring_orbit_reps = lambda group, k, budgets: [(e, 1) for e in range(k ** 4)]",
+     "InvariantViolation: coloring (0, 0, 0, 1) has orbit size 1 but is moved"),
+], ids=["orbit-stabilizer", "fixed-coloring"])
+def test_orbit_stabilizer_checks_survive_optimize_flag(patch, message):
+    script = ("import sys\n"
+              "import wreathcount.classcount as cc\n"
+              "from wreathcount import PermGroup, parse_group_spec\n"
+              f"{patch}\n"
+              "print(sys.flags.optimize)\n"
+              "cc.clifford_count(parse_group_spec('dihedral:4'), 2)\n")
+    res = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                         text=True)
+    assert res.stdout == "1\n"
+    assert res.returncode != 0
+    assert message in res.stderr
+
+
 def test_auto_count_huge_symmetric_without_materializing():
     res = auto_count(parse_group_spec("symmetric:40"), 4)
     assert res.method == "closed-form"

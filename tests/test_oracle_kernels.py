@@ -16,6 +16,7 @@ from wreathcount import (
     burnside_orbit_count,
     direct_orbit_count,
     fix_subsets_formula,
+    orbits,
     parse_group_spec,
     partition_enum,
     tuples_of_partitions_count,
@@ -54,6 +55,18 @@ def test_coded_conjugation_matches_the_group_product(spec, k):
     assert codes == list(range(wr.order))
     # the codes name every element once
     assert len({wr.decode(x) for x in codes}) == wr.order
+
+
+@pytest.mark.parametrize("spec", ["symmetric:3", "dihedral:4", "gens:5,(1 2),(4 5)",
+                                  "gens:3,()"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_wreath_generators_take_one_unit_vector_per_orbit(spec, k):
+    top = parse_group_spec(spec)
+    wr = build_wreath_group(k, top)
+    base = len(orbits(top)) if k > 1 else 0
+    assert len(wr.generators()) == base + len(top.generators)
+    _, images = next(wr.conjugates())
+    assert len(images) == len(wr.generators())
 
 
 def _convolution_reference(k, n):

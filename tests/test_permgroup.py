@@ -4,10 +4,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreathcount import (
     DEFAULT,
     BudgetExceeded,
+    DegreeMismatch,
     ParseError,
     PermGroup,
     Permutation,
@@ -35,7 +38,7 @@ from wreathcount import (
     subset_orbit_count_exact,
     subsets_action_lift,
 )
-from wreathcount.permgroup import _closure, centralizer_order
+from wreathcount.permgroup import UnionFind, _closure
 
 
 def test_parse_permutation_images():
@@ -157,12 +160,101 @@ def test_closure_matches_permutation_product_reference():
         assert _closure(gens, limit=DEFAULT.max_group_order) == _reference_closure(gens)
 
 
+def _reference_from_elements(elements, degree):
+    """Greedy walk re-closing over Permutation products at every new generator.
+
+    Returns (generators, elements) as the wrapped group would hold them.
+    """
+    elems = sorted(set(elements))
+    gens = []
+    known = {Permutation.identity(degree)}
+    for x in elems:
+        if x not in known:
+            gens.append(x)
+            known = _reference_closure(gens)
+            if len(known) > len(elems):
+                raise ValueError("element set is not closed under products")
+    return tuple(gens) or (Permutation.identity(degree),), tuple(elems)
+
+
+def _reference_conjugacy_classes(group):
+    """Union-find over x ~ g*x*g^-1 for each generator g, on Permutation products."""
+    elems = group.elements
+    index = {g: i for i, g in enumerate(elems)}
+    uf = UnionFind(len(elems))
+    for i, x in enumerate(elems):
+        for g in group.generators:
+            uf.union(i, index[g * x * g.inverse()])
+    buckets = {}
+    for i, x in enumerate(elems):
+        buckets.setdefault(uf.find(i), []).append(x)
+    return sorted((tuple(v) for v in buckets.values()), key=lambda c: c[0])
+
+
+def _reference_coloring_stabilizer(group, coloring):
+    keep = [g for g in group.elements
+            if all(coloring[g(i)] == coloring[i] for i in range(group.degree))]
+    return _reference_from_elements(keep, group.degree)
+
+
+@st.composite
+def groups_with_coloring(draw):
+    degree = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    k = draw(st.integers(1, 3))
+    coloring = draw(st.lists(st.integers(0, k - 1), min_size=degree, max_size=degree))
+    return PermGroup([Permutation(g) for g in gens]), tuple(coloring)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=groups_with_coloring(), data=st.data())
+def test_tuple_kernels_match_permutation_references(case, data):
+    group, coloring = case
+    classes = conjugacy_classes(group)
+    assert classes == _reference_conjugacy_classes(group)
+    assert class_count(group) == len(classes)
+
+    wrapped = PermGroup.from_elements(reversed(group.elements))
+    want_gens, want_elems = _reference_from_elements(group.elements, group.degree)
+    assert (wrapped.generators, wrapped.elements) == (want_gens, want_elems)
+    assert class_count(wrapped) == len(classes)
+
+    # a random subset is usually open: both walks refuse it, or agree on it
+    subset = data.draw(st.lists(st.sampled_from(group.elements), min_size=1, max_size=8))
+    try:
+        want = _reference_from_elements(subset, group.degree)
+    except ValueError:
+        with pytest.raises(ValueError, match="element set is not closed under products"):
+            PermGroup.from_elements(subset)
+    else:
+        got = PermGroup.from_elements(subset)
+        assert (got.generators, got.elements) == want
+
+    stab = coloring_stabilizer(group, coloring)
+    assert (stab.generators, stab.elements) == _reference_coloring_stabilizer(group, coloring)
+    assert conjugacy_classes(stab) == _reference_conjugacy_classes(stab)
+
+
+def test_stabilizers_inherit_the_group_budgets():
+    budgets = DEFAULT.with_overrides(max_group_order=500)
+    s4 = PermGroup(parse_generators("(1 2), (1 2 3 4)"), budgets=budgets)
+    assert coloring_stabilizer(s4, (0, 0, 1, 1)).budgets is s4.budgets
+    assert point_stabilizer(s4, 0).budgets is s4.budgets
+
+
 def test_from_elements_rejects_non_closed_set():
     elems = [Permutation.identity(3), parse_permutation("(1 2 3)")]
     with pytest.raises(ValueError, match="element set is not closed under products"):
         PermGroup.from_elements(elems)
     with pytest.raises(ValueError, match="element set is not closed under products"):
         PermGroup.from_elements([parse_permutation("(1 2)")])
+
+
+def test_from_elements_rejects_mixed_degrees():
+    with pytest.raises(DegreeMismatch):
+        PermGroup.from_elements([Permutation.identity(3), Permutation.identity(4)])
+    with pytest.raises(DegreeMismatch):
+        PermGroup.from_elements([Permutation.identity(3)], degree=4)
 
 
 def test_orbits():
@@ -217,10 +309,14 @@ def test_classes_closed_under_conjugation():
                 assert g.inverse() * x * g in members
 
 
+def _centralizer_order(group, x):
+    return sum(1 for g in group.elements if g * x == x * g)
+
+
 def test_centralizer_class_size_product():
     s4 = parse_group_spec("symmetric:4")
     for cls in conjugacy_classes(s4):
-        assert len(cls) * centralizer_order(s4, cls[0]) == s4.order
+        assert len(cls) * _centralizer_order(s4, cls[0]) == s4.order
 
 
 def test_class_count_known_groups():
