@@ -87,6 +87,7 @@ from .permgroup import (
     class_count,
     closure_elements,
     coloring_stabilizer,
+    coloring_stabilizers,
     conjugacy_classes,
     is_primitive,
     is_semiregular,
@@ -112,8 +113,8 @@ __all__ = [
     "WreathcountError", "auto_count", "block_decomposition", "brute_force_count",
     "build_wreath_group", "burnside_lower", "burnside_orbit_count", "class_count",
     "clifford_count", "closed_form", "closure_elements", "coloring_orbit_reps",
-    "coloring_stabilizer", "conjugacy_classes", "count_upper_bound",
-    "counterexample_scan", "cycle_type",
+    "coloring_stabilizer", "coloring_stabilizers", "conjugacy_classes",
+    "count_upper_bound", "counterexample_scan", "cycle_type",
     "decode_coloring", "direct_orbit_count", "encode_coloring", "family",
     "fix_subsets_direct", "fix_subsets_formula", "fixed_subset_fraction_probe",
     "is_primitive", "is_semiregular", "is_transitive",

@@ -43,7 +43,7 @@ from .permgroup import (
     PermGroup,
     Permutation,
     class_count,
-    coloring_stabilizer,
+    coloring_stabilizers,
     is_semiregular,
     numeric_invariants,
     structure_classify,
@@ -484,11 +484,12 @@ def semiprimitive_report(group: PermGroup, k: int,
     note = ""
     try:
         reps = coloring_orbit_reps(group, k, budgets)
-        for enc, size in reps:
-            if size == group.order:
-                e_k = max(e_k or 1, 1)
-                continue
-            stab = coloring_stabilizer(group, decode_coloring(enc, k, n))
+        order = group.order
+        if any(size == order for _, size in reps):
+            e_k = 1  # a regular orbit's stabilizer is trivial
+        stabs = coloring_stabilizers(
+            group, (decode_coloring(enc, k, n) for enc, size in reps if size != order))
+        for stab in dict.fromkeys(stabs):  # equal stabilizers are one object
             if len(kernel_set.intersection(stab.elements)) == 1:
                 e_k = max(e_k or 1, class_count(stab))
     except BudgetExceeded as exc:

@@ -6,10 +6,12 @@ separate so they can cross-check each other:
 
 * clifford_count: sum of k(I_H(c)) over orbit representatives c of H on
   colorings of the domain with k colors, I the coloring stabilizer (H
-  itself for a fixed coloring, so k(H) is counted once). The
-  representatives come from coloring_orbit_reps: for 2**14 to 2**22
-  colorings, numpy labels every coloring with its orbit minimum through
-  split-radix generator tables; other sizes walk the orbits in pure Python.
+  itself for a fixed coloring, so k(H) is counted once). The other
+  stabilizers come from one coloring_stabilizers stream, and each distinct
+  one is class-counted once. The representatives come from
+  coloring_orbit_reps: for 2**14 to 2**22 colorings, numpy labels every
+  coloring with its orbit minimum through split-radix generator tables;
+  other sizes walk the orbits in pure Python.
 * brute_force_count: union-find over conjugation by the generators of
   Z_k wr H, walking every element by its integer code without storing the
   group.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import tee
 from math import ceil
 from operator import eq
 
@@ -45,7 +48,7 @@ from .permgroup import (
     Permutation,
     UnionFind,
     class_count,
-    coloring_stabilizer,
+    coloring_stabilizers,
     conjugacy_classes,
     max_cycle_count,
 )
@@ -263,8 +266,10 @@ def clifford_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> Coun
     Regular orbits have trivial stabilizer and contribute 1 each. A fixed
     coloring (orbit size 1) has stabilizer H, so k(H) is counted once per
     call and reused, after checking that every generator fixes the coloring.
-    Only the other representatives get an explicit stabilizer, which must
-    satisfy |I_H(c)| * |orbit| = |H|.
+    The other representatives are decoded lazily into one
+    coloring_stabilizers stream; each stabilizer must satisfy
+    |I_H(c)| * |orbit| = |H|, and class_count runs once per distinct
+    stabilizer, since equal stabilizers arrive as one object.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -276,22 +281,26 @@ def clifford_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> Coun
     for enc, size in reps:
         if size == order:
             value += 1
-            continue
-        coloring = decode_coloring(enc, k, n)
-        if size == 1:
+        elif size == 1:
+            coloring = decode_coloring(enc, k, n)
             if not all(all(map(eq, map(coloring.__getitem__, g.images), coloring))
                        for g in group.generators):
                 raise InvariantViolation(f"coloring {coloring} has orbit size 1 but is moved")
             if whole is None:
                 whole = class_count(group)
             value += whole
-            continue
-        stab = coloring_stabilizer(group, coloring)
+    # streamed: tee buffers at most the block the stabilizer pass reads ahead
+    moved, to_decode = tee((enc, size) for enc, size in reps if size not in (1, order))
+    stabs = coloring_stabilizers(group, (decode_coloring(enc, k, n) for enc, _ in to_decode))
+    counts: dict[PermGroup, int] = {}  # keyed by identity: equal stabilizers are one object
+    for (enc, size), stab in zip(moved, stabs):
         if stab.order * size != order:
             raise InvariantViolation(
                 f"orbit-stabilizer: |I_H(c)| * |orbit| = {stab.order} * {size} != |H| = "
-                f"{order} for coloring {coloring}")
-        value += class_count(stab)
+                f"{order} for coloring {decode_coloring(enc, k, n)}")
+        if stab not in counts:
+            counts[stab] = class_count(stab)
+        value += counts[stab]
     if value * order < k ** n:
         raise InvariantViolation(
             f"class count {value} below the orbit-count lower bound k**n/|H| = {k ** n}/{order}")

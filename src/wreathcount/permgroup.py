@@ -3,9 +3,11 @@
 Everything here works by explicit element enumeration on raw image tuples,
 wrapped as Permutations only where a caller sees them: closures are BFS over
 generator products, conjugacy classes are BFS over generator conjugations,
-orbits are union-find, and stabilizers are C-level filters over a group's
-cached image tuples whose generating set is found by an incremental greedy
-walk. No stabilizer chains. That keeps results exact, deterministic and easy
+orbits are union-find, and a subgroup's generating set is found by an
+incremental greedy walk. Coloring stabilizers come in batches: one pass over
+a group's cached image tuples tests every element against a block of
+colorings at once, through bit masks with one bit per coloring. No
+stabilizer chains. That keeps results exact, deterministic and easy
 to audit, and is the right tradeoff for the group orders this package
 targets (closure budget defaults to 10**6 elements).
 """
@@ -13,11 +15,20 @@ targets (closure budget defaults to 10**6 elements).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import eq
-from typing import Iterable, Sequence
+from functools import reduce
+from itertools import islice, repeat
+from operator import and_, eq, getitem
+from typing import Iterable, Iterator, Sequence
 
 from .budgets import DEFAULT, Budgets
 from .errors import BudgetExceeded, DegreeMismatch, InvariantViolation, ParseError
+
+# colorings per pass of coloring_stabilizers over a group's elements: the
+# pass keeps degree**2 masks of this many bits, and longer masks make every
+# AND and every set-bit step slower
+_STAB_BLOCK = 1 << 10
+# bytes 0/1 -> ASCII "0"/"1", to read a byte per coloring as a base-2 int
+_BINARY = bytes.maketrans(b"\0\1", b"01")
 
 
 class Permutation:
@@ -444,14 +455,58 @@ def point_stabilizer(group: PermGroup, point: int) -> PermGroup:
 
 def coloring_stabilizer(group: PermGroup, coloring: Sequence[int]) -> PermGroup:
     """Subgroup preserving a coloring of the domain: {h : c(h(i)) = c(i) for all i}."""
-    if len(coloring) != group.degree:
-        raise DegreeMismatch(f"coloring length {len(coloring)} vs degree {group.degree}")
-    c = tuple(coloring)
-    color_of = c.__getitem__
-    # all() over map() short-circuits at the first moved color, all in C
-    keep = [g for g, im in zip(group.elements, group.image_tuples)
-            if all(map(eq, map(color_of, im), c))]
-    return PermGroup.from_elements(keep, degree=group.degree, budgets=group.budgets)
+    return next(coloring_stabilizers(group, [coloring]))
+
+
+def _color_masks(column: tuple) -> dict[int, int]:
+    """For one point across a block of colorings: color -> mask of the colorings giving it."""
+    backwards = column[::-1]  # int(..., 2) reads its most significant bit first
+    return {v: int(bytes(map(eq, backwards, repeat(v))).translate(_BINARY), 2)
+            for v in set(column)}
+
+
+def coloring_stabilizers(group: PermGroup, colorings: Iterable[Sequence[int]]
+                         ) -> Iterator[PermGroup]:
+    """The stabilizer of each coloring, yielded in input order.
+
+    Colorings are read _STAB_BLOCK at a time, so a generator input is read
+    at most one block ahead of what has been yielded. Within a block,
+    same[i][p] is a mask whose bit r is set iff coloring r gives points i
+    and p the same color; h fixes coloring r iff bit r survives the AND of
+    same[i][h(i)] over i, so one pass over the elements of H serves the
+    whole block. Colorings fixed by the same elements share one PermGroup,
+    for the whole stream, so equal stabilizers are the same object.
+    """
+    degree = group.degree
+    images = group.image_tuples
+    element = group.elements.__getitem__
+    shared: dict[tuple[int, ...], PermGroup] = {}
+    stream = iter(colorings)
+    while block := list(islice(stream, _STAB_BLOCK)):
+        for c in block:
+            if len(c) != degree:
+                raise DegreeMismatch(f"coloring length {len(c)} vs degree {degree}")
+        full = (1 << len(block)) - 1
+        masks = [_color_masks(column) for column in zip(*block)]
+        same = [[full] * degree for _ in range(degree)]
+        for i in range(degree):
+            for p in range(i + 1, degree):
+                # masks of distinct colors are disjoint, so the sum is their union
+                same[i][p] = same[p][i] = sum(
+                    m & masks[p].get(v, 0) for v, m in masks[i].items())
+        kept = [[0] for _ in block]  # position 0 holds the identity, the smallest tuple
+        for pos in range(1, len(images)):
+            fixed = reduce(and_, map(getitem, same, images[pos]), full)
+            while fixed:
+                low = fixed & -fixed
+                kept[low.bit_length() - 1].append(pos)
+                fixed ^= low
+        for positions in map(tuple, kept):
+            stab = shared.get(positions)
+            if stab is None:
+                stab = shared[positions] = PermGroup.from_elements(
+                    map(element, positions), degree=degree, budgets=group.budgets)
+            yield stab
 
 
 def _class_indices(group: PermGroup) -> list[list[int]]:

@@ -27,7 +27,7 @@ from . import classcount, combinatorics
 from .actions import cycle_type, fix_subsets_direct, parse_group_spec, sigma_prime
 from .budgets import Budgets
 from .errors import NotSemiprimitive
-from .permgroup import Permutation, class_count, coloring_stabilizer
+from .permgroup import Permutation, class_count, coloring_stabilizers
 
 # the shared small-group matrix: every (k, H) with k**n * |H| <= 10**6
 ORACLE_SPECS = ("cyclic:2", "cyclic:3", "cyclic:4", "gens:4,(1 2)(3 4),(1 3)(2 4)",
@@ -169,11 +169,8 @@ def _inertia_identity(budgets: Budgets, spec: str, k: int):
     n, order = group.degree, group.order
     reps = classcount.coloring_orbit_reps(group, k, budgets)
     delta = sum(size for _, size in reps if size < order)
-    inertia = 0
-    for enc, size in reps:
-        if size < order:
-            stab = coloring_stabilizer(group, classcount.decode_coloring(enc, k, n))
-            inertia += class_count(stab)
+    inertia = sum(map(class_count, coloring_stabilizers(
+        group, (classcount.decode_coloring(enc, k, n) for enc, size in reps if size < order))))
     _expect((k ** n - delta) % order == 0, "regular part not divisible by |H|")
     want = (k ** n - delta) // order + inertia
     got = classcount.clifford_count(group, k, budgets).value

@@ -214,6 +214,26 @@ def test_inertia_identity():
         assert regular_part + inertia_total == TRIANGULATION[(spec, k)]
 
 
+@pytest.mark.parametrize("spec, k", [("wreath-cyclic:3", 2), ("subsets:5,2", 2)])
+def test_clifford_counts_each_distinct_stabilizer_once(spec, k, monkeypatch):
+    from wreathcount import classcount
+
+    grp = parse_group_spec(spec)
+    want = clifford_count(grp, k).value
+    counted = []
+
+    def counting(group):
+        counted.append(group)
+        return class_count(group)
+
+    monkeypatch.setattr(classcount, "class_count", counting)
+    assert clifford_count(grp, k).value == want
+    assert len({g.elements for g in counted}) == len(counted)
+    # some stabilizers repeat, so one count per representative would be more
+    reps = coloring_orbit_reps(grp, k)
+    assert len(counted) < sum(1 for _, size in reps if size != grp.order)
+
+
 def test_nonregular_orbit_stats():
     stats = nonregular_orbit_stats(parse_group_spec("symmetric:3"), 2)
     assert (stats.total_orbits, stats.nonregular_orbits, stats.delta_size) == (4, 4, 8)
@@ -262,7 +282,8 @@ def test_invariant_check_survives_optimize_flag():
 
 @pytest.mark.parametrize("patch, message", [
     # a trivial stabilizer for every non-regular orbit breaks |I_H(c)| * |orbit| = |H|
-    ("cc.coloring_stabilizer = lambda group, coloring: PermGroup([], degree=group.degree)",
+    ("cc.coloring_stabilizers = lambda group, colorings: "
+     "(PermGroup([], degree=group.degree) for _ in colorings)",
      "InvariantViolation: orbit-stabilizer"),
     # an orbit walk that calls every coloring fixed would skip its stabilizer
     ("cc.coloring_orbit_reps = lambda group, k, budgets: [(e, 1) for e in range(k ** 4)]",

@@ -14,6 +14,8 @@ from wreathcount import (
     Permutation,
     build_wreath_group,
     burnside_orbit_count,
+    clifford_count,
+    coloring_orbit_reps,
     direct_orbit_count,
     fix_subsets_formula,
     orbits,
@@ -38,6 +40,17 @@ def test_routes_agree_on_random_generator_sets(group, k):
     ran = route_values(group, k, DEFAULT)  # raises when two routes disagree
     assert {"clifford", "brute"} <= set(ran), ran
     assert burnside_orbit_count(group, k) == direct_orbit_count(group, k)
+
+
+def test_routes_agree_across_many_stabilizer_blocks():
+    from wreathcount.permgroup import _STAB_BLOCK
+
+    group = parse_group_spec("gens:14,(1 2),(3 4)")
+    moved = [size for _, size in coloring_orbit_reps(group, 2) if size not in (1, group.order)]
+    assert len(moved) > 3 * _STAB_BLOCK
+    assert route_values(group, 2, DEFAULT) == {"clifford": 25600, "brute": 25600}
+    res = clifford_count(parse_group_spec("gens:18,(1 2),(3 4)"), 2)
+    assert (res.value, res.orbit_count) == (409600, 147456)
 
 
 @pytest.mark.parametrize("spec", ["symmetric:3", "dihedral:4", "quaternion"])

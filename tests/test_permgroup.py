@@ -18,6 +18,7 @@ from wreathcount import (
     class_count,
     closure_elements,
     coloring_stabilizer,
+    coloring_stabilizers,
     conjugacy_classes,
     fix_subsets_direct,
     fix_subsets_formula,
@@ -233,6 +234,78 @@ def test_tuple_kernels_match_permutation_references(case, data):
     stab = coloring_stabilizer(group, coloring)
     assert (stab.generators, stab.elements) == _reference_coloring_stabilizer(group, coloring)
     assert conjugacy_classes(stab) == _reference_conjugacy_classes(stab)
+
+
+@st.composite
+def groups_with_colorings(draw):
+    degree = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    palette = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=4, unique=True))
+    colorings = draw(st.lists(
+        st.tuples(*[st.sampled_from(palette)] * degree), max_size=10))
+    if colorings:
+        colorings += draw(st.lists(st.sampled_from(colorings), max_size=5))  # duplicates
+    colorings.append((palette[-1],) * degree)  # fixed by every element
+    return PermGroup([Permutation(g) for g in gens]), draw(st.permutations(colorings))
+
+
+def _assert_stabilizers_match(group, colorings, stabs):
+    assert len(stabs) == len(colorings)
+    for coloring, stab in zip(colorings, stabs):
+        want = _reference_coloring_stabilizer(group, coloring)
+        assert (stab.generators, stab.elements) == want, coloring
+        assert stab.budgets is group.budgets
+    # equal stabilizers are one object, for the whole stream
+    by_elements = {}
+    for stab in stabs:
+        assert by_elements.setdefault(stab.elements, stab) is stab
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=groups_with_colorings())
+def test_coloring_stabilizers_match_the_reference(case):
+    group, colorings = case
+    stabs = list(coloring_stabilizers(group, colorings))
+    _assert_stabilizers_match(group, colorings, stabs)
+    assert list(coloring_stabilizers(group, [])) == []
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_coloring_stabilizers_across_block_boundaries(block, monkeypatch):
+    from wreathcount import permgroup
+
+    group = parse_group_spec("dihedral:4")
+    colorings = [tuple(map(int, f"{e:04b}")) for e in range(16)] * 2
+    unblocked = list(coloring_stabilizers(group, colorings))
+    monkeypatch.setattr(permgroup, "_STAB_BLOCK", block)
+    stabs = list(coloring_stabilizers(group, colorings))
+    _assert_stabilizers_match(group, colorings, stabs)
+    assert [s.elements for s in stabs] == [s.elements for s in unblocked]
+
+
+def test_coloring_stabilizers_read_at_most_one_block_ahead(monkeypatch):
+    from wreathcount import permgroup
+
+    monkeypatch.setattr(permgroup, "_STAB_BLOCK", 3)
+    group = parse_group_spec("symmetric:3")
+    read = 0
+
+    def colorings():
+        nonlocal read
+        for e in range(10):
+            read += 1
+            yield (e % 2, e % 3, 0)
+
+    yielded = 0
+    for _ in coloring_stabilizers(group, colorings()):
+        yielded += 1
+        assert read <= yielded - 1 + 3
+    assert (read, yielded) == (10, 10)
+
+
+def test_coloring_stabilizers_reject_a_wrong_length():
+    with pytest.raises(DegreeMismatch, match="coloring length 2 vs degree 3"):
+        list(coloring_stabilizers(parse_group_spec("symmetric:3"), [(0, 0, 1), (0, 1)]))
 
 
 def test_stabilizers_inherit_the_group_budgets():
