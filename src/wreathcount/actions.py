@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from operator import mul
 from typing import Sequence
@@ -111,10 +112,21 @@ def subsets_action_lift(p: Permutation, ell: int, budgets: Budgets = DEFAULT) ->
     if n > budgets.max_lift_degree:
         raise BudgetExceeded(f"lifted degree C({m},{ell}) = {n} exceeds the max_lift_degree "
                              f"budget {budgets.max_lift_degree}")
-    images = [0] * n
-    for subset in combinations(range(m), ell):
-        images[subset_rank(subset)] = subset_rank([p(x) for x in subset])
-    return Permutation._unsafe(tuple(images))
+    rank = _colex_ranks(m, ell)
+    p_of = p.images.__getitem__
+    # rank lists the subsets in rank order, so position r holds the image of subset r
+    return Permutation._unsafe(tuple([rank[frozenset(map(p_of, s))] for s in rank]))
+
+
+@lru_cache(maxsize=8)
+def _colex_ranks(m: int, ell: int) -> dict[frozenset[int], int]:
+    """subset -> subset_rank(subset) for every ell-subset of {0..m-1}, in rank order.
+
+    Colex order is lex order on the reversed sorted tuples. The cache is
+    small because a table holds C(m, ell) subsets.
+    """
+    ordered = sorted(combinations(range(m), ell), key=lambda c: c[::-1])
+    return {frozenset(c): r for r, c in enumerate(ordered)}
 
 
 def sigma_prime(p: Permutation, ell: int, budgets: Budgets = DEFAULT) -> int:

@@ -1,14 +1,15 @@
 """Desk-scale permutation groups with fully materialized element sets.
 
 Everything here works by explicit element enumeration on raw image tuples,
-wrapped as Permutations only where a caller sees them: closures are BFS over
-generator products, conjugacy classes are BFS over generator conjugations,
-orbits are union-find, and a subgroup's generating set is found by an
-incremental greedy walk. Coloring stabilizers come in batches: one pass over
-a group's cached image tuples tests every element against a block of
-colorings at once, through bit masks with one bit per coloring. No
-stabilizer chains. That keeps results exact, deterministic and easy
-to audit, and is the right tradeoff for the group orders this package
+wrapped as Permutations only where a caller sees them: closures add one
+coset at a time (Dimino's algorithm), so the subgroup lattices extend each
+known subgroup from its own elements; conjugacy classes are BFS over
+generator conjugations, orbits are union-find, and a subgroup's generating
+set is found by an incremental greedy walk. Coloring stabilizers come in
+batches: one pass over a group's cached image tuples tests every element
+against a block of colorings at once, through bit masks with one bit per
+coloring. No stabilizer chains. That keeps results exact, deterministic and
+easy to audit, and is the right tradeoff for the group orders this package
 targets (closure budget defaults to 10**6 elements).
 """
 
@@ -235,33 +236,49 @@ def parse_generators(text: str, degree: int | None = None) -> list[Permutation]:
     return [parse_permutation(part, degree) for part in parts]
 
 
-def _closure(generators: Sequence[Permutation], limit: int) -> set[Permutation]:
-    """BFS product closure; always contains the identity.
+def _closure(generators: Sequence[Permutation], limit: int,
+             base: Iterable[tuple[int, ...]] | None = None) -> set[tuple[int, ...]]:
+    """Image tuples of the group the generators generate; always holds the identity.
 
-    The walk runs on raw image tuples, so products, hashing and membership
-    tests stay in C; each element is wrapped as a Permutation once at the end.
+    Dimino's coset extension (Butler, Fundamental Algorithms for Permutation
+    Groups, LNCS 559): each generator g not yet in the running group sub
+    extends it. Coset representatives, starting from the identity, are
+    multiplied on the left by every generator of <sub, g>; a product y
+    outside the group so far opens the new coset y*sub, filled with one
+    product per element of sub. So each element is made once, and only the
+    representatives meet every generator.
+
+    ``base``, when given, is the closed subgroup (as image tuples) generated
+    by those of ``generators`` that lie in it, and the walk starts from it
+    instead of from the identity. Refuses as soon as the order passes
+    ``limit``.
     """
     degree = generators[0].degree
     if any(g.degree != degree for g in generators):
         raise DegreeMismatch(f"mixed generator degrees {sorted({g.degree for g in generators})}")
-    getters = [g.images.__getitem__ for g in generators]
     ident = tuple(range(degree))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        fresh = []
-        for b in frontier:
-            for g in getters:
-                c = tuple(map(g, b))  # images of g * b
-                if c not in seen:
-                    if len(seen) >= limit:
+    group = {ident} if base is None else set(base)
+    # getters of generators of the running group; those in base generate it
+    multipliers = [g.images.__getitem__ for g in generators if g.images in group]
+    for g in generators:
+        gi = g.images
+        if gi in group:
+            continue
+        multipliers.append(gi.__getitem__)
+        sub = list(group)
+        reps = [ident]
+        for r in reps:  # grows while it is walked
+            for s in multipliers:
+                y = tuple(map(s, r))  # s * r
+                if y not in group:
+                    if len(group) + len(sub) > limit:
                         raise BudgetExceeded(
                             f"group order exceeds the max_group_order budget {limit} "
                             f"during closure")
-                    seen.add(c)
-                    fresh.append(c)
-        frontier = fresh
-    return {Permutation._unsafe(c) for c in seen}
+                    y_of = y.__getitem__
+                    group.update([tuple(map(y_of, h)) for h in sub])  # y * h
+                    reps.append(y)
+    return group
 
 
 class PermGroup:
@@ -345,9 +362,8 @@ class PermGroup:
     def elements(self) -> tuple[Permutation, ...]:
         if self._elements is None:
             closed = _closure(self.generators, limit=self.budgets.max_group_order)
-            by_image = {p.images: p for p in closed}
-            self._images = tuple(sorted(by_image))  # tuple order is Permutation order
-            self._elements = tuple(map(by_image.__getitem__, self._images))
+            self._images = tuple(sorted(closed))  # tuple order is Permutation order
+            self._elements = tuple(map(Permutation._unsafe, self._images))
         return self._elements
 
     @property
@@ -562,24 +578,26 @@ def normal_subgroups(group: PermGroup, budgets: Budgets = DEFAULT) -> list[froze
     the classes it contains, so the lattice is exactly the join-closure of
     class closures: grow each known normal subgroup by one whole class at a
     time until nothing new appears. Each found subgroup keeps the classes
-    that generated it, so a closure runs over those classes plus the new
-    one rather than over every element of the subgroup.
+    that generated it, and a closure starts from the found subgroup itself,
+    so it only adds the cosets the new class brings; a class member already
+    in the running group costs a set lookup. The walk keys subgroups by
+    image tuples and wraps each distinct one once, at return.
     """
     if group.order > budgets.max_normal_order:
         raise BudgetExceeded(
             f"normal subgroup enumeration refused: order {group.order} exceeds the "
             f"max_normal_order budget {budgets.max_normal_order}")
     classes = conjugacy_classes(group)
-    trivial = frozenset({group.identity})
+    trivial = frozenset({group.identity.images})
     found = {trivial: ()}
     queue = [trivial]
     while queue:
         base = queue.pop()
         gens = found[base]
         for cls in classes:
-            if cls[0] in base:
+            if cls[0].images in base:
                 continue
-            grown = frozenset(_closure(gens + cls, limit=group.order))
+            grown = frozenset(_closure(gens + cls, limit=group.order, base=base))
             if grown not in found:
                 if len(found) >= budgets.max_subgroup_count:
                     raise BudgetExceeded(
@@ -587,7 +605,15 @@ def normal_subgroups(group: PermGroup, budgets: Budgets = DEFAULT) -> list[froze
                         f"max_subgroup_count budget {budgets.max_subgroup_count}")
                 found[grown] = gens + cls
                 queue.append(grown)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+    return _wrap_lattice(group, found)
+
+
+def _wrap_lattice(group: PermGroup, lattice: Iterable[frozenset[tuple[int, ...]]]
+                  ) -> list[frozenset[Permutation]]:
+    """Image-tuple subgroups as sets of the group's elements, by (order, sorted elements)."""
+    element = dict(zip(group.image_tuples, group.elements)).__getitem__
+    return [frozenset(map(element, s))
+            for s in sorted(lattice, key=lambda s: (len(s), sorted(s)))]
 
 
 def _subset_transitive(elements: frozenset[Permutation], degree: int) -> bool:
@@ -703,30 +729,29 @@ def subgroups(group: PermGroup, budgets: Budgets = DEFAULT) -> list[frozenset[Pe
     """Every subgroup, as an element set; refuses groups over the lattice budget.
 
     Walk the lattice by extending each known subgroup with one more element.
-    Every subgroup is reachable this way from the trivial one. For s, t in
-    sub, <sub, x> = <sub, s*x*t>, so once x is closed the rest of its double
-    coset sub*x*sub (which holds x*sub and sub*x) is skipped: it can only
-    reach the same subgroup again.
+    Every subgroup is reachable this way from the trivial one. Each closure
+    starts from the known subgroup sub, so it only adds the cosets the new
+    element brings. For s, t in sub, <sub, x> = <sub, s*x*t>, so once x is
+    closed the rest of its double coset sub*x*sub (which holds x*sub and
+    sub*x) is skipped: it can only reach the same subgroup again. The walk
+    keys subgroups by image tuples and wraps each distinct one once, at return.
     """
     if group.order > budgets.max_subgroup_order:
         raise BudgetExceeded(
             f"subgroup lattice refused: order {group.order} exceeds the "
             f"max_subgroup_order budget {budgets.max_subgroup_order}")
-    elems = group.elements
-    trivial = frozenset({group.identity})
+    trivial = frozenset({group.identity.images})
     seen = {trivial: ()}
     queue = [trivial]
     while queue:
         sub = queue.pop()
         gens = seen[sub]
-        sub_images = [s.images for s in sub]
-        done = set(sub_images)
-        for x in elems:
-            xi = x.images
+        done = set(sub)
+        for x, xi in zip(group.elements, group.image_tuples):
             if xi in done:
                 continue
             # a skipped x reaches what an earlier closed x did: seen matches the full walk
-            grown = frozenset(_closure(gens + (x,), limit=group.order))
+            grown = frozenset(_closure(gens + (x,), limit=group.order, base=sub))
             if grown not in seen:
                 if len(seen) >= budgets.max_subgroup_count:
                     raise BudgetExceeded(
@@ -734,12 +759,12 @@ def subgroups(group: PermGroup, budgets: Budgets = DEFAULT) -> list[frozenset[Pe
                         f"max_subgroup_count budget {budgets.max_subgroup_count}")
                 seen[grown] = gens + (x,)
                 queue.append(grown)
-            for si in sub_images:
+            for si in sub:
                 y = tuple(map(si.__getitem__, xi))  # s * x
                 if y not in done:  # done is a union of cosets y*sub
                     y_of = y.__getitem__
-                    done.update([tuple(map(y_of, ti)) for ti in sub_images])  # s * x * t
-    return sorted(seen, key=lambda s: (len(s), sorted(s)))
+                    done.update([tuple(map(y_of, ti)) for ti in sub])  # s * x * t
+    return _wrap_lattice(group, seen)
 
 
 @dataclass(frozen=True)

@@ -100,6 +100,18 @@ def test_lift_is_a_homomorphism():
     assert subsets_action_lift(Permutation(range(6)), 2).degree == 15
 
 
+def test_lift_maps_subset_ranks_to_image_ranks():
+    rng = random.Random(13)
+    for m, ell in [(1, 1), (5, 1), (6, 2), (7, 3), (7, 7)]:
+        for _ in range(5):
+            images = list(range(m))
+            rng.shuffle(images)
+            p = Permutation(images)
+            lift = subsets_action_lift(p, ell)
+            for subset in itertools.combinations(range(m), ell):
+                assert lift(subset_rank(subset)) == subset_rank([p(x) for x in subset])
+
+
 def test_lift_budget_refusal():
     tight = DEFAULT.with_overrides(max_lift_degree=10)
     with pytest.raises(BudgetExceeded):

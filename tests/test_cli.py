@@ -203,6 +203,16 @@ def test_classify_csv(run_cli):
     assert lines[1] == "cyclic:3,3,3,yes,yes,yes,yes,yes,2,3,1,1"
 
 
+@pytest.mark.parametrize("spec,row", [
+    ("alternating:7", "alternating:7,7,2520,no,yes,no,yes,yes,2,3,5,5"),
+    ("subsets:7,2", '"subsets:7,2",21,5040,no,yes,no,yes,yes,3,10,4,16'),
+], ids=["alternating:7", "subsets:7,2"])
+def test_classify_csv_pins_large_normal_lattices(run_cli, spec, row):
+    code, out, _ = run_cli("classify", "--group", spec, "--output", "csv")
+    assert code == 0
+    assert out.strip().splitlines()[1] == row
+
+
 def test_bounds_csv_rows(run_cli):
     code, out, _ = run_cli("bounds", "--group", "symmetric:3", "--k", "2",
                            "--output", "csv")

@@ -158,7 +158,43 @@ def test_closure_matches_permutation_product_reference():
             images = list(range(6))
             rng.shuffle(images)
             gens.append(Permutation(images))
-        assert _closure(gens, limit=DEFAULT.max_group_order) == _reference_closure(gens)
+        want = {p.images for p in _reference_closure(gens)}
+        assert _closure(gens, limit=DEFAULT.max_group_order) == want
+
+
+@st.composite
+def subgroups_with_extra_elements(draw):
+    """A random subgroup of a group of degree <= 6, its generators, and a few more elements."""
+    degree = draw(st.integers(1, 6))
+    group = PermGroup([Permutation(g) for g in draw(
+        st.lists(st.permutations(range(degree)), min_size=1, max_size=3))])
+    base_gens = draw(st.lists(st.sampled_from(group.elements), min_size=1, max_size=2))
+    extra = draw(st.lists(st.sampled_from(group.elements), max_size=3))
+    return base_gens, extra
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=subgroups_with_extra_elements(), data=st.data())
+def test_closure_from_a_base_matches_the_reference(case, data):
+    base_gens, extra = case
+    base = frozenset(p.images for p in _reference_closure(base_gens))
+    # the base's generators may sit anywhere among the generators
+    gens = data.draw(st.permutations(base_gens + extra))
+    want = {p.images for p in _reference_closure(gens)}
+    assert _closure(gens, limit=DEFAULT.max_group_order, base=base) == want
+    assert _closure(gens, limit=DEFAULT.max_group_order) == want
+
+
+@pytest.mark.parametrize("spec", ["symmetric:4", "dihedral:6", "wreath-cyclic:2"])
+def test_closure_from_a_base_refuses_exactly_past_the_limit(spec):
+    group = parse_group_spec(spec)
+    base = frozenset(p.images for p in _reference_closure(group.generators[:1]))
+    assert len(base) < group.order
+    gens = group.generators
+    assert len(_closure(gens, limit=group.order, base=base)) == group.order
+    with pytest.raises(BudgetExceeded,
+                       match=f"the max_group_order budget {group.order - 1} during closure"):
+        _closure(gens, limit=group.order - 1, base=base)
 
 
 def _reference_from_elements(elements, degree):
@@ -432,7 +468,8 @@ def _reference_subgroups(group):
 
 @pytest.mark.parametrize("spec,count", [
     ("symmetric:4", 30), ("dihedral:4", 10), ("alternating:4", 10),
-    ("quaternion", 6), ("cyclic:6", 4), ("wreath-cyclic:2", 10)])
+    ("quaternion", 6), ("cyclic:6", 4), ("wreath-cyclic:2", 10), ("dihedral:6", 16),
+    ("wreath-cyclic:3", 26)])
 def test_subgroups_match_naive_lattice_walk(spec, count):
     grp = parse_group_spec(spec)
     subs = subgroups(grp)
@@ -459,7 +496,7 @@ def _reference_normal_subgroups(group):
 
 
 @pytest.mark.parametrize("spec", [
-    "symmetric:4", "dihedral:4", "alternating:4", "alternating:5", "quaternion",
+    "symmetric:4", "dihedral:4", "dihedral:6", "alternating:4", "alternating:5", "quaternion",
     "cyclic:6", "wreath-cyclic:2", "wreath-cyclic:3", "gens:4,(1 2)(3 4),(1 3)(2 4)",
     "gens:6,(1 2),(3 4),(5 6)"])
 def test_normal_subgroups_match_reference_walk(spec):
