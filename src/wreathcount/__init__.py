@@ -56,6 +56,7 @@ from .classcount import (
     direct_orbit_count,
     encode_coloring,
     nonregular_orbit_stats,
+    nonregular_orbits,
     schmid_cyclic,
     symmetric_closed_form,
 )
@@ -118,7 +119,7 @@ __all__ = [
     "decode_coloring", "direct_orbit_count", "encode_coloring", "family",
     "fix_subsets_direct", "fix_subsets_formula", "fixed_subset_fraction_probe",
     "is_primitive", "is_semiregular", "is_transitive",
-    "large_base_count_bound", "large_base_match", "nonregular_orbit_stats",
+    "large_base_count_bound", "large_base_match", "nonregular_orbit_stats", "nonregular_orbits",
     "normal_subgroups", "numeric_invariants", "orbits", "parse_generators",
     "parse_group_spec", "parse_permutation", "partition_count", "partition_enum",
     "point_stabilizer", "predicates", "product_action_build", "product_orbit_identity",

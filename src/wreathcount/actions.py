@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from operator import mul
+from operator import eq, mul
 from typing import Sequence
 
 from .budgets import DEFAULT, Budgets
@@ -143,11 +143,13 @@ def fix_subsets_direct(p: Permutation, ell: int, budgets: Budgets = DEFAULT) -> 
     if n > budgets.max_lift_degree:
         raise BudgetExceeded(f"C({m},{ell}) = {n} exceeds the max_lift_degree budget "
                              f"{budgets.max_lift_degree}")
-    count = 0
-    for subset in combinations(range(m), ell):
-        if set(map(p, subset)) == set(subset):
-            count += 1
-    return count
+    # a subset's bitmask is the sum of its points' bits; both combinations
+    # walks visit the same index subsets in the same order, so the second
+    # yields the bits of the image p(S) next to the bits of each S
+    bits = [1 << i for i in range(m)]
+    image_bits = [1 << j for j in p.images]
+    return sum(map(eq, map(sum, combinations(bits, ell)),
+                   map(sum, combinations(image_bits, ell))))
 
 
 # ---------------------------------------------------------------------------

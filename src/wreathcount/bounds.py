@@ -29,8 +29,8 @@ from .classcount import (
     auto_count,
     burnside_orbit_count,
     clifford_count,
-    coloring_orbit_reps,
     decode_coloring,
+    nonregular_orbits,
 )
 from .errors import (
     BudgetExceeded,
@@ -483,12 +483,10 @@ def semiprimitive_report(group: PermGroup, k: int,
     e_k: int | None = None
     note = ""
     try:
-        reps = coloring_orbit_reps(group, k, budgets)
-        order = group.order
-        if any(size == order for _, size in reps):
+        reps, delta = nonregular_orbits(group, k, budgets)
+        if delta < k ** n:
             e_k = 1  # a regular orbit's stabilizer is trivial
-        stabs = coloring_stabilizers(
-            group, (decode_coloring(enc, k, n) for enc, size in reps if size != order))
+        stabs = coloring_stabilizers(group, (decode_coloring(enc, k, n) for enc, _ in reps))
         for stab in dict.fromkeys(stabs):  # equal stabilizers are one object
             if len(kernel_set.intersection(stab.elements)) == 1:
                 e_k = max(e_k or 1, class_count(stab))

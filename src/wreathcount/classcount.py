@@ -4,19 +4,27 @@ The count depends on X only through k = k(X), the number of classes of X, so
 every method takes (k, H). Three independent routes are kept deliberately
 separate so they can cross-check each other:
 
-* clifford_count: sum of k(I_H(c)) over orbit representatives c of H on
-  colorings of the domain with k colors, I the coloring stabilizer (H
-  itself for a fixed coloring, so k(H) is counted once). The other
-  stabilizers come from one coloring_stabilizers stream, and each distinct
-  one is class-counted once. The representatives come from
-  coloring_orbit_reps: for 2**14 to 2**22 colorings, numpy labels every
-  coloring with its orbit minimum through split-radix generator tables;
-  other sizes walk the orbits in pure Python.
+* clifford_count: (k**n - |Delta|)/|H| regular orbits, which contribute 1
+  each, plus k(I_H(c)) for each non-regular orbit representative c, I the
+  coloring stabilizer (H itself for a fixed coloring, so k(H) is counted
+  once). The other stabilizers come from one coloring_stabilizers stream,
+  and each distinct one is class-counted once. nonregular_orbits finds the
+  non-regular orbits and |Delta|, their union: it seeds from the colorings
+  constant on the cycles of one prime-order element per conjugacy class
+  and walks each seed's orbit on integer codes through split-radix
+  generator tables, so its cost follows |Delta| rather than k**n; only
+  when both |Delta|'s bound and k**n are large does it take the numpy
+  census instead. Nothing in a walk decodes a coloring.
 * brute_force_count: union-find over conjugation by the generators of
   Z_k wr H, walking every element by its integer code without storing the
   group.
 * closed_form: family formulas for the trivial, symmetric and prime-degree
   cyclic top groups; None for every other group.
+
+coloring_orbit_reps is the full census of every orbit, behind
+direct_orbit_count and the verify suites: for 2**15 to 2**22 colorings numpy
+labels every coloring with its orbit minimum through the same tables, and
+other sizes walk the orbits in pure Python.
 
 burnside_orbit_count, (1/|H|) sum of k**sigma(h), gives the orbit count
 alone, which lower-bounds the class count. auto_count is the one dispatch:
@@ -29,9 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import tee
+from itertools import product
 from math import ceil
-from operator import eq
 
 from . import combinatorics
 from .actions import build_wreath_group
@@ -53,10 +60,11 @@ from .permgroup import (
     max_cycle_count,
 )
 
-# coloring spaces in this range are labelled by whole-array numpy work; near
-# 2**14 the pure-Python walk (about 2.4 us a coloring) costs as much as
-# importing numpy (about 0.035 s), which only this path needs
-_NUMPY_MIN_SPACE = 1 << 14
+# coloring spaces in this range are labelled by whole-array numpy work, which
+# only pays once numpy is imported (about 0.03 s): the table walk costs about
+# 0.15 us a coloring over the whole space and 0.5 us a coloring of Delta
+# (2-core AMD EPYC, Python 3.11), and `verify burnside` imports numpy anyway
+_NUMPY_MIN_SPACE = 1 << 15
 _NUMPY_MAX_SPACE = 1 << 22
 # entries per numpy labelling step: int32 blocks small enough to stay in cache
 _SWEEP_BLOCK = 1 << 16
@@ -77,23 +85,48 @@ def decode_coloring(e: int, k: int, n: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
+def _decoder(k: int, n: int):
+    """decode_coloring for one (k, n): one divmod and two lookups in digit tables.
+
+    The tables hold the digit tuples of the first n//2 points and of the
+    rest: k**(n//2) and k**(n - n//2) entries, at most (k**n)**(2/3) for
+    n >= 2.
+    """
+    top = list(product(range(k), repeat=n // 2))
+    bottom = list(product(range(k), repeat=n - n // 2))
+    radix = len(bottom)
+    return lambda e: top[e // radix] + bottom[e % radix]
+
+
+def _generator_steps(gens: list[Permutation], k: int, n: int
+                     ) -> tuple[int, list[tuple[list[int], list[int]]]]:
+    """Split-radix tables that apply each generator to coloring codes.
+
+    (g.c)(j) = c(g^-1(j)): the digit at point i lands at position g(i), so
+    g(x) = sum d_i * k**(n-1-g(i)) is linear in the digits of x. Writing
+    x = q * radix + r, with q the digits of the first n//2 points, gives
+    g(x) = hi[q] + lo[r]. Returns radix and one (hi, lo) pair per generator.
+    """
+    h = n // 2
+
+    def half(images, points):
+        part = [0]
+        for i in points:
+            w = k ** (n - 1 - images[i])
+            part = [p + d * w for p in part for d in range(k)]
+        return part
+
+    return k ** (n - h), [(half(g.images, range(h)), half(g.images, range(h, n)))
+                          for g in gens]
+
+
 def _orbit_reps_numpy(gens: list[Permutation], k: int, space: int) -> list[tuple[int, int]]:
     import numpy as np
 
-    n = gens[0].degree
-    h = n // 2
-    digits = np.arange(k, dtype=np.int32)
-
-    # the image of a coloring is linear in its digits, sum d_i * k**(n-1-g(i)),
-    # so each table is the outer sum of a top-half and a bottom-half table
-    def half(images, points):
-        part = np.zeros(1, dtype=np.int32)
-        for i in points:
-            part = np.add.outer(part, digits * k ** (n - 1 - images[i])).ravel()
-        return part
-
-    tables = [np.add.outer(half(g.images, range(h)), half(g.images, range(h, n))).ravel()
-              for g in gens]
+    radix, steps = _generator_steps(gens, k, gens[0].degree)
+    tables = [np.add.outer(np.array(hi, dtype=np.int32), np.array(lo, dtype=np.int32)).ravel()
+              for hi, lo in steps]
+    del steps
 
     # min-label propagation in place, one block at a time through one buffer:
     # label[x] = min(label[x], label[idx[x]]); label[x] stays in x's orbit and <= x
@@ -122,37 +155,26 @@ def _orbit_reps_numpy(gens: list[Permutation], k: int, space: int) -> list[tuple
     return list(zip(reps.tolist(), sizes[reps].tolist()))
 
 
-def _apply_generator(digits: tuple[int, ...], images: tuple[int, ...], k: int) -> int:
-    # (g.c)(j) = c(g^-1(j)), i.e. the digit at i lands at position g(i)
-    n = len(digits)
-    out = [0] * n
-    for i in range(n):
-        out[images[i]] = digits[i]
-    return encode_coloring(out, k)
-
-
-def coloring_orbit_reps(group: PermGroup, k: int, budgets: Budgets = DEFAULT,
-                        mode: str = "bfs") -> list[tuple[int, int]]:
-    """Orbit representatives of the group on k-colorings of its domain.
-
-    Returns (encoding, orbit size) pairs in increasing encoding order; each
-    representative is the lex-smallest coloring of its orbit. ``mode`` is
-    "bfs" (the default) or "scan" (keep a coloring iff no group element sends
-    it lower; linear memory, |H|-fold slower; the reference the tests compare
-    bfs against). bfs labels every coloring with its orbit minimum by numpy
-    array passes when k**n lies in [2**14, 2**22], and otherwise walks each
-    orbit in pure Python over a visited bitmap of the whole space.
-    """
-    n = group.degree
-    space = k ** n
-    if mode == "scan":
-        return _orbit_reps_scan(group, k, space)
-    if mode != "bfs":
-        raise ValueError(f"unknown mode {mode!r}")
+def _check_space(space: int, budgets: Budgets) -> None:
     if space > budgets.max_coloring_space:
         raise BudgetExceeded(
             f"coloring space k**n = {space} exceeds the max_coloring_space budget "
             f"{budgets.max_coloring_space}")
+
+
+def coloring_orbit_reps(group: PermGroup, k: int,
+                        budgets: Budgets = DEFAULT) -> list[tuple[int, int]]:
+    """Orbit representatives of the group on k-colorings of its domain: the full census.
+
+    Returns (encoding, orbit size) pairs in increasing encoding order; each
+    representative is the lex-smallest coloring of its orbit. Every coloring
+    is visited: numpy labels each with its orbit minimum by array passes when
+    k**n lies in [_NUMPY_MIN_SPACE, 2**22], and otherwise each orbit is walked
+    in pure Python over a visited bitmap of the whole space.
+    """
+    n = group.degree
+    space = k ** n
+    _check_space(space, budgets)
 
     gens = [g for g in group.generators if not g.is_identity()]
     if not gens:
@@ -160,47 +182,83 @@ def coloring_orbit_reps(group: PermGroup, k: int, budgets: Budgets = DEFAULT,
     if _NUMPY_MIN_SPACE <= space <= _NUMPY_MAX_SPACE:
         return _orbit_reps_numpy(gens, k, space)
 
-    gen_images = [g.images for g in gens]
+    radix, steps = _generator_steps(gens, k, n)
     visited = bytearray(space)
     reps: list[tuple[int, int]] = []
     for start in range(space):
         if visited[start]:
             continue
         visited[start] = 1
-        stack = [start]
-        size = 0
-        while stack:
-            x = stack.pop()
-            size += 1
-            digits = decode_coloring(x, k, n)
-            for images in gen_images:
-                y = _apply_generator(digits, images, k)
+        orbit = [start]
+        for x in orbit:  # grows while it is read: a breadth-first walk
+            q, r = divmod(x, radix)
+            for hi, lo in steps:
+                y = hi[q] + lo[r]
                 if not visited[y]:
                     visited[y] = 1
-                    stack.append(y)
-        reps.append((start, size))
+                    orbit.append(y)
+        reps.append((start, len(orbit)))
     return reps
 
 
-def _orbit_reps_scan(group: PermGroup, k: int, space: int) -> list[tuple[int, int]]:
+def nonregular_orbits(group: PermGroup, k: int, budgets: Budgets = DEFAULT
+                      ) -> tuple[list[tuple[int, int]], int]:
+    """The orbits of the group on k-colorings smaller than |H|, and |Delta|.
+
+    Returns (reps, delta): the (encoding, orbit size) pairs that
+    coloring_orbit_reps gives for orbits of size < |H|, in the same order,
+    and delta, the number of colorings in those orbits. A coloring has a
+    nontrivial stabilizer iff some element of prime order fixes it, and then
+    a conjugate of that element's class representative r fixes another
+    coloring of its orbit. So every non-regular orbit meets the colorings
+    constant on the cycles of some prime-order class representative r; the
+    walk seeds from those k**sigma(r) colorings and follows each unseen
+    seed's orbit on integer codes, at a cost that follows |Delta| rather
+    than k**n. When both k**n and U = sum of |class| * k**sigma(r) over those
+    classes (an upper bound on |Delta|) pass _NUMPY_MIN_SPACE, and numpy's
+    range holds k**n, the numpy census labels the whole space instead.
+    """
     n = group.degree
+    space = k ** n
+    _check_space(space, budgets)  # before anything closes the group
+
     order = group.order
-    elems = [g.images for g in group.elements if not g.is_identity()]
+    seed_cycles = []
+    bound = 0
+    for cls in conjugacy_classes(group):
+        cycles = cls[0].cycles(include_fixed=True)
+        lengths = {len(c) for c in cycles} - {1}
+        if len(lengths) == 1 and combinatorics.is_prime(lengths.pop()):
+            seed_cycles.append(cycles)
+            bound += len(cls) * k ** len(cycles)
+    gens = [g for g in group.generators if not g.is_identity()]
+    if _NUMPY_MIN_SPACE < min(bound, space) and space <= _NUMPY_MAX_SPACE:
+        reps = [(e, size) for e, size in _orbit_reps_numpy(gens, k, space) if size < order]
+        return reps, sum(size for _, size in reps)
+
+    radix, steps = _generator_steps(gens, k, n)
+    seen: set[int] = set()
     reps = []
-    for e in range(space):
-        digits = decode_coloring(e, k, n)
-        minimal = True
-        fixes = 1
-        for images in elems:
-            y = _apply_generator(digits, images, k)
-            if y < e:
-                minimal = False
-                break
-            if y == e:
-                fixes += 1
-        if minimal:
-            reps.append((e, order // fixes))
-    return reps
+    for cycles in seed_cycles:
+        seeds = [0]
+        for cycle in cycles:
+            w = sum(k ** (n - 1 - i) for i in cycle)
+            seeds = [s + d * w for s in seeds for d in range(k)]
+        for start in seeds:
+            if start in seen:
+                continue
+            seen.add(start)
+            orbit = [start]
+            for x in orbit:
+                q, r = divmod(x, radix)
+                for hi, lo in steps:
+                    y = hi[q] + lo[r]
+                    if y not in seen:
+                        seen.add(y)
+                        orbit.append(y)
+            reps.append((min(orbit), len(orbit)))
+    reps.sort()
+    return reps, len(seen)
 
 
 @dataclass
@@ -261,37 +319,41 @@ def burnside_lower(group: PermGroup, k: int) -> CountResult:
 
 
 def clifford_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> CountResult:
-    """k(X wr H) as the sum of stabilizer class counts over coloring orbits.
+    """k(X wr H) = (k**n - |Delta|)/|H| + sum of k(I_H(c)) over the non-regular orbits.
 
-    Regular orbits have trivial stabilizer and contribute 1 each. A fixed
-    coloring (orbit size 1) has stabilizer H, so k(H) is counted once per
-    call and reused, after checking that every generator fixes the coloring.
-    The other representatives are decoded lazily into one
-    coloring_stabilizers stream; each stabilizer must satisfy
-    |I_H(c)| * |orbit| = |H|, and class_count runs once per distinct
-    stabilizer, since equal stabilizers arrive as one object.
+    Regular orbits have trivial stabilizer and contribute 1 each, so only
+    their number is needed: k**n - |Delta| must divide exactly by |H|. The
+    non-regular orbits come from nonregular_orbits. A fixed coloring (orbit
+    size 1) has stabilizer H, so k(H) is counted once per call and reused,
+    after checking on its code that every generator fixes the coloring. The
+    other representatives are decoded lazily into one coloring_stabilizers
+    stream; each stabilizer must satisfy |I_H(c)| * |orbit| = |H|, and
+    class_count runs once per distinct stabilizer, since equal stabilizers
+    arrive as one object.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n = group.degree
-    reps = coloring_orbit_reps(group, k, budgets)
+    space = k ** n
+    reps, delta = nonregular_orbits(group, k, budgets)
     order = group.order
-    whole = None  # k(H), counted at the first fixed coloring
-    value = 0
-    for enc, size in reps:
-        if size == order:
-            value += 1
-        elif size == 1:
-            coloring = decode_coloring(enc, k, n)
-            if not all(all(map(eq, map(coloring.__getitem__, g.images), coloring))
-                       for g in group.generators):
-                raise InvariantViolation(f"coloring {coloring} has orbit size 1 but is moved")
-            if whole is None:
-                whole = class_count(group)
-            value += whole
-    # streamed: tee buffers at most the block the stabilizer pass reads ahead
-    moved, to_decode = tee((enc, size) for enc, size in reps if size not in (1, order))
-    stabs = coloring_stabilizers(group, (decode_coloring(enc, k, n) for enc, _ in to_decode))
+    regular, rem = divmod(space - delta, order)
+    if rem:
+        raise InvariantViolation(
+            f"regular part k**n - |Delta| = {space} - {delta} not divisible by |H| = {order}")
+    value = regular
+    fixed = [enc for enc, size in reps if size == 1]
+    radix, steps = _generator_steps([g for g in group.generators if not g.is_identity()], k, n)
+    for hi, lo in steps:
+        for enc in fixed:
+            if hi[enc // radix] + lo[enc % radix] != enc:
+                raise InvariantViolation(
+                    f"coloring {decode_coloring(enc, k, n)} has orbit size 1 but is moved")
+    if fixed:
+        value += len(fixed) * class_count(group)
+    moved = [(enc, size) for enc, size in reps if size != 1]
+    decode = _decoder(k, n) if moved else None  # n >= 2 whenever a coloring moves
+    stabs = coloring_stabilizers(group, (decode(enc) for enc, _ in moved))
     counts: dict[PermGroup, int] = {}  # keyed by identity: equal stabilizers are one object
     for (enc, size), stab in zip(moved, stabs):
         if stab.order * size != order:
@@ -301,11 +363,11 @@ def clifford_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> Coun
         if stab not in counts:
             counts[stab] = class_count(stab)
         value += counts[stab]
-    if value * order < k ** n:
+    if value * order < space:
         raise InvariantViolation(
-            f"class count {value} below the orbit-count lower bound k**n/|H| = {k ** n}/{order}")
+            f"class count {value} below the orbit-count lower bound k**n/|H| = {space}/{order}")
     return CountResult(k=k, group=group, degree=n, method="clifford", value=value,
-                       orbit_count=len(reps))
+                       orbit_count=regular + len(reps))
 
 
 def brute_force_count(k: int, group: PermGroup, budgets: Budgets = DEFAULT) -> CountResult:
@@ -405,13 +467,13 @@ def nonregular_orbit_stats(group: PermGroup, k: int,
     t < 2 * k**max_sigma and the union Delta of those orbits satisfies
     |Delta| <= (|H| - 1) * k**max_sigma. Violations mean a bug, so they raise.
     """
-    reps = coloring_orbit_reps(group, k, budgets)
+    reps, delta = nonregular_orbits(group, k, budgets)
     order = group.order
-    total = len(reps)
-    nonregular = sum(1 for _, size in reps if size < order)
-    delta = k ** group.degree - order * (total - nonregular)
-    if delta != sum(size for _, size in reps if size < order):
-        raise InvariantViolation(f"orbit sizes do not partition the {k ** group.degree} colorings")
+    space = k ** group.degree
+    regular, rem = divmod(space - delta, order)
+    if rem:
+        raise InvariantViolation(f"orbit sizes do not partition the {space} colorings")
+    nonregular = len(reps)
     if order > 1:
         ms = max_cycle_count(group)
         if not nonregular < 2 * k ** ms:
@@ -420,7 +482,8 @@ def nonregular_orbit_stats(group: PermGroup, k: int,
         if not delta <= (order - 1) * k ** ms:
             raise InvariantViolation(
                 f"non-regular union {delta} > (|H|-1)*k**max_sigma = {(order - 1) * k ** ms}")
-    return OrbitStats(total_orbits=total, nonregular_orbits=nonregular, delta_size=delta)
+    return OrbitStats(total_orbits=regular + nonregular, nonregular_orbits=nonregular,
+                      delta_size=delta)
 
 
 def count_upper_fraction(group: PermGroup, k: int, e: int) -> Fraction:

@@ -310,6 +310,7 @@ class PermGroup:
         self._elements: tuple[Permutation, ...] | None = None
         self._elemset: frozenset[Permutation] | None = None
         self._images: tuple[tuple[int, ...], ...] | None = None
+        self._classes: list[list[int]] | None = None
 
     @classmethod
     def from_elements(cls, elements: Iterable[Permutation], degree: int | None = None,
@@ -532,8 +533,11 @@ def _class_indices(group: PermGroup) -> list[list[int]]:
     x -> g*x*g^-1 for each generator g; generator conjugations suffice
     because they generate all conjugations. A class is complete before the
     next start, so each class starts at its smallest member. Conjugates are
-    looked up by position, so no product outlives its lookup.
+    looked up by position, so no product outlives its lookup. The walk runs
+    once per group; later calls return the same lists.
     """
+    if group._classes is not None:
+        return group._classes
     images = group.image_tuples
     position = dict(zip(images, range(len(images))))
     conj = [(g.images.__getitem__, g.inverse().images) for g in group.generators]
@@ -557,6 +561,7 @@ def _class_indices(group: PermGroup) -> list[list[int]]:
             cls += fresh
             frontier = fresh
         classes.append(cls)
+    group._classes = classes
     return classes
 
 

@@ -6,11 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreathcount import (
     DEFAULT,
     BudgetExceeded,
     Infeasible,
+    PermGroup,
+    Permutation,
     auto_count,
     burnside_lower,
     burnside_orbit_count,
@@ -24,6 +28,7 @@ from wreathcount import (
     direct_orbit_count,
     encode_coloring,
     nonregular_orbit_stats,
+    nonregular_orbits,
     parse_group_spec,
     partition_count,
     schmid_cyclic,
@@ -31,6 +36,7 @@ from wreathcount import (
     tuples_of_partitions_count,
     weak_composition_count,
 )
+from wreathcount.verify import ORACLE_SPECS
 
 # clifford == brute on every cell of this matrix; values frozen after the
 # two independent routes agreed
@@ -67,6 +73,40 @@ def test_coloring_codes_roundtrip():
     assert decode_coloring(0, k, n) == (0, 0, 0, 0)
 
 
+def _orbit_reps_scan(group, k):
+    """Reference census: keep a coloring iff no element of the group sends it lower.
+
+    Linear memory and |H|-fold slower than the walks; (g.c)(j) = c(g^-1(j)),
+    so the digit at point i lands at position g(i).
+    """
+    n, order = group.degree, group.order
+    elems = [g.images for g in group.elements if not g.is_identity()]
+    reps = []
+    for e in range(k ** n):
+        digits = decode_coloring(e, k, n)
+        fixes = 1
+        for images in elems:
+            moved = [0] * n
+            for i, d in enumerate(digits):
+                moved[images[i]] = d
+            y = encode_coloring(moved, k)
+            if y < e:
+                break
+            fixes += y == e
+        else:
+            reps.append((e, order // fixes))
+    return reps
+
+
+def test_split_table_decoder_matches_decode_coloring():
+    from wreathcount.classcount import _decoder
+
+    for k, n in ((1, 3), (2, 1), (2, 5), (3, 4)):
+        decode = _decoder(k, n)
+        assert [decode(e) for e in range(k ** n)] == [decode_coloring(e, k, n)
+                                                      for e in range(k ** n)]
+
+
 def test_orbit_reps_symmetric3():
     reps = coloring_orbit_reps(parse_group_spec("symmetric:3"), 2)
     assert reps == [(0, 1), (1, 3), (3, 3), (7, 1)]
@@ -77,8 +117,7 @@ def test_orbit_reps_scan_mode_agrees():
     for spec in ("symmetric:3", "cyclic:4", "dihedral:4"):
         grp = parse_group_spec(spec)
         for k in (2, 3):
-            assert (coloring_orbit_reps(grp, k, mode="scan")
-                    == coloring_orbit_reps(grp, k))
+            assert _orbit_reps_scan(grp, k) == coloring_orbit_reps(grp, k)
 
 
 @pytest.mark.parametrize("spec", ["symmetric:3", "cyclic:4", "dihedral:4", "wreath-cyclic:2",
@@ -89,7 +128,7 @@ def test_numpy_orbit_walk_agrees_with_scan(spec, monkeypatch):
     monkeypatch.setattr(classcount, "_NUMPY_MIN_SPACE", 1)  # every space takes the numpy path
     grp = parse_group_spec(spec)
     for k in (1, 2, 3):
-        assert coloring_orbit_reps(grp, k) == coloring_orbit_reps(grp, k, mode="scan")
+        assert coloring_orbit_reps(grp, k) == _orbit_reps_scan(grp, k)
 
 
 def test_numpy_orbit_walk_reps_are_orbit_minima():
@@ -118,6 +157,56 @@ def test_orbit_reps_are_orbit_minima():
                  for g in grp.elements}
         assert min(orbit) == code
         assert len(orbit) == size
+
+
+def _nonregular_census(group, k):
+    reps = [(e, size) for e, size in coloring_orbit_reps(group, k) if size < group.order]
+    return reps, sum(size for _, size in reps)
+
+
+# the seeded walk on every cell of the oracle matrix and on groups with
+# several prime-order classes, an intransitive one among them
+SEEDED_CASES = [(spec, k) for spec in ORACLE_SPECS for k in (2, 3)] + [
+    (spec, k) for spec in ("subsets:5,2", "dihedral:6", "wreath-cyclic:3",
+                           "gens:7,(1 2 3),(4 5)(6 7)") for k in (2, 3)]
+
+
+@pytest.mark.parametrize("spec, k", SEEDED_CASES)
+def test_nonregular_orbits_match_full_census(spec, k, monkeypatch):
+    from wreathcount import classcount
+
+    grp = parse_group_spec(spec)
+    want = _nonregular_census(grp, k)
+    monkeypatch.setattr(classcount, "_NUMPY_MIN_SPACE", 1 << 40)  # the seeded walk, always
+    assert nonregular_orbits(grp, k) == want
+    if k ** grp.degree * grp.order <= 10 ** 5:
+        scan = [(e, size) for e, size in _orbit_reps_scan(grp, k) if size < grp.order]
+        assert want == (scan, sum(size for _, size in scan))
+
+
+@pytest.mark.parametrize("spec, k", [("dihedral:6", 2), ("subsets:5,2", 2)])
+def test_nonregular_orbits_numpy_fallback_matches_walk(spec, k, monkeypatch):
+    from wreathcount import classcount
+
+    grp = parse_group_spec(spec)
+    walked = nonregular_orbits(grp, k)
+    monkeypatch.setattr(classcount, "_NUMPY_MIN_SPACE", 1)  # U and k**n both pass it
+    assert nonregular_orbits(grp, k) == walked == _nonregular_census(grp, k)
+
+
+@st.composite
+def generator_sets(draw):
+    degree = draw(st.integers(1, 7))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    return PermGroup([Permutation(g) for g in gens])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(group=generator_sets(), k=st.integers(1, 3))
+def test_nonregular_orbits_match_census_on_random_generator_sets(group, k):
+    assert nonregular_orbits(group, k) == _nonregular_census(group, k)
+    stats = nonregular_orbit_stats(group, k)
+    assert stats.total_orbits == burnside_orbit_count(group, k)
 
 
 def test_burnside_counts():
@@ -286,9 +375,17 @@ def test_invariant_check_survives_optimize_flag():
      "(PermGroup([], degree=group.degree) for _ in colorings)",
      "InvariantViolation: orbit-stabilizer"),
     # an orbit walk that calls every coloring fixed would skip its stabilizer
-    ("cc.coloring_orbit_reps = lambda group, k, budgets: [(e, 1) for e in range(k ** 4)]",
+    ("cc.nonregular_orbits = lambda group, k, budgets: "
+     "([(e, 1) for e in range(k ** 4)], k ** 4)",
      "InvariantViolation: coloring (0, 0, 0, 1) has orbit size 1 but is moved"),
-], ids=["orbit-stabilizer", "fixed-coloring"])
+    # a walk that drops one non-regular orbit leaves k**n - |Delta| off a multiple of |H|
+    ("walk = cc.nonregular_orbits\n"
+     "def dropping(group, k, budgets):\n"
+     "    reps, delta = walk(group, k, budgets)\n"
+     "    return reps[:-1], delta - reps[-1][1]\n"
+     "cc.nonregular_orbits = dropping",
+     "InvariantViolation: regular part k**n - |Delta| = 16 - 15 not divisible by |H| = 8"),
+], ids=["orbit-stabilizer", "fixed-coloring", "regular-divisibility"])
 def test_orbit_stabilizer_checks_survive_optimize_flag(patch, message):
     script = ("import sys\n"
               "import wreathcount.classcount as cc\n"
