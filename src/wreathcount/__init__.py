@@ -93,6 +93,7 @@ from .permgroup import (
     is_primitive,
     is_semiregular,
     is_transitive,
+    max_subgroup_class_count,
     normal_subgroups,
     numeric_invariants,
     orbits,
@@ -119,8 +120,9 @@ __all__ = [
     "decode_coloring", "direct_orbit_count", "encode_coloring", "family",
     "fix_subsets_direct", "fix_subsets_formula", "fixed_subset_fraction_probe",
     "is_primitive", "is_semiregular", "is_transitive",
-    "large_base_count_bound", "large_base_match", "nonregular_orbit_stats", "nonregular_orbits",
-    "normal_subgroups", "numeric_invariants", "orbits", "parse_generators",
+    "large_base_count_bound", "large_base_match", "max_subgroup_class_count",
+    "nonregular_orbit_stats", "nonregular_orbits", "normal_subgroups", "numeric_invariants",
+    "orbits", "parse_generators",
     "parse_group_spec", "parse_permutation", "partition_count", "partition_enum",
     "point_stabilizer", "predicates", "product_action_build", "product_orbit_identity",
     "schmid_cyclic", "semiprimitive_report", "sigma", "sigma_prime",

@@ -45,9 +45,10 @@ from .permgroup import (
     class_count,
     coloring_stabilizers,
     is_semiregular,
+    max_cycle_count,
+    max_subgroup_class_count,
     numeric_invariants,
     structure_classify,
-    subgroups,
 )
 
 _TOL = Fraction(1, 10 ** 9)
@@ -111,8 +112,7 @@ def _tolerant_less(lhs, rhs, strict: bool = True):
 def _resolve_e(group: PermGroup, e_source: str, budgets: Budgets):
     n = group.degree
     if e_source == "exact-lattice":
-        e = numeric_invariants(group, want_e=True, budgets=budgets).e
-        return e, "exact"
+        return max_subgroup_class_count(group, budgets), "exact"
     if e_source == "five-pow-n-third":
         if n % 3 == 0:
             return 5 ** (n // 3), "exact"
@@ -363,22 +363,16 @@ def large_base_count_bound(m: int, ell: int, t: int, k: int,
                        inputs, asymptotic=True)
 
 
-def large_base_match(group_or_spec) -> tuple[int, int, int] | None:
+def large_base_match(group: PermGroup) -> tuple[int, int, int] | None:
     """(m, ell, t) when the group was built as a large-base family, else None.
 
     Matching is by construction metadata only: subsets:m,ell and
     subsets-alt:m,ell (t = 1) or product:m,ell,t, requiring m >= 5 and
     1 <= ell < m/2.
     """
-    if isinstance(group_or_spec, PermGroup):
-        fam = group_or_spec.family
-    else:
-        spec = str(group_or_spec).strip()
-        name, _, raw = spec.partition(":")
-        fam = (name.strip(), tuple(p.strip() for p in raw.split(",")) if raw else ())
-    if fam is None:
+    if group.family is None:
         return None
-    name, params = fam
+    name, params = group.family
     try:
         if name in ("subsets", "subsets-alt"):
             m, ell = int(params[0]), int(params[1])
@@ -462,8 +456,6 @@ def semiprimitive_report(group: PermGroup, k: int,
         if h not in kernel_set:
             max_quot_sigma = max(max_quot_sigma, induced.cycle_count())
 
-    from .permgroup import max_cycle_count
-
     alpha = Fraction(max_cycle_count(group), n)
     alpha_bound = alpha <= max(Fraction(1, 2), Fraction(max_quot_sigma, r))
 
@@ -495,10 +487,7 @@ def semiprimitive_report(group: PermGroup, k: int,
 
     e_k_quot = None
     if e_k is not None and quotient.order <= budgets.max_subgroup_order:
-        best = max(class_count(PermGroup.from_elements(s, degree=quotient.degree,
-                                                       budgets=budgets))
-                   for s in subgroups(quotient, budgets))
-        e_k_quot = e_k <= best
+        e_k_quot = e_k <= max_subgroup_class_count(quotient, budgets)
     e_k_58 = None
     if e_k is not None and not group.is_abelian():
         e_k_58 = Fraction(e_k) <= Fraction(5, 8) * group.order

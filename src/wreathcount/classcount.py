@@ -12,9 +12,10 @@ separate so they can cross-check each other:
   non-regular orbits and |Delta|, their union: it seeds from the colorings
   constant on the cycles of one prime-order element per conjugacy class
   and walks each seed's orbit on integer codes through split-radix
-  generator tables, so its cost follows |Delta| rather than k**n; only
-  when both |Delta|'s bound and k**n are large does it take the numpy
-  census instead. Nothing in a walk decodes a coloring.
+  generator tables, so its cost follows |Delta| rather than k**n. It takes
+  the full census instead when the seeds' bound U on |Delta| reaches k**n,
+  or passes 2**15 with k**n in numpy's range. Nothing in a walk decodes a
+  coloring.
 * brute_force_count: union-find over conjugation by the generators of
   Z_k wr H, walking every element by its integer code without storing the
   group.
@@ -22,9 +23,9 @@ separate so they can cross-check each other:
   cyclic top groups; None for every other group.
 
 coloring_orbit_reps is the full census of every orbit, behind
-direct_orbit_count and the verify suites: for 2**15 to 2**22 colorings numpy
-labels every coloring with its orbit minimum through the same tables, and
-other sizes walk the orbits in pure Python.
+nonregular_orbits' census, direct_orbit_count and the verify suites: for
+2**15 to 2**22 colorings numpy labels every coloring with its orbit minimum
+through the same tables, and other sizes walk the orbits in pure Python.
 
 burnside_orbit_count, (1/|H|) sum of k**sigma(h), gives the orbit count
 alone, which lower-bounds the class count. auto_count is the one dispatch:
@@ -201,28 +202,8 @@ def coloring_orbit_reps(group: PermGroup, k: int,
     return reps
 
 
-def nonregular_orbits(group: PermGroup, k: int, budgets: Budgets = DEFAULT
-                      ) -> tuple[list[tuple[int, int]], int]:
-    """The orbits of the group on k-colorings smaller than |H|, and |Delta|.
-
-    Returns (reps, delta): the (encoding, orbit size) pairs that
-    coloring_orbit_reps gives for orbits of size < |H|, in the same order,
-    and delta, the number of colorings in those orbits. A coloring has a
-    nontrivial stabilizer iff some element of prime order fixes it, and then
-    a conjugate of that element's class representative r fixes another
-    coloring of its orbit. So every non-regular orbit meets the colorings
-    constant on the cycles of some prime-order class representative r; the
-    walk seeds from those k**sigma(r) colorings and follows each unseen
-    seed's orbit on integer codes, at a cost that follows |Delta| rather
-    than k**n. When both k**n and U = sum of |class| * k**sigma(r) over those
-    classes (an upper bound on |Delta|) pass _NUMPY_MIN_SPACE, and numpy's
-    range holds k**n, the numpy census labels the whole space instead.
-    """
-    n = group.degree
-    space = k ** n
-    _check_space(space, budgets)  # before anything closes the group
-
-    order = group.order
+def _prime_seeds(group: PermGroup, k: int) -> tuple[list[list[tuple[int, ...]]], int]:
+    """The cycles of one element r per prime-order class, and U = sum of |class| * k**sigma(r)."""
     seed_cycles = []
     bound = 0
     for cls in conjugacy_classes(group):
@@ -231,12 +212,14 @@ def nonregular_orbits(group: PermGroup, k: int, budgets: Budgets = DEFAULT
         if len(lengths) == 1 and combinatorics.is_prime(lengths.pop()):
             seed_cycles.append(cycles)
             bound += len(cls) * k ** len(cycles)
-    gens = [g for g in group.generators if not g.is_identity()]
-    if _NUMPY_MIN_SPACE < min(bound, space) and space <= _NUMPY_MAX_SPACE:
-        reps = [(e, size) for e, size in _orbit_reps_numpy(gens, k, space) if size < order]
-        return reps, sum(size for _, size in reps)
+    return seed_cycles, bound
 
-    radix, steps = _generator_steps(gens, k, n)
+
+def _seeded_walk(group: PermGroup, k: int, seed_cycles: list[list[tuple[int, ...]]]
+                 ) -> tuple[list[tuple[int, int]], int]:
+    """nonregular_orbits by walking, on integer codes, the orbit of every seed coloring."""
+    n = group.degree
+    radix, steps = _generator_steps([g for g in group.generators if not g.is_identity()], k, n)
     seen: set[int] = set()
     reps = []
     for cycles in seed_cycles:
@@ -259,6 +242,33 @@ def nonregular_orbits(group: PermGroup, k: int, budgets: Budgets = DEFAULT
             reps.append((min(orbit), len(orbit)))
     reps.sort()
     return reps, len(seen)
+
+
+def nonregular_orbits(group: PermGroup, k: int, budgets: Budgets = DEFAULT
+                      ) -> tuple[list[tuple[int, int]], int]:
+    """The orbits of the group on k-colorings smaller than |H|, and |Delta|.
+
+    Returns (reps, delta): the (encoding, orbit size) pairs that
+    coloring_orbit_reps gives for orbits of size < |H|, in the same order,
+    and delta, the number of colorings in those orbits. A coloring has a
+    nontrivial stabilizer iff some element of prime order fixes it, and then
+    a conjugate of that element's class representative r fixes another
+    coloring of its orbit. So every non-regular orbit meets the colorings
+    constant on the cycles of some prime-order class representative r, and
+    U = sum of |class| * k**sigma(r) over those classes bounds |Delta|. The
+    seeded walk follows the orbit of each of those colorings, at a cost that
+    follows |Delta| rather than k**n. The full census, filtered, serves
+    instead when the seeds would outnumber the space (U >= k**n), and when
+    U passes _NUMPY_MIN_SPACE while k**n is in numpy's range.
+    """
+    space = k ** group.degree
+    _check_space(space, budgets)  # before anything closes the group
+    seed_cycles, bound = _prime_seeds(group, k)
+    if bound >= space or (bound > _NUMPY_MIN_SPACE and space <= _NUMPY_MAX_SPACE):
+        order = group.order
+        reps = [(e, size) for e, size in coloring_orbit_reps(group, k, budgets) if size < order]
+        return reps, sum(size for _, size in reps)
+    return _seeded_walk(group, k, seed_cycles)
 
 
 @dataclass

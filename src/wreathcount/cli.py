@@ -23,7 +23,7 @@ from . import bounds as bounds_mod
 from . import classcount, verify
 from .actions import parse_group_spec
 from .budgets import Budgets, from_env
-from .errors import BudgetExceeded, Infeasible, WreathcountError
+from .errors import BudgetExceeded, Infeasible, NotSemiprimitive, WreathcountError
 from .permgroup import (
     class_count,
     closure_elements,
@@ -293,11 +293,9 @@ def _bounds_one(spec: str, k: int, e_source: str, budgets: Budgets) -> dict:
 
     semi = None
     try:
-        struct = structure_classify(group, budgets)
-        if struct.transitive and struct.semiprimitive and not struct.primitive:
-            semi = bounds_mod.semiprimitive_report(group, k, budgets)
-    except BudgetExceeded:
-        pass  # bound reports stand on their own for groups too big to classify
+        semi = bounds_mod.semiprimitive_report(group, k, budgets)
+    except (BudgetExceeded, NotSemiprimitive):
+        pass  # the bound reports stand on their own where the decomposition does not apply
     return {"group": group.spec_string(), "k": k, "reports": reports, "semiprimitive": semi}
 
 

@@ -308,7 +308,6 @@ class PermGroup:
         self.family = family
         self.budgets = budgets
         self._elements: tuple[Permutation, ...] | None = None
-        self._elemset: frozenset[Permutation] | None = None
         self._images: tuple[tuple[int, ...], ...] | None = None
         self._classes: list[list[int]] | None = None
 
@@ -381,11 +380,6 @@ class PermGroup:
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
 
-    def __contains__(self, p: Permutation) -> bool:
-        if self._elemset is None:
-            self._elemset = frozenset(self.elements)
-        return p in self._elemset
-
     def is_abelian(self) -> bool:
         gens = self.generators
         return all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1:])
@@ -436,21 +430,24 @@ class UnionFind:
         self.parent[rb] = ra
         return True
 
+    def partition(self) -> tuple[tuple[int, ...], ...]:
+        """The classes as sorted tuples, in order of their smallest members."""
+        buckets: dict[int, list[int]] = {}
+        for i in range(len(self.parent)):
+            buckets.setdefault(self.find(i), []).append(i)
+        return tuple(map(tuple, buckets.values()))  # i ascends: each class opens at its minimum
+
 
 def orbits(group: PermGroup) -> tuple[tuple[int, ...], ...]:
     """Orbit partition of the domain.
 
     Only generators are applied, so this never materializes the group.
     """
-    d = group.degree
-    uf = UnionFind(d)
+    uf = UnionFind(group.degree)
     for g in group.generators:
         for i, img in enumerate(g.images):
             uf.union(i, img)
-    buckets: dict[int, list[int]] = {}
-    for i in range(d):
-        buckets.setdefault(uf.find(i), []).append(i)
-    return tuple(sorted(tuple(sorted(v)) for v in buckets.values()))
+    return uf.partition()
 
 
 def is_transitive(group: PermGroup) -> bool:
@@ -635,8 +632,7 @@ def minimal_block_partition(group: PermGroup, point: int) -> tuple[tuple[int, ..
     Union-find pair propagation: whenever a ~ b is known, g(a) ~ g(b) must
     hold for every generator g; iterate to the fixpoint.
     """
-    d = group.degree
-    uf = UnionFind(d)
+    uf = UnionFind(group.degree)
     uf.union(0, point)
     queue = [(0, point)]
     while queue:
@@ -645,10 +641,7 @@ def minimal_block_partition(group: PermGroup, point: int) -> tuple[tuple[int, ..
             x, y = g(a), g(b)
             if uf.union(x, y):
                 queue.append((x, y))
-    buckets: dict[int, list[int]] = {}
-    for i in range(d):
-        buckets.setdefault(uf.find(i), []).append(i)
-    return tuple(sorted(tuple(sorted(v)) for v in buckets.values()))
+    return uf.partition()
 
 
 def _join_partitions(p1, p2, degree: int) -> tuple[tuple[int, ...], ...]:
@@ -657,10 +650,7 @@ def _join_partitions(p1, p2, degree: int) -> tuple[tuple[int, ...], ...]:
         for block in part:
             for other in block[1:]:
                 uf.union(block[0], other)
-    buckets: dict[int, list[int]] = {}
-    for i in range(degree):
-        buckets.setdefault(uf.find(i), []).append(i)
-    return tuple(sorted(tuple(sorted(v)) for v in buckets.values()))
+    return uf.partition()
 
 
 def all_block_systems(group: PermGroup) -> list[tuple[tuple[int, ...], ...]]:
@@ -777,7 +767,6 @@ class NumericInvariants:
     mu: int          # minimal degree: fewest points moved by a nonidentity element
     b: int           # minimal base size
     max_sigma: int   # largest cycle count (fixed points included) of a nonidentity element
-    e: int | None    # max class count over all subgroups, when requested
 
 
 def _min_base_size(group: PermGroup) -> int:
@@ -809,20 +798,21 @@ def _min_base_size(group: PermGroup) -> int:
     raise InvariantViolation("faithful permutation group must have a base")
 
 
-def numeric_invariants(group: PermGroup, want_e: bool = False,
-                       budgets: Budgets = DEFAULT) -> NumericInvariants:
-    """mu, minimal base size, max cycle count, and optionally e = max subgroup class count."""
+def numeric_invariants(group: PermGroup) -> NumericInvariants:
+    """mu, minimal base size and max cycle count; max_subgroup_class_count gives e."""
     if group.order == 1:
         raise ValueError("numeric invariants need a nontrivial group")
     nonid = [g for g in group.elements if not g.is_identity()]
     mu = min(g.moved_count() for g in nonid)
     max_sigma = max(g.cycle_count() for g in nonid)
     b = _min_base_size(group)
-    e = None
-    if want_e:
-        e = max(class_count(PermGroup.from_elements(s, degree=group.degree, budgets=budgets))
-                for s in subgroups(group, budgets))
-    return NumericInvariants(mu=mu, b=b, max_sigma=max_sigma, e=e)
+    return NumericInvariants(mu=mu, b=b, max_sigma=max_sigma)
+
+
+def max_subgroup_class_count(group: PermGroup, budgets: Budgets = DEFAULT) -> int:
+    """e(H): the largest class count over all subgroups; inherits the lattice budget."""
+    return max(class_count(PermGroup.from_elements(s, degree=group.degree, budgets=budgets))
+               for s in subgroups(group, budgets))
 
 
 def max_cycle_count(group: PermGroup) -> int:

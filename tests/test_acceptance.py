@@ -50,6 +50,8 @@ from wreathcount import (
 from wreathcount.actions import cycle_type_class_size
 from wreathcount.verify import ORACLE_SPECS
 
+# clifford == brute on every cell of this matrix; values frozen after the
+# two independent routes agreed (test_classcount.py reads it too)
 TRIANGULATION_GOLDENS = {
     ("cyclic:2", 2): 5,
     ("cyclic:2", 3): 9,

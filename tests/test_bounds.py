@@ -171,13 +171,12 @@ def test_large_base_count_bound():
 
 
 def test_large_base_match():
-    assert large_base_match("subsets:5,2") == (5, 2, 1)
-    assert large_base_match("subsets-alt:6,1") == (6, 1, 1)
-    assert large_base_match("product:5,1,2") == (5, 1, 2)
-    assert large_base_match("subsets:4,1") is None  # base too small
-    assert large_base_match("subsets:6,3") is None  # ell must stay below m/2
-    assert large_base_match("cyclic:5") is None
     assert large_base_match(parse_group_spec("subsets:5,2")) == (5, 2, 1)
+    assert large_base_match(parse_group_spec("subsets-alt:6,1")) == (6, 1, 1)
+    assert large_base_match(parse_group_spec("product:5,1,2")) == (5, 1, 2)
+    assert large_base_match(parse_group_spec("subsets:4,1")) is None  # base too small
+    assert large_base_match(parse_group_spec("subsets:6,3")) is None  # ell must stay below m/2
+    assert large_base_match(parse_group_spec("cyclic:5")) is None
 
 
 def test_semiprimitive_reports_regular_cyclic():
@@ -263,7 +262,7 @@ def test_fixed_subset_fraction_probe_clean_small_range():
 def test_large_base_bound_on_matched_family():
     # end to end: match a family spec, then check the bound it names
     spec = "subsets:6,1"
-    match = large_base_match(spec)
+    match = large_base_match(parse_group_spec(spec))
     assert match == (6, 1, 1)
     rep = large_base_count_bound(*match, 2)
     assert rep.lhs == auto_count(parse_group_spec(spec), 2).value

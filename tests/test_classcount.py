@@ -38,26 +38,7 @@ from wreathcount import (
 )
 from wreathcount.verify import ORACLE_SPECS
 
-# clifford == brute on every cell of this matrix; values frozen after the
-# two independent routes agreed
-TRIANGULATION = {
-    ("cyclic:2", 2): 5,
-    ("cyclic:2", 3): 9,
-    ("cyclic:3", 2): 8,
-    ("cyclic:3", 3): 17,
-    ("cyclic:4", 2): 13,
-    ("cyclic:4", 3): 36,
-    ("gens:4,(1 2)(3 4),(1 3)(2 4)", 2): 16,
-    ("gens:4,(1 2)(3 4),(1 3)(2 4)", 3): 45,
-    ("symmetric:3", 2): 10,
-    ("symmetric:3", 3): 22,
-    ("dihedral:4", 2): 20,
-    ("dihedral:4", 3): 54,
-    ("wreath-cyclic:2", 2): 20,
-    ("wreath-cyclic:2", 3): 54,
-    ("cyclic:5", 2): 16,
-    ("cyclic:5", 3): 63,
-}
+from test_acceptance import TRIANGULATION_GOLDENS as TRIANGULATION
 
 
 def test_coloring_codes_roundtrip():
@@ -164,6 +145,13 @@ def _nonregular_census(group, k):
     return reps, sum(size for _, size in reps)
 
 
+def _seeded_walk(group, k):
+    """nonregular_orbits through the seeded walk, whichever way the census rule goes."""
+    from wreathcount import classcount
+
+    return classcount._seeded_walk(group, k, classcount._prime_seeds(group, k)[0])
+
+
 # the seeded walk on every cell of the oracle matrix and on groups with
 # several prime-order classes, an intransitive one among them
 SEEDED_CASES = [(spec, k) for spec in ORACLE_SPECS for k in (2, 3)] + [
@@ -172,13 +160,10 @@ SEEDED_CASES = [(spec, k) for spec in ORACLE_SPECS for k in (2, 3)] + [
 
 
 @pytest.mark.parametrize("spec, k", SEEDED_CASES)
-def test_nonregular_orbits_match_full_census(spec, k, monkeypatch):
-    from wreathcount import classcount
-
+def test_nonregular_orbits_match_full_census(spec, k):
     grp = parse_group_spec(spec)
     want = _nonregular_census(grp, k)
-    monkeypatch.setattr(classcount, "_NUMPY_MIN_SPACE", 1 << 40)  # the seeded walk, always
-    assert nonregular_orbits(grp, k) == want
+    assert _seeded_walk(grp, k) == nonregular_orbits(grp, k) == want
     if k ** grp.degree * grp.order <= 10 ** 5:
         scan = [(e, size) for e, size in _orbit_reps_scan(grp, k) if size < grp.order]
         assert want == (scan, sum(size for _, size in scan))
@@ -189,9 +174,27 @@ def test_nonregular_orbits_numpy_fallback_matches_walk(spec, k, monkeypatch):
     from wreathcount import classcount
 
     grp = parse_group_spec(spec)
-    walked = nonregular_orbits(grp, k)
+    want = _nonregular_census(grp, k)
     monkeypatch.setattr(classcount, "_NUMPY_MIN_SPACE", 1)  # U and k**n both pass it
-    assert nonregular_orbits(grp, k) == walked == _nonregular_census(grp, k)
+    assert nonregular_orbits(grp, k) == _seeded_walk(grp, k) == want
+
+
+@pytest.mark.parametrize("spec, k, census", [
+    ("alternating:8", 2, True),    # U = 84752 seeds for k**n = 256 colorings
+    ("wreath-cyclic:7", 2, True),  # U = 265088 seeds for k**n = 16384 colorings
+    ("quaternion", 5, False),      # U = 625 < 5**8
+    ("dihedral:12", 3, False),     # U < 2**15 < k**n = 3**12
+])
+def test_nonregular_orbits_census_rule(spec, k, census, monkeypatch):
+    from wreathcount import classcount
+
+    grp = parse_group_spec(spec)
+    calls = []
+    monkeypatch.setattr(classcount, "coloring_orbit_reps",
+                        lambda *args: calls.append(args) or coloring_orbit_reps(*args))
+    got = nonregular_orbits(grp, k)
+    assert len(calls) == census
+    assert got == _seeded_walk(grp, k)
 
 
 @st.composite
@@ -204,7 +207,7 @@ def generator_sets(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(group=generator_sets(), k=st.integers(1, 3))
 def test_nonregular_orbits_match_census_on_random_generator_sets(group, k):
-    assert nonregular_orbits(group, k) == _nonregular_census(group, k)
+    assert _seeded_walk(group, k) == nonregular_orbits(group, k) == _nonregular_census(group, k)
     stats = nonregular_orbit_stats(group, k)
     assert stats.total_orbits == burnside_orbit_count(group, k)
 

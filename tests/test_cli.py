@@ -251,6 +251,20 @@ def test_bounds_table_includes_semiprimitive_section(run_cli):
     assert "semiprimitive" not in out
 
 
+@pytest.mark.parametrize("spec, section", [("cyclic:4", True), ("alternating:5", False)])
+def test_bounds_classifies_the_group_once(run_cli, monkeypatch, spec, section):
+    from wreathcount import permgroup
+
+    original = permgroup.normal_subgroups
+    calls = []
+    monkeypatch.setattr(permgroup, "normal_subgroups",
+                        lambda group, budgets: calls.append(group) or original(group, budgets))
+    code, out, _ = run_cli("bounds", "--group", spec, "--k", "2")
+    assert code == 0
+    assert len(calls) == 1
+    assert ("semiprimitive decomposition" in out) == section
+
+
 def test_bounds_json_shape(run_cli):
     code, out, _ = run_cli("bounds", "--group", "cyclic:3", "--k", "2",
                            "--output", "json")
