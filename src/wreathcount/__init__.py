@@ -30,6 +30,7 @@ from .bounds import (
     BoundReport,
     ScanRow,
     SemiprimitiveReport,
+    bounds_report,
     count_upper_bound,
     counterexample_scan,
     fixed_subset_fraction_probe,
@@ -47,7 +48,6 @@ from .classcount import (
     OrbitStats,
     auto_count,
     brute_force_count,
-    burnside_lower,
     burnside_orbit_count,
     clifford_count,
     closed_form,
@@ -112,8 +112,8 @@ __all__ = [
     "InvariantViolation", "NotSemiprimitive", "NumericInvariants", "OrbitStats", "ParseError",
     "Partition", "PermGroup", "Permutation", "ScanRow",
     "SemiprimitiveReport", "StructureReport", "UnknownFamily", "WreathGroup",
-    "WreathcountError", "auto_count", "block_decomposition", "brute_force_count",
-    "build_wreath_group", "burnside_lower", "burnside_orbit_count", "class_count",
+    "WreathcountError", "auto_count", "block_decomposition", "bounds_report",
+    "brute_force_count", "build_wreath_group", "burnside_orbit_count", "class_count",
     "clifford_count", "closed_form", "closure_elements", "coloring_orbit_reps",
     "coloring_stabilizer", "coloring_stabilizers", "conjugacy_classes",
     "count_upper_bound", "counterexample_scan", "cycle_type",

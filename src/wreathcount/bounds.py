@@ -17,20 +17,23 @@ from typing import Sequence
 
 from . import combinatorics
 from .actions import (
+    _symmetric_gens,
     block_decomposition,
     cycle_type,
     cycle_type_class_size,
+    family,
     induced_block_permutation,
     sigma_prime,
     subsets_action_lift,
 )
 from .budgets import DEFAULT, Budgets
 from .classcount import (
+    _census,
     auto_count,
     burnside_orbit_count,
     clifford_count,
-    decode_coloring,
-    nonregular_orbits,
+    count_upper_fraction,
+    nonregular_orbit_stats,
 )
 from .errors import (
     BudgetExceeded,
@@ -43,8 +46,8 @@ from .permgroup import (
     PermGroup,
     Permutation,
     class_count,
-    coloring_stabilizers,
     is_semiregular,
+    is_transitive,
     max_cycle_count,
     max_subgroup_class_count,
     numeric_invariants,
@@ -53,8 +56,8 @@ from .permgroup import (
 
 _TOL = Fraction(1, 10 ** 9)
 
-# maximum-subgroup-class-count substitutes, by how their value is formed
-E_SOURCES = ("exact-lattice", "five-pow-n-third", "five-pow-n-minus-one")
+# maximum-subgroup-class-count substitutes, by how their value is formed ("auto": _resolve_e)
+E_SOURCES = ("auto", "exact-lattice", "five-pow-n-third", "five-pow-n-minus-one")
 
 
 @dataclass
@@ -91,18 +94,14 @@ class BoundReport:
         return out
 
 
-def _tolerant_less(lhs, rhs, strict: bool = True):
-    """Compare exact lhs against possibly-float rhs with 1e-9 relative tolerance."""
-    if isinstance(rhs, float):
-        if math.isinf(rhs):
-            return rhs > 0
-        r = Fraction(rhs)
-    else:
-        r = Fraction(rhs)
-    l = Fraction(lhs)
+def _tolerant_less(lhs, rhs):
+    """lhs < rhs for exact lhs and possibly-float rhs, with 1e-9 relative tolerance."""
+    if isinstance(rhs, float) and math.isinf(rhs):
+        return rhs > 0
+    l, r = Fraction(lhs), Fraction(rhs)
     if abs(l - r) <= _TOL * max(Fraction(1), abs(r)):
         return "indeterminate"
-    return l < r if strict else l <= r
+    return l < r
 
 
 # ---------------------------------------------------------------------------
@@ -110,15 +109,19 @@ def _tolerant_less(lhs, rhs, strict: bool = True):
 
 
 def _resolve_e(group: PermGroup, e_source: str, budgets: Budgets):
+    """(e, "exact" | "float", the source used, with "auto" resolved)."""
     n = group.degree
+    if e_source == "auto":
+        e_source = ("exact-lattice" if group.order <= budgets.max_subgroup_order
+                    else "five-pow-n-third")
     if e_source == "exact-lattice":
-        return max_subgroup_class_count(group, budgets), "exact"
+        return max_subgroup_class_count(group, budgets), "exact", e_source
     if e_source == "five-pow-n-third":
         if n % 3 == 0:
-            return 5 ** (n // 3), "exact"
-        return 5.0 ** (n / 3), "float"
+            return 5 ** (n // 3), "exact", e_source
+        return 5.0 ** (n / 3), "float", e_source
     if e_source == "five-pow-n-minus-one":
-        return 5 ** (n - 1), "exact"
+        return 5 ** (n - 1), "exact", e_source
     raise ValueError(f"e_source must be one of {E_SOURCES}, got {e_source!r}")
 
 
@@ -128,21 +131,19 @@ def count_upper_bound(group: PermGroup, k: int, e_source: str = "exact-lattice",
 
     rhs is an exact rational whenever e is exact. lhs is the auto-dispatched
     count; when that is infeasible within budgets the verdict is
-    indeterminate and the bracket lands in the note.
+    indeterminate and the bracket lands in the note. The report records the
+    e source used, so "auto" reads as the source it resolved to.
     """
     if group.order == 1:
         raise ValueError("bound needs a nontrivial group")
     n = group.degree
-    inv = numeric_invariants(group)
-    e, e_mode = _resolve_e(group, e_source, budgets)
-    main = Fraction(k ** n, group.order)
-    if e_mode == "exact":
-        rhs: object = main + 2 * e * k ** inv.max_sigma
-        mode = "exact"
+    max_sigma = max_cycle_count(group)
+    e, mode, e_source = _resolve_e(group, e_source, budgets)
+    if mode == "exact":
+        rhs: object = count_upper_fraction(group, k, e)
     else:
-        rhs = float(main) + 2.0 * e * float(k ** inv.max_sigma)
-        mode = "float"
-    inputs = {"k": k, "n": n, "order": group.order, "max_sigma": inv.max_sigma, "e": e}
+        rhs = float(Fraction(k ** n, group.order)) + 2.0 * e * float(k ** max_sigma)
+    inputs = {"k": k, "n": n, "order": group.order, "max_sigma": max_sigma, "e": e}
     try:
         lhs = auto_count(group, k, budgets).value
     except (Infeasible, BudgetExceeded) as exc:
@@ -191,18 +192,16 @@ def predicates(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> list[Bou
     reports = []
 
     # minimal degree times base size covers the domain (transitive groups)
-    transitive = len({g(0) for g in group.elements}) == n
     reports.append(BoundReport(
         "min-degree-base-product", inv.mu * inv.b, n, inv.mu * inv.b >= n, "exact",
         dict(base, mu=inv.mu, b=inv.b),
-        note="" if transitive else "guaranteed only for transitive groups"))
+        note="" if is_transitive(group) else "guaranteed only for transitive groups"))
 
     # fixed point ratio: fpr(h) <= 1 - 1/log2|H| for all h != 1,
     # i.e. 2**n <= |H|**(n - fix); worst case has fix = n - mu
-    if order > 1:
-        reports.append(BoundReport(
-            "fixed-point-ratio", 2 ** n, order ** inv.mu,
-            2 ** n <= order ** inv.mu, "exact", dict(base, mu=inv.mu)))
+    reports.append(BoundReport(
+        "fixed-point-ratio", 2 ** n, order ** inv.mu,
+        2 ** n <= order ** inv.mu, "exact", dict(base, mu=inv.mu)))
 
     # sigma(h) <= (n + fix(h))/2 for every h, as 2*sigma - fix <= n
     worst = max(2 * g.cycle_count() - g.fixed_point_count() for g in group.elements)
@@ -315,8 +314,6 @@ def product_orbit_identity(m: int, ell: int, t: int, k: int,
         raise BudgetExceeded(f"tuple coloring space k**(t*C({m},{ell})) = {k ** (t * c)} exceeds "
                              f"the max_coloring_space budget {budgets.max_coloring_space}")
 
-    from .actions import _symmetric_gens
-
     gens = []
     for i in range(t):
         for g in _symmetric_gens(m):
@@ -351,8 +348,6 @@ def large_base_count_bound(m: int, ell: int, t: int, k: int,
         rhs = float(outer) * (float(2 ** t * nterm) + float(k) ** (2 * n / 3))
         mode = "float"
     try:
-        from .actions import family
-
         grp = family("product", (str(m), str(ell), str(t)), budgets)
         lhs = auto_count(grp, k, budgets).value
     except (BudgetExceeded, Infeasible) as exc:
@@ -471,15 +466,15 @@ def semiprimitive_report(group: PermGroup, k: int,
         chain_mode = "float"
         chain_holds = _tolerant_less(lhs, chain_rhs)
 
-    # e_K: largest class count among coloring stabilizers meeting K trivially
+    # e_K: largest class count among coloring stabilizers meeting K trivially,
+    # over the stabilizers clifford_count counts; H fixes the constant colorings
     e_k: int | None = None
     note = ""
     try:
-        reps, delta = nonregular_orbits(group, k, budgets)
-        if delta < k ** n:
+        census = _census(group, k, budgets, stabilizers=True)
+        if census.regular:
             e_k = 1  # a regular orbit's stabilizer is trivial
-        stabs = coloring_stabilizers(group, (decode_coloring(enc, k, n) for enc, _ in reps))
-        for stab in dict.fromkeys(stabs):  # equal stabilizers are one object
+        for stab in dict.fromkeys([group] + census.stabilizers):  # equal ones are one object
             if len(kernel_set.intersection(stab.elements)) == 1:
                 e_k = max(e_k or 1, class_count(stab))
     except BudgetExceeded as exc:
@@ -499,6 +494,49 @@ def semiprimitive_report(group: PermGroup, k: int,
         orbit_count=lhs, quotient_orbit_count=quot_count, chain_rhs=chain_rhs,
         chain_holds=chain_holds, chain_mode=chain_mode, e_k=e_k,
         e_k_quotient_bound_holds=e_k_quot, e_k_five_eighths_holds=e_k_58, note=note)
+
+
+# ---------------------------------------------------------------------------
+# Every report for one (H, k).
+
+
+def bounds_report(group: PermGroup, k: int, e_source: str = "auto",
+                  budgets: Budgets = DEFAULT
+                  ) -> tuple[list[BoundReport], SemiprimitiveReport | None]:
+    """The bound reports for (H, k), and the semiprimitive report or None.
+
+    The reports come in the order the CLI prints them; one the budgets
+    refuse reads indeterminate, with the reason in its note. The
+    semiprimitive report is None where the decomposition does not apply.
+    """
+    reports = [count_upper_bound(group, k, e_source, budgets)]
+    reports.extend(predicates(group, k, budgets))
+    try:
+        stats = nonregular_orbit_stats(group, k, budgets)
+    except BudgetExceeded as exc:
+        reports.append(BoundReport("nonregular-orbit-count", None, None, "indeterminate",
+                                   "exact", {"k": k}, note=f"orbit census skipped: {exc}"))
+    else:  # nonregular_orbit_stats raises on a violation, so both bounds hold
+        base = {"k": k, "n": group.degree, "order": group.order,
+                "max_sigma": max_cycle_count(group)}
+        reports.append(BoundReport("nonregular-orbit-count", stats.nonregular_orbits,
+                                   stats.orbit_bound, True, "exact", dict(base)))
+        reports.append(BoundReport("nonregular-union-size", stats.delta_size,
+                                   stats.delta_bound, True, "exact", dict(base)))
+    match = large_base_match(group)
+    if match is not None:
+        m, ell, t = match
+        reports.append(subset_orbit_bound(m, ell, k, budgets))
+        try:
+            reports.append(product_orbit_identity(m, ell, t, k, budgets))
+            reports.append(large_base_count_bound(m, ell, t, k, budgets))
+        except BudgetExceeded:
+            pass
+    try:
+        semi = semiprimitive_report(group, k, budgets)
+    except (BudgetExceeded, NotSemiprimitive):
+        semi = None  # the bound reports stand on their own where the decomposition does not apply
+    return reports, semi
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +578,6 @@ def counterexample_scan(m_values: Sequence[int], k: int = 2,
     first is what makes these groups counterexamples to small count bounds;
     the second's failure at small m is expected (the guarantee is asymptotic).
     """
-    from .actions import family
-
     rows = []
     for m in m_values:
         grp = family("wreath-cyclic", (str(m),), budgets)

@@ -15,7 +15,8 @@ separate so they can cross-check each other:
   generator tables, so its cost follows |Delta| rather than k**n. It takes
   the full census instead when the seeds' bound U on |Delta| reaches k**n,
   or passes 2**15 with k**n in numpy's range. Nothing in a walk decodes a
-  coloring.
+  coloring. The census and its stabilizers stay on the group per k, where
+  nonregular_orbit_stats and bounds.semiprimitive_report read them too.
 * brute_force_count: union-find over conjugation by the generators of
   Z_k wr H, walking every element by its integer code without storing the
   group.
@@ -272,13 +273,60 @@ def nonregular_orbits(group: PermGroup, k: int, budgets: Budgets = DEFAULT
 
 
 @dataclass
+class _Census:
+    reps: list[tuple[int, int]]      # nonregular_orbits(group, k), checked by _census
+    delta: int
+    regular: int                     # (k**n - |Delta|)/|H| regular orbits
+    stabilizers: list[PermGroup] | None = None  # of the reps of size > 1, in order
+
+
+def _census(group: PermGroup, k: int, budgets: Budgets, stabilizers: bool = False) -> _Census:
+    """The census of (group, k), kept on the group like its class BFS; budgets checked first.
+
+    stabilizers=True fills in, once, the stabilizers of the reps of size > 1
+    from one coloring_stabilizers stream. Checks: |H| divides k**n - |Delta|,
+    each generator fixes each rep of size 1, and |I_H(c)| * |orbit| = |H|.
+    """
+    n = group.degree
+    space = k ** n
+    _check_space(space, budgets)
+    census = group._census.get(k)
+    order = group.order
+    if census is None:
+        reps, delta = nonregular_orbits(group, k, budgets)
+        regular, rem = divmod(space - delta, order)
+        if rem:
+            raise InvariantViolation(
+                f"regular part k**n - |Delta| = {space} - {delta} not divisible by |H| = {order}")
+        census = group._census[k] = _Census(reps, delta, regular)
+    if not stabilizers or census.stabilizers is not None:
+        return census
+    radix, steps = _generator_steps([g for g in group.generators if not g.is_identity()], k, n)
+    for hi, lo in steps:
+        for enc, size in census.reps:
+            if size == 1 and hi[enc // radix] + lo[enc % radix] != enc:
+                raise InvariantViolation(
+                    f"coloring {decode_coloring(enc, k, n)} has orbit size 1 but is moved")
+    moved = [(enc, size) for enc, size in census.reps if size != 1]
+    decode = _decoder(k, n) if moved else None  # n >= 2 whenever a coloring moves
+    stabs = list(coloring_stabilizers(group, (decode(enc) for enc, _ in moved)))
+    for (enc, size), stab in zip(moved, stabs):
+        if stab.order * size != order:
+            raise InvariantViolation(
+                f"orbit-stabilizer: |I_H(c)| * |orbit| = {stab.order} * {size} != |H| = "
+                f"{order} for coloring {decode_coloring(enc, k, n)}")
+    census.stabilizers = stabs
+    return census
+
+
+@dataclass
 class CountResult:
     """One class count with enough context to audit it."""
 
     k: int
     group: PermGroup
     degree: int
-    method: str                 # clifford | brute | burnside-lower | closed-form
+    method: str                 # clifford | brute | closed-form | all:<routes>
     value: int
     orbit_count: int | None = None
 
@@ -301,6 +349,9 @@ class OrbitStats:
     total_orbits: int
     nonregular_orbits: int
     delta_size: int            # number of colorings lying in non-regular orbits
+    # the checked bounds 2*k**max_sigma and (|H|-1)*k**max_sigma; None for trivial H
+    orbit_bound: int | None = None
+    delta_bound: int | None = None
 
 
 def burnside_orbit_count(group: PermGroup, k: int) -> int:
@@ -321,63 +372,30 @@ def burnside_orbit_count(group: PermGroup, k: int) -> int:
     return total // order
 
 
-def burnside_lower(group: PermGroup, k: int) -> CountResult:
-    """Orbit count packaged as a lower bound on the class count."""
-    f = burnside_orbit_count(group, k)
-    return CountResult(k=k, group=group, degree=group.degree, method="burnside-lower",
-                       value=f, orbit_count=f)
-
-
 def clifford_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> CountResult:
     """k(X wr H) = (k**n - |Delta|)/|H| + sum of k(I_H(c)) over the non-regular orbits.
 
-    Regular orbits have trivial stabilizer and contribute 1 each, so only
-    their number is needed: k**n - |Delta| must divide exactly by |H|. The
-    non-regular orbits come from nonregular_orbits. A fixed coloring (orbit
-    size 1) has stabilizer H, so k(H) is counted once per call and reused,
-    after checking on its code that every generator fixes the coloring. The
-    other representatives are decoded lazily into one coloring_stabilizers
-    stream; each stabilizer must satisfy |I_H(c)| * |orbit| = |H|, and
-    class_count runs once per distinct stabilizer, since equal stabilizers
-    arrive as one object.
+    Regular orbits have trivial stabilizer and contribute 1 each. The
+    non-regular orbits and their stabilizers come from _census; a fixed
+    coloring has stabilizer H, and class_count runs once per distinct
+    stabilizer, since equal stabilizers are one object.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n = group.degree
     space = k ** n
-    reps, delta = nonregular_orbits(group, k, budgets)
+    census = _census(group, k, budgets, stabilizers=True)
+    fixed = sum(size == 1 for _, size in census.reps)  # their stabilizer is H
+    value = census.regular + fixed * class_count(group)
+    # keyed by identity: equal stabilizers are one object
+    counts = {stab: class_count(stab) for stab in dict.fromkeys(census.stabilizers)}
+    value += sum(map(counts.__getitem__, census.stabilizers))
     order = group.order
-    regular, rem = divmod(space - delta, order)
-    if rem:
-        raise InvariantViolation(
-            f"regular part k**n - |Delta| = {space} - {delta} not divisible by |H| = {order}")
-    value = regular
-    fixed = [enc for enc, size in reps if size == 1]
-    radix, steps = _generator_steps([g for g in group.generators if not g.is_identity()], k, n)
-    for hi, lo in steps:
-        for enc in fixed:
-            if hi[enc // radix] + lo[enc % radix] != enc:
-                raise InvariantViolation(
-                    f"coloring {decode_coloring(enc, k, n)} has orbit size 1 but is moved")
-    if fixed:
-        value += len(fixed) * class_count(group)
-    moved = [(enc, size) for enc, size in reps if size != 1]
-    decode = _decoder(k, n) if moved else None  # n >= 2 whenever a coloring moves
-    stabs = coloring_stabilizers(group, (decode(enc) for enc, _ in moved))
-    counts: dict[PermGroup, int] = {}  # keyed by identity: equal stabilizers are one object
-    for (enc, size), stab in zip(moved, stabs):
-        if stab.order * size != order:
-            raise InvariantViolation(
-                f"orbit-stabilizer: |I_H(c)| * |orbit| = {stab.order} * {size} != |H| = "
-                f"{order} for coloring {decode_coloring(enc, k, n)}")
-        if stab not in counts:
-            counts[stab] = class_count(stab)
-        value += counts[stab]
     if value * order < space:
         raise InvariantViolation(
             f"class count {value} below the orbit-count lower bound k**n/|H| = {space}/{order}")
     return CountResult(k=k, group=group, degree=n, method="clifford", value=value,
-                       orbit_count=regular + len(reps))
+                       orbit_count=census.regular + len(census.reps))
 
 
 def brute_force_count(k: int, group: PermGroup, budgets: Budgets = DEFAULT) -> CountResult:
@@ -475,25 +493,24 @@ def nonregular_orbit_stats(group: PermGroup, k: int,
 
     For nontrivial H, the number t of non-regular orbits satisfies
     t < 2 * k**max_sigma and the union Delta of those orbits satisfies
-    |Delta| <= (|H| - 1) * k**max_sigma. Violations mean a bug, so they raise.
+    |Delta| <= (|H| - 1) * k**max_sigma. Violations mean a bug, so they raise;
+    the result carries both bounds. The census is clifford_count's.
     """
-    reps, delta = nonregular_orbits(group, k, budgets)
+    census = _census(group, k, budgets)
+    nonregular, delta = len(census.reps), census.delta
     order = group.order
-    space = k ** group.degree
-    regular, rem = divmod(space - delta, order)
-    if rem:
-        raise InvariantViolation(f"orbit sizes do not partition the {space} colorings")
-    nonregular = len(reps)
+    orbit_bound = delta_bound = None
     if order > 1:
         ms = max_cycle_count(group)
-        if not nonregular < 2 * k ** ms:
+        orbit_bound, delta_bound = 2 * k ** ms, (order - 1) * k ** ms
+        if not nonregular < orbit_bound:
             raise InvariantViolation(
-                f"non-regular orbit count {nonregular} >= 2*k**max_sigma = {2 * k ** ms}")
-        if not delta <= (order - 1) * k ** ms:
+                f"non-regular orbit count {nonregular} >= 2*k**max_sigma = {orbit_bound}")
+        if not delta <= delta_bound:
             raise InvariantViolation(
-                f"non-regular union {delta} > (|H|-1)*k**max_sigma = {(order - 1) * k ** ms}")
-    return OrbitStats(total_orbits=regular + nonregular, nonregular_orbits=nonregular,
-                      delta_size=delta)
+                f"non-regular union {delta} > (|H|-1)*k**max_sigma = {delta_bound}")
+    return OrbitStats(total_orbits=census.regular + nonregular, nonregular_orbits=nonregular,
+                      delta_size=delta, orbit_bound=orbit_bound, delta_bound=delta_bound)
 
 
 def count_upper_fraction(group: PermGroup, k: int, e: int) -> Fraction:

@@ -1,7 +1,9 @@
-"""Command line surface: argument parsing and rendering only.
+"""Command line surface: argument parsing, the choice of library call, and rendering.
 
-Subcommands: count, classify, bounds, verify, scan. Each one calls into the
-library (verify runs a suite of wreathcount.verify) and renders the result.
+Subcommands: count, classify, bounds, verify, scan. Each one calls the
+library entry point its flags name (count --method names a route, bounds
+calls bounds.bounds_report, verify runs a suite of wreathcount.verify) and
+renders the result.
 Output is a human table by default, or machine JSON/CSV; JSON and CSV are
 byte-identical across runs for a fixed invocation and seed (class counts
 travel as decimal strings, and timings are never serialized).
@@ -23,7 +25,7 @@ from . import bounds as bounds_mod
 from . import classcount, verify
 from .actions import parse_group_spec
 from .budgets import Budgets, from_env
-from .errors import BudgetExceeded, Infeasible, NotSemiprimitive, WreathcountError
+from .errors import BudgetExceeded, Infeasible, WreathcountError
 from .permgroup import (
     class_count,
     closure_elements,
@@ -84,7 +86,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bounds", help="evaluate the bound and predicate reports for (H, k)")
     _add_common(p)
-    p.add_argument("--e-source", choices=("auto",) + bounds_mod.E_SOURCES, default="auto",
+    p.add_argument("--e-source", choices=bounds_mod.E_SOURCES, default="auto",
                    help="where the subgroup class-count maximum e comes from")
 
     p = sub.add_parser("verify", help="run a cross-check suite")
@@ -250,84 +252,30 @@ def _render_cell(x) -> str:
     return repr(x) if isinstance(x, float) else bounds_mod.fraction_text(x)
 
 
-def _nonregular_reports(group, k: int, budgets: Budgets) -> list:
-    from .permgroup import max_cycle_count
-
-    try:
-        stats = classcount.nonregular_orbit_stats(group, k, budgets)
-    except BudgetExceeded as exc:
-        return [bounds_mod.BoundReport("nonregular-orbit-count", None, None,
-                                       "indeterminate", "exact", {"k": k},
-                                       note=f"orbit census skipped: {exc}")]
-    ms = max_cycle_count(group)
-    base = {"k": k, "n": group.degree, "order": group.order, "max_sigma": ms}
-    return [
-        bounds_mod.BoundReport("nonregular-orbit-count", stats.nonregular_orbits,
-                               2 * k ** ms, stats.nonregular_orbits < 2 * k ** ms,
-                               "exact", dict(base)),
-        bounds_mod.BoundReport("nonregular-union-size", stats.delta_size,
-                               (group.order - 1) * k ** ms,
-                               stats.delta_size <= (group.order - 1) * k ** ms,
-                               "exact", dict(base)),
-    ]
-
-
-def _bounds_one(spec: str, k: int, e_source: str, budgets: Budgets) -> dict:
-    group = parse_group_spec(spec, budgets)
-    if e_source == "auto":
-        e_source = ("exact-lattice" if group.order <= budgets.max_subgroup_order
-                    else "five-pow-n-third")
-    reports = [bounds_mod.count_upper_bound(group, k, e_source, budgets)]
-    reports.extend(bounds_mod.predicates(group, k, budgets))
-    reports.extend(_nonregular_reports(group, k, budgets))
-
-    match = bounds_mod.large_base_match(group)
-    if match is not None:
-        m, ell, t = match
-        reports.append(bounds_mod.subset_orbit_bound(m, ell, k, budgets))
-        try:
-            reports.append(bounds_mod.product_orbit_identity(m, ell, t, k, budgets))
-            reports.append(bounds_mod.large_base_count_bound(m, ell, t, k, budgets))
-        except BudgetExceeded:
-            pass
-
-    semi = None
-    try:
-        semi = bounds_mod.semiprimitive_report(group, k, budgets)
-    except (BudgetExceeded, NotSemiprimitive):
-        pass  # the bound reports stand on their own where the decomposition does not apply
-    return {"group": group.spec_string(), "k": k, "reports": reports, "semiprimitive": semi}
-
-
 def _cmd_bounds(args) -> int:
     budgets = _budgets_from_args(args)
     k = _resolve_k(args, budgets)
-    results = [_bounds_one(spec, k, args.e_source, budgets) for spec in args.group]
+    groups = (parse_group_spec(spec, budgets) for spec in args.group)
+    results = [(g.spec_string(), *bounds_mod.bounds_report(g, k, args.e_source, budgets))
+               for g in groups]  # (spec, reports, semiprimitive report or None)
     if args.output == "json":
-        dicts = []
-        for res in results:
-            dicts.append({
-                "group": res["group"],
-                "k": res["k"],
-                "reports": [r.to_json_dict() for r in res["reports"]],
-                "semiprimitive": (None if res["semiprimitive"] is None
-                                  else res["semiprimitive"].to_json_dict()),
-            })
+        dicts = [{"group": name, "k": k, "reports": [r.to_json_dict() for r in reports],
+                  "semiprimitive": None if semi is None else semi.to_json_dict()}
+                 for name, reports, semi in results]
         _emit_json(dicts[0] if len(dicts) == 1 else dicts)
     elif args.output == "csv":
         print("group,name,lhs,rhs,holds,mode,asymptotic")
-        for res in results:
-            for r in res["reports"]:
-                print(_csv_line([res["group"], r.name, _render_cell(r.lhs),
+        for name, reports, _ in results:
+            for r in reports:
+                print(_csv_line([name, r.name, _render_cell(r.lhs),
                                  _render_cell(r.rhs), str(r.holds).lower(), r.mode,
                                  str(r.asymptotic).lower()]))
     else:
-        for res in results:
-            print(f"group {res['group']}  k={res['k']}")
+        for name, reports, semi in results:
+            print(f"group {name}  k={k}")
             rows = [[r.name, _render_cell(r.lhs), _render_cell(r.rhs),
-                     str(r.holds).lower(), r.mode, r.note] for r in res["reports"]]
+                     str(r.holds).lower(), r.mode, r.note] for r in reports]
             print(_table(rows, ["name", "lhs", "rhs", "holds", "mode", "note"]))
-            semi = res["semiprimitive"]
             if semi is not None:
                 print(f"semiprimitive decomposition: r={semi.r} kernel={semi.kernel_order} "
                       f"quotient={semi.quotient_order} "

@@ -310,6 +310,8 @@ class PermGroup:
         self._elements: tuple[Permutation, ...] | None = None
         self._images: tuple[tuple[int, ...], ...] | None = None
         self._classes: list[list[int]] | None = None
+        # k -> the checked non-regular coloring census (classcount._census)
+        self._census: dict = {}
 
     @classmethod
     def from_elements(cls, elements: Iterable[Permutation], degree: int | None = None,
@@ -456,7 +458,7 @@ def is_transitive(group: PermGroup) -> bool:
 
 def is_semiregular(group: PermGroup) -> bool:
     """True when every point stabilizer is trivial (no nonidentity element fixes a point)."""
-    return all(g.fixed_point_count() == 0 for g in group.elements if not g.is_identity())
+    return _subset_semiregular(group.elements)
 
 
 def point_stabilizer(group: PermGroup, point: int) -> PermGroup:
@@ -622,7 +624,7 @@ def _subset_transitive(elements: frozenset[Permutation], degree: int) -> bool:
     return len({g(0) for g in elements}) == degree
 
 
-def _subset_semiregular(elements: frozenset[Permutation]) -> bool:
+def _subset_semiregular(elements: Iterable[Permutation]) -> bool:
     return all(g.fixed_point_count() == 0 for g in elements if not g.is_identity())
 
 
@@ -800,13 +802,9 @@ def _min_base_size(group: PermGroup) -> int:
 
 def numeric_invariants(group: PermGroup) -> NumericInvariants:
     """mu, minimal base size and max cycle count; max_subgroup_class_count gives e."""
-    if group.order == 1:
-        raise ValueError("numeric invariants need a nontrivial group")
-    nonid = [g for g in group.elements if not g.is_identity()]
-    mu = min(g.moved_count() for g in nonid)
-    max_sigma = max(g.cycle_count() for g in nonid)
-    b = _min_base_size(group)
-    return NumericInvariants(mu=mu, b=b, max_sigma=max_sigma)
+    max_sigma = max_cycle_count(group)  # refuses the trivial group
+    mu = min(g.moved_count() for g in group.elements if not g.is_identity())
+    return NumericInvariants(mu=mu, b=_min_base_size(group), max_sigma=max_sigma)
 
 
 def max_subgroup_class_count(group: PermGroup, budgets: Budgets = DEFAULT) -> int:
@@ -816,7 +814,7 @@ def max_subgroup_class_count(group: PermGroup, budgets: Budgets = DEFAULT) -> in
 
 
 def max_cycle_count(group: PermGroup) -> int:
-    """max_sigma alone, for callers that do not need the full invariant set."""
+    """max_sigma: the largest cycle count of a nonidentity element (numeric_invariants' too)."""
     if group.order == 1:
         raise ValueError("max cycle count needs a nontrivial group")
     return max(g.cycle_count() for g in group.elements if not g.is_identity())

@@ -8,8 +8,10 @@ import pytest
 from wreathcount import (
     DEFAULT,
     BudgetExceeded,
+    Budgets,
     NotSemiprimitive,
     auto_count,
+    bounds_report,
     burnside_orbit_count,
     count_upper_bound,
     counterexample_scan,
@@ -55,6 +57,26 @@ def test_count_upper_bound_alternate_e_sources():
     assert rep.holds is True
     with pytest.raises(ValueError):
         count_upper_bound(c3, 2, e_source="nosuch")
+
+
+def test_auto_e_source_records_the_source_it_resolved_to():
+    c4 = parse_group_spec("cyclic:4")
+    rep = count_upper_bound(c4, 2, e_source="auto")
+    assert (rep.e_source, rep.rhs) == ("exact-lattice", 36)
+    rep = count_upper_bound(c4, 2, "auto", Budgets(max_subgroup_order=3))
+    assert (rep.e_source, rep.mode) == ("five-pow-n-third", "float")
+
+
+def test_bounds_report_returns_the_reports_and_the_decomposition():
+    reports, semi = bounds_report(parse_group_spec("cyclic:4"), 2)
+    assert (reports[0].name, reports[0].e_source) == ("count-upper-bound", "exact-lattice")
+    census = {r.name: (r.lhs, r.rhs, r.holds) for r in reports[7:]}
+    assert census == {"nonregular-orbit-count": (3, 8, True),
+                      "nonregular-union-size": (4, 12, True)}
+    assert (semi.r, semi.e_k) == (2, 1)  # only the regular orbits meet K trivially
+    reports, semi = bounds_report(parse_group_spec("symmetric:3"), 2, "five-pow-n-minus-one")
+    assert reports[0].e_source == "five-pow-n-minus-one"
+    assert semi is None  # primitive
 
 
 def test_count_upper_bound_indeterminate_when_uncountable():

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from wreathcount import (
     DEFAULT,
     BudgetExceeded,
+    Budgets,
     Infeasible,
     PermGroup,
     Permutation,
     auto_count,
-    burnside_lower,
     burnside_orbit_count,
     brute_force_count,
     class_count,
@@ -227,13 +227,6 @@ def test_burnside_weak_compositions():
             assert burnside_orbit_count(grp, k) == weak_composition_count(n, k)
 
 
-def test_burnside_lower_result():
-    res = burnside_lower(parse_group_spec("symmetric:3"), 2)
-    assert res.method == "burnside-lower"
-    assert res.value == 4
-    assert res.orbit_count == 4
-
-
 def test_triangulation_matrix():
     for (spec, k), expected in TRIANGULATION.items():
         grp = parse_group_spec(spec)
@@ -333,6 +326,25 @@ def test_nonregular_orbit_stats():
     assert (stats.total_orbits, stats.nonregular_orbits, stats.delta_size) == (6, 6, 16)
     stats = nonregular_orbit_stats(parse_group_spec("gens:2,()"), 2)
     assert (stats.total_orbits, stats.nonregular_orbits, stats.delta_size) == (4, 0, 0)
+
+
+def test_cached_census_is_still_refused_under_a_tighter_budget():
+    from wreathcount import classcount
+
+    grp = parse_group_spec("cyclic:4")
+    stats = nonregular_orbit_stats(grp, 2)
+    assert (stats.nonregular_orbits, stats.delta_size) == (3, 4)
+    assert (stats.orbit_bound, stats.delta_bound) == (8, 12)  # max_sigma = 2
+    census = classcount._census(grp, 2, DEFAULT)
+    assert classcount._census(grp, 2, DEFAULT) is census  # kept on the group object
+    tight = Budgets(max_coloring_space=8)
+    for call in (lambda: classcount._census(grp, 2, tight),
+                 lambda: nonregular_orbit_stats(grp, 2, tight),
+                 lambda: clifford_count(grp, 2, tight)):
+        with pytest.raises(BudgetExceeded,
+                           match=r"k\*\*n = 16 exceeds the max_coloring_space budget 8"):
+            call()
+    assert nonregular_orbit_stats(grp, 2) == stats
 
 
 def test_auto_count_dispatch():

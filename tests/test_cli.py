@@ -265,6 +265,56 @@ def test_bounds_classifies_the_group_once(run_cli, monkeypatch, spec, section):
     assert ("semiprimitive decomposition" in out) == section
 
 
+def test_bounds_budget_refusal_notes(run_cli):
+    code, out, err = run_cli("bounds", "--group", "cyclic:4", "--k", "2",
+                             "--budget-max-colorings", "8", "--output", "json")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    refusal = "coloring space k**n = 16 exceeds the max_coloring_space budget 8"
+    census_rows = [r for r in doc["reports"] if r["name"].startswith("nonregular-")]
+    assert census_rows == [{"name": "nonregular-orbit-count", "lhs": None, "rhs": None,
+                            "holds": "indeterminate", "mode": "exact", "inputs": {"k": "2"},
+                            "note": f"orbit census skipped: {refusal}"}]
+    semi = doc["semiprimitive"]
+    assert semi["e_k"] is None
+    assert semi["note"] == f"e_K skipped: {refusal}"
+
+
+def _spy(monkeypatch, module, name, calls):
+    """Record the first argument of every call to module.name, under every name bound to it."""
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "wreathcount":
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, spy)
+
+
+@pytest.mark.parametrize("spec", ["cyclic:4", "wreath-cyclic:4", "subsets-alt:5,2"])
+def test_bounds_computes_each_fact_once(run_cli, monkeypatch, spec):
+    from collections import Counter
+
+    from wreathcount import classcount, permgroup
+
+    base_dfs, census, streams, normals = [], [], [], []
+    _spy(monkeypatch, permgroup, "_min_base_size", base_dfs)
+    _spy(monkeypatch, classcount, "_seeded_walk", census)  # the two census routes
+    _spy(monkeypatch, classcount, "coloring_orbit_reps", census)
+    _spy(monkeypatch, permgroup, "coloring_stabilizers", streams)
+    _spy(monkeypatch, permgroup, "normal_subgroups", normals)
+    code, _, _ = run_cli("bounds", "--group", spec, "--k", "2", "--output", "json")
+    assert code == 0
+    assert len(base_dfs) == 1
+    assert census and max(Counter(census).values()) == 1  # per group object
+    assert streams and max(Counter(streams).values()) == 1
+    assert len(normals) == 1
+
+
 def test_bounds_json_shape(run_cli):
     code, out, _ = run_cli("bounds", "--group", "cyclic:3", "--k", "2",
                            "--output", "json")
@@ -352,6 +402,10 @@ def test_output_determinism_across_processes():
     argv = ["bounds", "--group", "symmetric:3", "--k", "3", "--output", "csv"]
     assert (_subprocess_run(argv, "1").stdout
             == _subprocess_run(argv, "99").stdout)
+    argv = ["bounds", "--group", "cyclic:4", "--k", "2", "--output", "json"]
+    first = _subprocess_run(argv, "3")
+    assert first.returncode == 0 and '"semiprimitive": {' in first.stdout.decode()
+    assert first.stdout == _subprocess_run(argv, "4242").stdout
     argv = ["scan", "--m", "2,3", "--output", "csv"]
     assert (_subprocess_run(argv, "7").stdout
             == _subprocess_run(argv, "8").stdout)
