@@ -52,13 +52,13 @@ from .classcount import (
     clifford_count,
     closed_form,
     coloring_orbit_reps,
+    count_by_method,
     decode_coloring,
     direct_orbit_count,
     encode_coloring,
     nonregular_orbit_stats,
     nonregular_orbits,
     schmid_cyclic,
-    symmetric_closed_form,
 )
 from .combinatorics import (
     Partition,
@@ -116,7 +116,7 @@ __all__ = [
     "brute_force_count", "build_wreath_group", "burnside_orbit_count", "class_count",
     "clifford_count", "closed_form", "closure_elements", "coloring_orbit_reps",
     "coloring_stabilizer", "coloring_stabilizers", "conjugacy_classes",
-    "count_upper_bound", "counterexample_scan", "cycle_type",
+    "count_by_method", "count_upper_bound", "counterexample_scan", "cycle_type",
     "decode_coloring", "direct_orbit_count", "encode_coloring", "family",
     "fix_subsets_direct", "fix_subsets_formula", "fixed_subset_fraction_probe",
     "is_primitive", "is_semiregular", "is_transitive",
@@ -128,5 +128,5 @@ __all__ = [
     "schmid_cyclic", "semiprimitive_report", "sigma", "sigma_prime",
     "stirling_first", "structure_classify", "subgroups", "subset_orbit_bound",
     "subset_orbit_count_exact", "subset_rank", "subset_unrank", "subsets_action_lift",
-    "symmetric_closed_form", "tuples_of_partitions_count", "weak_composition_count",
+    "tuples_of_partitions_count", "weak_composition_count",
 ]

@@ -301,6 +301,13 @@ def product_orbit_identity(m: int, ell: int, t: int, k: int,
     product-action domain: already for m=3, t=2, k=2 the latter space has
     36 orbits while the tuple space has 4**2 = 16.
     """
+    return _product_orbit_identity(m, ell, t, k, subset_orbit_count_exact(m, ell, k, budgets),
+                                   budgets)
+
+
+def _product_orbit_identity(m: int, ell: int, t: int, k: int, single: int,
+                            budgets: Budgets) -> BoundReport:
+    """product_orbit_identity on single = n(S_m, B), counted by the caller."""
     if t < 1:
         raise ValueError("t must be >= 1")
     c = math.comb(m, ell)
@@ -323,8 +330,7 @@ def product_orbit_identity(m: int, ell: int, t: int, k: int,
                 images[i * c + w] = i * c + lifted(w)
             gens.append(Permutation(images))
     power_group = PermGroup(gens, budgets=budgets)
-    lhs = burnside_orbit_count(power_group, k)
-    rhs = subset_orbit_count_exact(m, ell, k, budgets) ** t
+    lhs, rhs = burnside_orbit_count(power_group, k), single ** t
     inputs = {"m": m, "ell": ell, "t": t, "k": k}
     return BoundReport("product-orbit-identity", lhs, rhs, lhs == rhs, "exact", inputs)
 
@@ -337,8 +343,15 @@ def large_base_count_bound(m: int, ell: int, t: int, k: int,
     k**(2n/3) is exact when 3 | 2n. The verdict compares against the exact
     count of the full product-action family when that fits the budgets.
     """
+    return _large_base_count_bound(None, m, ell, t, k,
+                                   subset_orbit_count_exact(m, ell, k, budgets), budgets)
+
+
+def _large_base_count_bound(group: PermGroup | None, m: int, ell: int, t: int, k: int,
+                            single: int, budgets: Budgets) -> BoundReport:
+    """large_base_count_bound on single = n(S_m, B), counting group (None: build the family)."""
     n = math.comb(m, ell) ** t
-    nterm = subset_orbit_count_exact(m, ell, k, budgets) ** t
+    nterm = single ** t
     outer = 5 ** (m * t)
     inputs = {"m": m, "ell": ell, "t": t, "k": k, "n": n, "n_term": nterm}
     if (2 * n) % 3 == 0:
@@ -348,8 +361,9 @@ def large_base_count_bound(m: int, ell: int, t: int, k: int,
         rhs = float(outer) * (float(2 ** t * nterm) + float(k) ** (2 * n / 3))
         mode = "float"
     try:
-        grp = family("product", (str(m), str(ell), str(t)), budgets)
-        lhs = auto_count(grp, k, budgets).value
+        if group is None:
+            group = family("product", (str(m), str(ell), str(t)), budgets)
+        lhs = auto_count(group, k, budgets).value
     except (BudgetExceeded, Infeasible) as exc:
         return BoundReport("large-base-count-bound", None, rhs, "indeterminate", mode,
                            inputs, asymptotic=True, note=f"count not computed: {exc}")
@@ -526,10 +540,15 @@ def bounds_report(group: PermGroup, k: int, e_source: str = "auto",
     match = large_base_match(group)
     if match is not None:
         m, ell, t = match
-        reports.append(subset_orbit_bound(m, ell, k, budgets))
-        try:
-            reports.append(product_orbit_identity(m, ell, t, k, budgets))
-            reports.append(large_base_count_bound(m, ell, t, k, budgets))
+        subset = subset_orbit_bound(m, ell, k, budgets)  # lhs: n(S_m, B), the op's one count
+        reports.append(subset)
+        try:  # the identity refuses the lift whenever the subset count does
+            if subset.lhs is not None:
+                reports.append(_product_orbit_identity(m, ell, t, k, subset.lhs, budgets))
+                # the bound is about the S_m family, which every match but subsets-alt is
+                counted = None if group.family[0] == "subsets-alt" else group
+                reports.append(_large_base_count_bound(counted, m, ell, t, k, subset.lhs,
+                                                       budgets))
         except BudgetExceeded:
             pass
     try:
@@ -553,21 +572,6 @@ class ScanRow:
     bound: str
     holds: object          # True | False | "skipped"
     mode: str
-
-    def csv_fields(self) -> list[str]:
-        return [self.param, str(self.k), str(self.n), str(self.order),
-                "" if self.value is None else str(self.value),
-                self.bound, str(self.holds).lower(), self.mode]
-
-
-SCAN_CSV_HEADER = "param,k,n,order,value,bound,holds,mode"
-
-
-def rows_to_csv(rows: Sequence[ScanRow]) -> str:
-    lines = [SCAN_CSV_HEADER]
-    for row in rows:
-        lines.append(",".join(row.csv_fields()))
-    return "\n".join(lines) + "\n"
 
 
 def counterexample_scan(m_values: Sequence[int], k: int = 2,

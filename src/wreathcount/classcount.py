@@ -1,8 +1,9 @@
 """Conjugacy class counts for G = X wr H.
 
 The count depends on X only through k = k(X), the number of classes of X, so
-every method takes (k, H). Three independent routes are kept deliberately
-separate so they can cross-check each other:
+each route takes (H, k) and returns a CountResult; the enumerating ones
+take the caller's budgets too. Three independent routes are kept
+deliberately separate so they can cross-check each other:
 
 * clifford_count: (k**n - |Delta|)/|H| regular orbits, which contribute 1
   each, plus k(I_H(c)) for each non-regular orbit representative c, I the
@@ -32,7 +33,8 @@ burnside_orbit_count, (1/|H|) sum of k**sigma(h), gives the orbit count
 alone, which lower-bounds the class count. auto_count is the one dispatch:
 closed form, else clifford, else brute, else Infeasible with a bracket.
 route_values runs every route that fits the budgets and raises when two
-disagree; count --method all and the verify oracles both use it.
+disagree. count_by_method runs one of METHODS (count --method): auto_count,
+one route, or route_values' agreed value.
 """
 
 from __future__ import annotations
@@ -325,7 +327,6 @@ class CountResult:
 
     k: int
     group: PermGroup
-    degree: int
     method: str                 # clifford | brute | closed-form | all:<routes>
     value: int
     orbit_count: int | None = None
@@ -335,7 +336,7 @@ class CountResult:
         return {
             "k": self.k,
             "group": self.group.spec_string(),
-            "degree": self.degree,
+            "degree": self.group.degree,
             "method": self.method,
             "value": str(self.value),
             "orbit_count": None if self.orbit_count is None else str(self.orbit_count),
@@ -382,8 +383,7 @@ def clifford_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> Coun
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = group.degree
-    space = k ** n
+    space = k ** group.degree
     census = _census(group, k, budgets, stabilizers=True)
     fixed = sum(size == 1 for _, size in census.reps)  # their stabilizer is H
     value = census.regular + fixed * class_count(group)
@@ -394,11 +394,11 @@ def clifford_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> Coun
     if value * order < space:
         raise InvariantViolation(
             f"class count {value} below the orbit-count lower bound k**n/|H| = {space}/{order}")
-    return CountResult(k=k, group=group, degree=n, method="clifford", value=value,
+    return CountResult(k=k, group=group, method="clifford", value=value,
                        orbit_count=census.regular + len(census.reps))
 
 
-def brute_force_count(k: int, group: PermGroup, budgets: Budgets = DEFAULT) -> CountResult:
+def brute_force_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> CountResult:
     """k(X wr H) by union-find over conjugation in Z_k wr H, element by element.
 
     Independent of the Clifford route end to end: no coloring enumeration,
@@ -414,8 +414,7 @@ def brute_force_count(k: int, group: PermGroup, budgets: Budgets = DEFAULT) -> C
         for y in images:
             if y != x and union(x, y):
                 merges += 1
-    return CountResult(k=k, group=group, degree=group.degree, method="brute",
-                       value=wr.order - merges)
+    return CountResult(k=k, group=group, method="brute", value=wr.order - merges)
 
 
 def schmid_cyclic(k: int, n: int) -> tuple[int | None, int]:
@@ -434,30 +433,25 @@ def schmid_cyclic(k: int, n: int) -> tuple[int | None, int]:
     return (k ** n - k) // n + k * n, upper
 
 
-def symmetric_closed_form(k: int, n: int) -> int:
-    """k(X wr S_n): the number of k-tuples of partitions with total size n."""
-    return combinatorics.tuples_of_partitions_count(k, n)
-
-
-def closed_form(group: PermGroup, k: int) -> int | None:
+def closed_form(group: PermGroup, k: int) -> CountResult | None:
     """k(X wr H) from a family formula, or None when H has no closed form here.
 
     Covers the trivial top group (k**n), the full symmetric group (k-tuples
-    of partitions) and cyclic groups of prime degree. Reads only the
-    generators and the family tag: symmetric:40 must not enumerate 40!
-    permutations.
+    of partitions with total size n) and cyclic groups of prime degree.
+    Reads only the generators and the family tag: symmetric:40 must not
+    enumerate 40! permutations.
     """
     n = group.degree
     fam = group.family[0] if group.family else None
     if all(g.is_identity() for g in group.generators):
-        # trivial top group: G = X^n
-        return k ** n
-    if fam == "symmetric":
-        return symmetric_closed_form(k, n)
-    if fam == "cyclic" and combinatorics.is_prime(n):
-        exact, _ = schmid_cyclic(k, n)
-        return exact
-    return None
+        value = k ** n  # trivial top group: G = X^n
+    elif fam == "symmetric":
+        value = combinatorics.tuples_of_partitions_count(k, n)
+    elif fam == "cyclic" and combinatorics.is_prime(n):
+        value, _ = schmid_cyclic(k, n)
+    else:
+        return None
+    return CountResult(k=k, group=group, method="closed-form", value=value)
 
 
 def route_values(group: PermGroup, k: int, budgets: Budgets) -> dict[str, int]:
@@ -468,15 +462,12 @@ def route_values(group: PermGroup, k: int, budgets: Budgets) -> dict[str, int]:
     when two routes disagree.
     """
     closed = closed_form(group, k)
-    ran = {} if closed is None else {"closed-form": closed}
-    try:
-        ran["clifford"] = clifford_count(group, k, budgets).value
-    except BudgetExceeded:
-        pass
-    try:
-        ran["brute"] = brute_force_count(k, group, budgets).value
-    except BudgetExceeded:
-        pass
+    ran = {} if closed is None else {"closed-form": closed.value}
+    for name, route in (("clifford", clifford_count), ("brute", brute_force_count)):
+        try:
+            ran[name] = route(group, k, budgets).value
+        except BudgetExceeded:
+            pass
     if len(set(ran.values())) > 1:
         raise WreathcountError(f"methods disagree on {group.spec_string()}, k={k}: {ran}")
     return ran
@@ -527,21 +518,49 @@ def auto_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> CountRes
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = group.degree
-
     # closed forms come before anything that would materialize the element set
-    value = closed_form(group, k)
-    if value is not None:
-        return CountResult(k=k, group=group, degree=n, method="closed-form",
-                           value=value)
+    result = closed_form(group, k)
+    if result is not None:
+        return result
 
+    n = group.degree
     space = k ** n
     if space <= budgets.max_coloring_space:
         return clifford_count(group, k, budgets)
     if space * group.order <= budgets.max_group_order:
-        return brute_force_count(k, group, budgets)
+        return brute_force_count(group, k, budgets)
 
     lower = ceil(Fraction(space, group.order))
     # e <= 5**(n/3) for any permutation group; round the exponent up to stay integral
     upper = count_upper_fraction(group, k, 5 ** ((n + 2) // 3))
     raise Infeasible(lower, upper)
+
+
+METHODS = ("auto", "clifford", "brute", "closed-form", "all")
+
+
+def count_by_method(group: PermGroup, k: int, method: str = "auto",
+                    budgets: Budgets = DEFAULT) -> CountResult:
+    """k(X wr H) by one of METHODS: auto_count, one route alone, or "all".
+
+    "all" is the value the routes that fit the budgets agree on (route_values),
+    or auto_count's Infeasible bracket when the budgets refuse them all.
+    """
+    if method == "auto":
+        return auto_count(group, k, budgets)
+    if method == "clifford":
+        return clifford_count(group, k, budgets)
+    if method == "brute":
+        return brute_force_count(group, k, budgets)
+    if method == "closed-form":
+        result = closed_form(group, k)
+        if result is None:
+            raise ValueError(f"no closed form for {group.spec_string()}")
+        return result
+    if method != "all":
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    ran = route_values(group, k, budgets)
+    if not ran:
+        return auto_count(group, k, budgets)  # raises Infeasible with a bracket
+    return CountResult(k=k, group=group, method="all:" + "+".join(sorted(ran)),
+                       value=next(iter(ran.values())))

@@ -1,9 +1,9 @@
 """Command line surface: argument parsing, the choice of library call, and rendering.
 
 Subcommands: count, classify, bounds, verify, scan. Each one calls the
-library entry point its flags name (count --method names a route, bounds
-calls bounds.bounds_report, verify runs a suite of wreathcount.verify) and
-renders the result.
+library entry point its flags name (count calls classcount.count_by_method
+with its --method, bounds calls bounds.bounds_report, verify runs a suite of
+wreathcount.verify) and renders the result.
 Output is a human table by default, or machine JSON/CSV; JSON and CSV are
 byte-identical across runs for a fixed invocation and seed (class counts
 travel as decimal strings, and timings are never serialized).
@@ -22,9 +22,10 @@ import sys
 from typing import Sequence
 
 from . import bounds as bounds_mod
-from . import classcount, verify
+from . import verify
 from .actions import parse_group_spec
 from .budgets import Budgets, from_env
+from .classcount import METHODS, count_by_method
 from .errors import BudgetExceeded, Infeasible, WreathcountError
 from .permgroup import (
     class_count,
@@ -78,8 +79,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("count", help="count classes of X wr H")
     _add_common(p)
-    p.add_argument("--method", choices=("auto", "clifford", "brute", "closed-form", "all"),
-                   default="auto")
+    p.add_argument("--method", choices=METHODS, default="auto")
 
     p = sub.add_parser("classify", help="structural classification of H")
     _add_common(p, with_k=False)
@@ -150,46 +150,21 @@ def _table(rows: list[list[str]], header: list[str]) -> str:
 # count
 
 
-def _count_one(spec: str, k: int, method: str, budgets: Budgets) -> classcount.CountResult:
-    group = parse_group_spec(spec, budgets)
-    n = group.degree
-    if method == "auto":
-        return classcount.auto_count(group, k, budgets)
-    if method == "clifford":
-        return classcount.clifford_count(group, k, budgets)
-    if method == "brute":
-        return classcount.brute_force_count(k, group, budgets)
-    if method == "closed-form":
-        value = classcount.closed_form(group, k)
-        if value is None:
-            raise ValueError(f"no closed form for {group.spec_string()}")
-        return classcount.CountResult(k=k, group=group, degree=n, method="closed-form",
-                                      value=value)
-    # method == "all": every feasible route must agree
-    ran = classcount.route_values(group, k, budgets)
-    if not ran:
-        return classcount.auto_count(group, k, budgets)  # raises Infeasible with a bracket
-    return classcount.CountResult(
-        k=k, group=group, degree=n, method="all:" + "+".join(sorted(ran)),
-        value=next(iter(ran.values())))
-
-
 def _cmd_count(args) -> int:
     budgets = _budgets_from_args(args)
     k = _resolve_k(args, budgets)
-    results = [_count_one(spec, k, args.method, budgets) for spec in args.group]
+    groups = (parse_group_spec(spec, budgets) for spec in args.group)
+    dicts = [count_by_method(g, k, args.method, budgets).to_json_dict() for g in groups]
     if args.output == "json":
-        dicts = [r.to_json_dict() for r in results]
         _emit_json(dicts[0] if len(dicts) == 1 else dicts)
     elif args.output == "csv":
-        print("group,k,degree,method,value,orbit_count")
-        for r in results:
-            oc = "" if r.orbit_count is None else str(r.orbit_count)
-            print(_csv_line([r.group.spec_string(), str(r.k), str(r.degree),
-                             r.method, str(r.value), oc]))
+        keys = ["group", "k", "degree", "method", "value", "orbit_count"]
+        print(",".join(keys))
+        for d in dicts:
+            print(_csv_line(["" if d[key] is None else str(d[key]) for key in keys]))
     else:
-        rows = [[r.group.spec_string(), str(r.k), r.method, str(r.value)] for r in results]
-        print(_table(rows, ["group", "k", "method", "value"]))
+        keys = ["group", "k", "method", "value"]
+        print(_table([[str(d[key]) for key in keys] for d in dicts], keys))
     return 0
 
 
@@ -322,31 +297,28 @@ def _cmd_scan(args) -> int:
         elif args.output == "csv":
             print("m,clean,witness_parts,witness_ell")
             for m, w in results:
-                if w is None:
-                    print(f"{m},true,,")
-                else:
-                    print(f"{m},false,{'+'.join(map(str, w[0]))},{w[1]}")
+                parts, ell = ("", "") if w is None else ("+".join(map(str, w[0])), str(w[1]))
+                print(_csv_line([str(m), str(w is None).lower(), parts, ell]))
         else:
             for m, w in results:
-                if w is None:
-                    print(f"m={m}: clean")
-                else:
-                    print(f"m={m}: counterexample at cycle type {w[0]} ell={w[1]}")
+                print(f"m={m}: " + ("clean" if w is None
+                                    else f"counterexample at cycle type {w[0]} ell={w[1]}"))
         return 0
 
     rows = bounds_mod.counterexample_scan(m_values, args.k, budgets)
+    header = ["param", "k", "n", "order", "value", "bound", "holds", "mode"]
+    fields = [[r.param, str(r.k), str(r.n), str(r.order), "" if r.value is None else str(r.value),
+               r.bound, str(r.holds).lower(), r.mode] for r in rows]
     if args.output == "json":
         _emit_json([{"param": r.param, "k": r.k, "n": r.n, "order": r.order,
                      "value": None if r.value is None else str(r.value),
                      "bound": r.bound, "holds": r.holds, "mode": r.mode} for r in rows])
     elif args.output == "csv":
-        sys.stdout.write(bounds_mod.rows_to_csv(rows))
-    else:
-        table_rows = [[r.param, str(r.k), str(r.n), str(r.order),
-                       "-" if r.value is None else str(r.value),
-                       r.bound, str(r.holds).lower(), r.mode] for r in rows]
-        print(_table(table_rows, ["param", "k", "n", "order", "value", "bound",
-                                  "holds", "mode"]))
+        print(",".join(header))
+        for f in fields:
+            print(_csv_line(f))
+    else:  # a skipped row has no value
+        print(_table([[c or "-" for c in f] for f in fields], header))
     return 0
 
 

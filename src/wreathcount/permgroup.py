@@ -310,6 +310,7 @@ class PermGroup:
         self._elements: tuple[Permutation, ...] | None = None
         self._images: tuple[tuple[int, ...], ...] | None = None
         self._classes: list[list[int]] | None = None
+        self._max_sigma: int | None = None
         # k -> the checked non-regular coloring census (classcount._census)
         self._census: dict = {}
 
@@ -814,7 +815,9 @@ def max_subgroup_class_count(group: PermGroup, budgets: Budgets = DEFAULT) -> in
 
 
 def max_cycle_count(group: PermGroup) -> int:
-    """max_sigma: the largest cycle count of a nonidentity element (numeric_invariants' too)."""
-    if group.order == 1:
-        raise ValueError("max cycle count needs a nontrivial group")
-    return max(g.cycle_count() for g in group.elements if not g.is_identity())
+    """max_sigma: the largest cycle count of a nonidentity element, kept on the group."""
+    if group._max_sigma is None:
+        if group.order == 1:
+            raise ValueError("max cycle count needs a nontrivial group")
+        group._max_sigma = max(g.cycle_count() for g in group.elements if not g.is_identity())
+    return group._max_sigma

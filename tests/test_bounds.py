@@ -25,7 +25,6 @@ from wreathcount import (
     subset_orbit_bound,
     subset_orbit_count_exact,
 )
-from wreathcount.bounds import SCAN_CSV_HEADER, rows_to_csv
 
 
 def test_count_upper_bound_exact_lattice():
@@ -264,15 +263,6 @@ def test_counterexample_scan_skips_over_budget():
     assert len(skipped) == 2
     assert all(row.order == 2 ** 20 * 20 for row in skipped)
     assert all(row.value is None for row in skipped)
-
-
-def test_scan_csv_rendering():
-    rows = counterexample_scan([2])
-    text = rows_to_csv(rows)
-    lines = text.strip().splitlines()
-    assert lines[0] == SCAN_CSV_HEADER
-    assert lines[1] == "wreath-cyclic:2|5^m/m,2,4,8,20,25/2,true,exact"
-    assert lines[2] == "wreath-cyclic:2|k^n,2,4,8,20,16,true,exact"
 
 
 def test_fixed_subset_fraction_probe_clean_small_range():

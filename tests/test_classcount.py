@@ -1,5 +1,6 @@
 """Class counting: Clifford route, brute oracle, closed forms, dispatch."""
 
+import json
 import subprocess
 import sys
 from fractions import Fraction
@@ -24,6 +25,7 @@ from wreathcount import (
     closed_form,
     coloring_orbit_reps,
     coloring_stabilizer,
+    count_by_method,
     decode_coloring,
     direct_orbit_count,
     encode_coloring,
@@ -32,10 +34,10 @@ from wreathcount import (
     parse_group_spec,
     partition_count,
     schmid_cyclic,
-    symmetric_closed_form,
     tuples_of_partitions_count,
     weak_composition_count,
 )
+from wreathcount.classcount import METHODS
 from wreathcount.verify import ORACLE_SPECS
 
 from test_acceptance import TRIANGULATION_GOLDENS as TRIANGULATION
@@ -231,7 +233,7 @@ def test_triangulation_matrix():
     for (spec, k), expected in TRIANGULATION.items():
         grp = parse_group_spec(spec)
         cl = clifford_count(grp, k)
-        br = brute_force_count(k, grp)
+        br = brute_force_count(grp, k)
         assert cl.value == br.value == expected, (spec, k)
         assert cl.method == "clifford"
         assert br.method == "brute"
@@ -264,20 +266,21 @@ def test_schmid_matches_clifford():
 
 
 def test_symmetric_closed_form():
-    assert symmetric_closed_form(2, 3) == 10
-    assert symmetric_closed_form(4, 40) == 11984575498
+    assert tuples_of_partitions_count(2, 3) == 10
+    assert tuples_of_partitions_count(4, 40) == 11984575498
     for n in range(8):
-        assert symmetric_closed_form(1, n) == partition_count(n)
+        assert tuples_of_partitions_count(1, n) == partition_count(n)
+    for n in range(1, 8):
         for k in (2, 3):
-            assert (symmetric_closed_form(k, n)
-                    == tuples_of_partitions_count(k, n))
+            res = closed_form(parse_group_spec(f"symmetric:{n}"), k)
+            assert (res.method, res.value) == ("closed-form", tuples_of_partitions_count(k, n))
 
 
 def test_clifford_matches_symmetric_closed_form():
     for n in range(2, 6):
         grp = parse_group_spec(f"symmetric:{n}")
         for k in (2, 3):
-            assert clifford_count(grp, k).value == symmetric_closed_form(k, n)
+            assert clifford_count(grp, k).value == tuples_of_partitions_count(k, n)
 
 
 def test_inertia_identity():
@@ -365,8 +368,27 @@ def test_auto_count_dispatch():
 ])
 def test_closed_form_table(spec, k, want):
     grp = parse_group_spec(spec)
-    assert closed_form(grp, k) == want
+    res = closed_form(grp, k)
+    assert (None if res is None else res.value) == want
     assert (auto_count(grp, k).method == "closed-form") == (want is not None)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("spec", ["cyclic:5", "dihedral:4"])
+def test_count_by_method_is_the_count_subcommand(run_cli, spec, method):
+    code, out, err = run_cli("count", "--group", spec, "--k", "2", "--method", method,
+                             "--output", "json")
+    try:
+        want = count_by_method(parse_group_spec(spec), 2, method).to_json_dict()
+    except ValueError as exc:  # closed-form on a group without one
+        assert (code, out, err) == (1, "", f"error: {exc}\n")
+    else:
+        assert (code, err) == (0, "") and json.loads(out) == want
+
+
+def test_count_by_method_rejects_an_unknown_method():
+    with pytest.raises(ValueError, match="method must be one of"):
+        count_by_method(parse_group_spec("cyclic:3"), 2, "fastest")
 
 
 def test_invariant_check_survives_optimize_flag():
@@ -438,7 +460,7 @@ def test_clifford_budget_message_names_coloring_space():
 def test_brute_budget_refusal():
     tight = DEFAULT.with_overrides(max_group_order=40)
     with pytest.raises(BudgetExceeded):
-        brute_force_count(2, parse_group_spec("symmetric:3"), budgets=tight)
+        brute_force_count(parse_group_spec("symmetric:3"), 2, budgets=tight)
 
 
 def test_count_result_json_shape():

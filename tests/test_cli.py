@@ -60,8 +60,8 @@ def test_count_method_all_disagreement_exits_one(run_cli, monkeypatch):
 
     real = classcount.brute_force_count
 
-    def off_by_one(k, group, budgets):
-        res = real(k, group, budgets)
+    def off_by_one(group, k, budgets):
+        res = real(group, k, budgets)
         res.value += 1
         return res
 
@@ -138,6 +138,25 @@ def test_budget_refusal_names_the_budget(run_cli):
     assert code == 2 and out == ""
     assert "k**n = 16 exceeds the max_coloring_space budget 8" in err
     assert "scan mode" not in err
+
+
+@pytest.mark.parametrize("argv, bracket", [
+    (["--group", "dihedral:40", "--k", "2"], "13743895348 <= value < 128000068719476736/5"),
+    (["--group", "cyclic:4", "--k", "2", "--budget-max-colorings", "8",
+      "--budget-max-order", "40"], "4 <= value < 204"),
+])
+def test_count_method_all_refused_by_every_route_exits_two(run_cli, argv, bracket):
+    code, out, err = run_cli("count", *argv, "--method", "all")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == f"bracket: {bracket}"
+
+
+def test_count_brute_json_carries_degree(run_cli):
+    code, out, _ = run_cli("count", "--group", "dihedral:4", "--k", "2",
+                           "--method", "brute", "--output", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["method"], doc["degree"], doc["value"]) == ("brute", 4, "20")
 
 
 @pytest.mark.parametrize("flag", ["--budget-max-order", "--budget-max-colorings",
@@ -315,6 +334,26 @@ def test_bounds_computes_each_fact_once(run_cli, monkeypatch, spec):
     assert len(normals) == 1
 
 
+@pytest.mark.parametrize("spec, built", [("subsets:5,2", []), ("product:5,2,1", []),
+                                         ("subsets-alt:5,2", ["product"])])
+def test_bounds_large_base_rows_count_once(monkeypatch, spec, built):
+    from wreathcount import actions, bounds, classcount, parse_group_spec
+
+    group = parse_group_spec(spec)
+    families, census, singles = [], [], []
+    _spy(monkeypatch, actions, "family", families)
+    _spy(monkeypatch, classcount, "_seeded_walk", census)  # the two census routes
+    _spy(monkeypatch, classcount, "coloring_orbit_reps", census)
+    _spy(monkeypatch, bounds, "subset_orbit_count_exact", singles)
+    reports, _ = bounds.bounds_report(group, 2)
+    rows = {r.name: r for r in reports}
+    assert rows["large-base-count-bound"].lhs == 136  # k(X wr S_5 on pairs), k = 2
+    assert rows["product-orbit-identity"].holds is True
+    assert families == built  # the report counts the group it holds
+    assert singles == [5]  # n(S_5, pairs) is counted once
+    assert group in census and len(census) == len(set(census)) == 1 + len(built)
+
+
 def test_bounds_json_shape(run_cli):
     code, out, _ = run_cli("bounds", "--group", "cyclic:3", "--k", "2",
                            "--output", "json")
@@ -379,6 +418,14 @@ def test_scan_csv(run_cli):
     assert lines[1] == "wreath-cyclic:2|5^m/m,2,4,8,20,25/2,true,exact"
     assert lines[3] == "wreath-cyclic:3|5^m/m,2,6,24,55,125/3,true,exact"
     assert lines[4] == "wreath-cyclic:3|k^n,2,6,24,55,64,false,exact"
+
+
+def test_scan_csv_rendering(run_cli):
+    code, out, _ = run_cli("scan", "--m", "2", "--output", "csv")
+    assert code == 0
+    assert out.splitlines() == ["param,k,n,order,value,bound,holds,mode",
+                                "wreath-cyclic:2|5^m/m,2,4,8,20,25/2,true,exact",
+                                "wreath-cyclic:2|k^n,2,4,8,20,16,true,exact"]
 
 
 def test_scan_probe(run_cli):
