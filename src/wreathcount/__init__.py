@@ -86,7 +86,6 @@ from .permgroup import (
     Permutation,
     StructureReport,
     class_count,
-    closure_elements,
     coloring_stabilizer,
     coloring_stabilizers,
     conjugacy_classes,
@@ -114,7 +113,7 @@ __all__ = [
     "SemiprimitiveReport", "StructureReport", "UnknownFamily", "WreathGroup",
     "WreathcountError", "auto_count", "block_decomposition", "bounds_report",
     "brute_force_count", "build_wreath_group", "burnside_orbit_count", "class_count",
-    "clifford_count", "closed_form", "closure_elements", "coloring_orbit_reps",
+    "clifford_count", "closed_form", "coloring_orbit_reps",
     "coloring_stabilizer", "coloring_stabilizers", "conjugacy_classes",
     "count_by_method", "count_upper_bound", "counterexample_scan", "cycle_type",
     "decode_coloring", "direct_orbit_count", "encode_coloring", "family",

@@ -27,7 +27,6 @@ from .permgroup import (
     PermGroup,
     Permutation,
     all_block_systems,
-    closure_elements,
     is_primitive,
     is_transitive,
     orbits,
@@ -476,30 +475,25 @@ def induced_block_permutation(h: Permutation, blocks: Sequence[Sequence[int]]) -
 
 
 def block_decomposition(group: PermGroup, budgets: Budgets = DEFAULT) -> BlockDecomposition | None:
-    """Coarsest useful block system of a transitive group, or None if primitive.
+    """Coarsest block system of a transitive group, or None if primitive.
 
-    Among all block systems whose quotient action is primitive, picks the one
-    with the fewest blocks r > 1; ties break toward the lexicographically
-    smallest block containing 0, then the smallest partition.
+    Picks the system with the fewest blocks r > 1; ties break toward the
+    lexicographically smallest block containing 0, then the smallest
+    partition. No proper system is coarser than one with the fewest blocks,
+    so its quotient action is primitive; only that one quotient is built,
+    and its primitivity is checked.
     """
     if not is_transitive(group):
         raise ValueError("block decomposition needs a transitive group")
     systems = all_block_systems(group)
     if not systems:
         return None
-
-    def block_of_zero(part):
-        return next(b for b in part if 0 in b)
-
-    candidates = []
-    for part in systems:
-        quotient_gens = [induced_block_permutation(g, part) for g in group.generators]
-        quotient = closure_elements(quotient_gens, budgets)
-        if is_primitive(quotient):
-            candidates.append((len(part), block_of_zero(part), part, quotient))
-    # a coarsest system always has a primitive quotient, so candidates is nonempty
-    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-    r, _, blocks, quotient = candidates[0]
+    blocks = min(systems, key=lambda part: (
+        len(part), next(b for b in part if 0 in b), part))
+    quotient = PermGroup([induced_block_permutation(g, blocks) for g in group.generators],
+                         budgets=budgets)
+    if not is_primitive(quotient):
+        raise InvariantViolation("a system with the fewest blocks has an imprimitive quotient")
 
     kernel_elems = []
     for h in group.elements:
@@ -508,4 +502,4 @@ def block_decomposition(group: PermGroup, budgets: Budgets = DEFAULT) -> BlockDe
     kernel = PermGroup.from_elements(kernel_elems, degree=group.degree, budgets=budgets)
     if kernel.order * quotient.order != group.order:
         raise InvariantViolation("kernel/quotient orders do not multiply to the group order")
-    return BlockDecomposition(r=r, blocks=blocks, kernel=kernel, quotient=quotient)
+    return BlockDecomposition(r=len(blocks), blocks=blocks, kernel=kernel, quotient=quotient)

@@ -46,6 +46,7 @@ from .permgroup import (
     PermGroup,
     Permutation,
     class_count,
+    cycle_stats,
     is_semiregular,
     is_transitive,
     max_cycle_count,
@@ -204,7 +205,8 @@ def predicates(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> list[Bou
         2 ** n <= order ** inv.mu, "exact", dict(base, mu=inv.mu)))
 
     # sigma(h) <= (n + fix(h))/2 for every h, as 2*sigma - fix <= n
-    worst = max(2 * g.cycle_count() - g.fixed_point_count() for g in group.elements)
+    stats = cycle_stats(group)
+    worst = max(2 * sigma - fixed for sigma, fixed in stats)
     reports.append(BoundReport(
         "cycle-count-half-bound", worst, n, worst <= n, "exact", dict(base)))
 
@@ -220,7 +222,7 @@ def predicates(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> list[Bou
             note="condition needs k >= 2"))
 
     # no element moving exactly two points
-    has_transposition = any(g.moved_count() == 2 for g in group.elements)
+    has_transposition = any(n - fixed == 2 for _, fixed in stats)
     reports.append(BoundReport(
         "no-transposition", int(has_transposition), 0, not has_transposition,
         "exact", dict(base)))
@@ -458,12 +460,12 @@ def semiprimitive_report(group: PermGroup, k: int,
     per_block = n // r
     cycle_bound = True
     max_quot_sigma = 0
-    for h in group.elements:
-        induced = induced_block_permutation(h, decomp.blocks)
-        if h.cycle_count() > per_block * induced.cycle_count():
+    for h, (sigma, _) in zip(group.elements, cycle_stats(group)):
+        induced_sigma = induced_block_permutation(h, decomp.blocks).cycle_count()
+        if sigma > per_block * induced_sigma:
             cycle_bound = False
         if h not in kernel_set:
-            max_quot_sigma = max(max_quot_sigma, induced.cycle_count())
+            max_quot_sigma = max(max_quot_sigma, induced_sigma)
 
     alpha = Fraction(max_cycle_count(group), n)
     alpha_bound = alpha <= max(Fraction(1, 2), Fraction(max_quot_sigma, r))

@@ -28,8 +28,8 @@ from .budgets import Budgets, from_env
 from .classcount import METHODS, count_by_method
 from .errors import BudgetExceeded, Infeasible, WreathcountError
 from .permgroup import (
+    PermGroup,
     class_count,
-    closure_elements,
     numeric_invariants,
     parse_generators,
     structure_classify,
@@ -117,8 +117,7 @@ def _resolve_k(args, budgets: Budgets) -> int:
     if getattr(args, "x_gens", None):
         if args.k is not None:
             raise _UsageError("--k and --x-gens are mutually exclusive")
-        xgrp = closure_elements(parse_generators(args.x_gens), budgets)
-        return class_count(xgrp)
+        return class_count(PermGroup(parse_generators(args.x_gens), budgets=budgets))
     if args.k is None:
         raise _UsageError("--k (or --x-gens) is required")
     if args.k < 1:

@@ -3,14 +3,15 @@
 Everything here works by explicit element enumeration on raw image tuples,
 wrapped as Permutations only where a caller sees them: closures add one
 coset at a time (Dimino's algorithm), so the subgroup lattices extend each
-known subgroup from its own elements; conjugacy classes are BFS over
-generator conjugations, orbits are union-find, and a subgroup's generating
-set is found by an incremental greedy walk. Coloring stabilizers come in
-batches: one pass over a group's cached image tuples tests every element
-against a block of colorings at once, through bit masks with one bit per
-coloring. No stabilizer chains. That keeps results exact, deterministic and
-easy to audit, and is the right tradeoff for the group orders this package
-targets (closure budget defaults to 10**6 elements).
+known subgroup from its own elements and return it with the generators that
+built it; conjugacy classes are BFS over generator conjugations, orbits are
+union-find, block systems are found once and answer primitivity too, and an
+explicit element set gets a generating set by an incremental greedy walk.
+Coloring stabilizers come in batches: one pass over a group's cached image
+tuples tests every element against a block of colorings at once, through bit
+masks with one bit per coloring. No stabilizer chains. That keeps results
+exact, deterministic and easy to audit, and is the right tradeoff for the
+group orders this package targets (closure budget defaults to 10**6 elements).
 """
 
 from __future__ import annotations
@@ -310,7 +311,7 @@ class PermGroup:
         self._elements: tuple[Permutation, ...] | None = None
         self._images: tuple[tuple[int, ...], ...] | None = None
         self._classes: list[list[int]] | None = None
-        self._max_sigma: int | None = None
+        self._cycle_stats: tuple[tuple[int, int], ...] | None = None
         # k -> the checked non-regular coloring census (classcount._census)
         self._census: dict = {}
 
@@ -355,10 +356,19 @@ class PermGroup:
                 if len(known) > len(images):
                     raise ValueError("element set is not closed under products")
                 candidates = [tuple(map(g, y)) for y in fresh for g in getters]
-        grp = cls(gens or [Permutation.identity(degree)], degree=degree,
+        return cls._closed(gens, images, map(by_image.__getitem__, images), degree,
+                           family, budgets)
+
+    @classmethod
+    def _closed(cls, generators: Sequence[Permutation], images: Iterable[tuple[int, ...]],
+                elements: Iterable[Permutation], degree: int,
+                family: tuple[str, tuple] | None = None, budgets: Budgets = DEFAULT
+                ) -> "PermGroup":
+        """The group the generators close to: these sorted image tuples and elements, unchecked."""
+        grp = cls(generators or [Permutation.identity(degree)], degree=degree,
                   family=family, budgets=budgets)
-        grp._elements = tuple(map(by_image.__getitem__, images))
         grp._images = tuple(images)
+        grp._elements = tuple(elements)
         return grp
 
     @property
@@ -399,14 +409,6 @@ class PermGroup:
 
     def __repr__(self) -> str:
         return f"PermGroup({self.spec_string()!r}, degree={self.degree})"
-
-
-def closure_elements(generators: Sequence[Permutation],
-                     budgets: Budgets = DEFAULT) -> PermGroup:
-    """Group generated by the given permutations, elements fully materialized."""
-    grp = PermGroup(generators, budgets=budgets)
-    grp.elements
-    return grp
 
 
 class UnionFind:
@@ -459,7 +461,15 @@ def is_transitive(group: PermGroup) -> bool:
 
 def is_semiregular(group: PermGroup) -> bool:
     """True when every point stabilizer is trivial (no nonidentity element fixes a point)."""
-    return _subset_semiregular(group.elements)
+    return all(fixed == 0 for _, fixed in cycle_stats(group)[1:])  # [0] is the identity
+
+
+def cycle_stats(group: PermGroup) -> tuple[tuple[int, int], ...]:
+    """(cycle count, fixed points) of each element, in element order; kept on the group."""
+    if group._cycle_stats is None:
+        group._cycle_stats = tuple((g.cycle_count(), g.fixed_point_count())
+                                   for g in group.elements)
+    return group._cycle_stats
 
 
 def point_stabilizer(group: PermGroup, point: int) -> PermGroup:
@@ -576,8 +586,8 @@ def class_count(group: PermGroup) -> int:
     return len(_class_indices(group))
 
 
-def normal_subgroups(group: PermGroup, budgets: Budgets = DEFAULT) -> list[frozenset[Permutation]]:
-    """All normal subgroups, as element sets.
+def normal_subgroups(group: PermGroup, budgets: Budgets = DEFAULT) -> list[PermGroup]:
+    """All normal subgroups, by order and then by sorted elements.
 
     Every normal subgroup is a union of conjugacy classes and is generated by
     the classes it contains, so the lattice is exactly the join-closure of
@@ -586,7 +596,8 @@ def normal_subgroups(group: PermGroup, budgets: Budgets = DEFAULT) -> list[froze
     that generated it, and a closure starts from the found subgroup itself,
     so it only adds the cosets the new class brings; a class member already
     in the running group costs a set lookup. The walk keys subgroups by
-    image tuples and wraps each distinct one once, at return.
+    image tuples; each distinct one is returned as a PermGroup generated by
+    the classes that built it, with no further closure.
     """
     if group.order > budgets.max_normal_order:
         raise BudgetExceeded(
@@ -610,23 +621,18 @@ def normal_subgroups(group: PermGroup, budgets: Budgets = DEFAULT) -> list[froze
                         f"max_subgroup_count budget {budgets.max_subgroup_count}")
                 found[grown] = gens + cls
                 queue.append(grown)
-    return _wrap_lattice(group, found)
+    return _wrap_lattice(group, found, budgets)
 
 
-def _wrap_lattice(group: PermGroup, lattice: Iterable[frozenset[tuple[int, ...]]]
-                  ) -> list[frozenset[Permutation]]:
-    """Image-tuple subgroups as sets of the group's elements, by (order, sorted elements)."""
+def _wrap_lattice(group: PermGroup, lattice: dict[frozenset[tuple[int, ...]], tuple],
+                  budgets: Budgets) -> list[PermGroup]:
+    """Image-tuple subgroups, keyed to their generators, as PermGroups by (order, elements)."""
     element = dict(zip(group.image_tuples, group.elements)).__getitem__
-    return [frozenset(map(element, s))
-            for s in sorted(lattice, key=lambda s: (len(s), sorted(s)))]
-
-
-def _subset_transitive(elements: frozenset[Permutation], degree: int) -> bool:
-    return len({g(0) for g in elements}) == degree
-
-
-def _subset_semiregular(elements: Iterable[Permutation]) -> bool:
-    return all(g.fixed_point_count() == 0 for g in elements if not g.is_identity())
+    ordered = sorted(((len(s), sorted(s), gens) for s, gens in lattice.items()),
+                     key=lambda t: t[:2])
+    return [PermGroup._closed(gens, images, map(element, images), group.degree,
+                              budgets=budgets)
+            for _, images, gens in ordered]
 
 
 def minimal_block_partition(group: PermGroup, point: int) -> tuple[tuple[int, ...], ...]:
@@ -661,8 +667,8 @@ def all_block_systems(group: PermGroup) -> list[tuple[tuple[int, ...], ...]]:
 
     For a transitive action each congruence is the join of the minimal
     congruences identifying 0 with another point of its block, so the full
-    congruence lattice is the join-closure of the minimal partitions.
-    Exposed mainly for debugging block decompositions.
+    congruence lattice is the join-closure of the minimal partitions. Sorted
+    by block count, then by partition.
     """
     d = group.degree
     minimal = set()
@@ -684,12 +690,7 @@ def all_block_systems(group: PermGroup) -> list[tuple[tuple[int, ...], ...]]:
 
 def is_primitive(group: PermGroup) -> bool:
     """Transitive with no nontrivial proper block system."""
-    if not is_transitive(group):
-        return False
-    d = group.degree
-    if d == 1:
-        return True
-    return all(len(minimal_block_partition(group, q)) == 1 for q in range(1, d))
+    return is_transitive(group) and not all_block_systems(group)
 
 
 @dataclass(frozen=True)
@@ -712,8 +713,7 @@ def structure_classify(group: PermGroup, budgets: Budgets = DEFAULT) -> Structur
     semiregular = is_semiregular(group)
     primitive = is_primitive(group)
     normals = normal_subgroups(group, budgets)
-    semiprimitive = transitive and all(
-        _subset_transitive(n, group.degree) or _subset_semiregular(n) for n in normals)
+    semiprimitive = transitive and all(is_transitive(n) or is_semiregular(n) for n in normals)
     return StructureReport(
         transitive=transitive,
         semiregular=semiregular,
@@ -723,8 +723,8 @@ def structure_classify(group: PermGroup, budgets: Budgets = DEFAULT) -> Structur
     )
 
 
-def subgroups(group: PermGroup, budgets: Budgets = DEFAULT) -> list[frozenset[Permutation]]:
-    """Every subgroup, as an element set; refuses groups over the lattice budget.
+def subgroups(group: PermGroup, budgets: Budgets = DEFAULT) -> list[PermGroup]:
+    """Every subgroup, by order and then by sorted elements; refuses groups over the budget.
 
     Walk the lattice by extending each known subgroup with one more element.
     Every subgroup is reachable this way from the trivial one. Each closure
@@ -732,7 +732,8 @@ def subgroups(group: PermGroup, budgets: Budgets = DEFAULT) -> list[frozenset[Pe
     element brings. For s, t in sub, <sub, x> = <sub, s*x*t>, so once x is
     closed the rest of its double coset sub*x*sub (which holds x*sub and
     sub*x) is skipped: it can only reach the same subgroup again. The walk
-    keys subgroups by image tuples and wraps each distinct one once, at return.
+    keys subgroups by image tuples; each distinct one is returned as a
+    PermGroup generated by the elements that built it, with no further closure.
     """
     if group.order > budgets.max_subgroup_order:
         raise BudgetExceeded(
@@ -762,7 +763,7 @@ def subgroups(group: PermGroup, budgets: Budgets = DEFAULT) -> list[frozenset[Pe
                 if y not in done:  # done is a union of cosets y*sub
                     y_of = y.__getitem__
                     done.update([tuple(map(y_of, ti)) for ti in sub])  # s * x * t
-    return _wrap_lattice(group, seen)
+    return _wrap_lattice(group, seen, budgets)
 
 
 @dataclass(frozen=True)
@@ -804,20 +805,17 @@ def _min_base_size(group: PermGroup) -> int:
 def numeric_invariants(group: PermGroup) -> NumericInvariants:
     """mu, minimal base size and max cycle count; max_subgroup_class_count gives e."""
     max_sigma = max_cycle_count(group)  # refuses the trivial group
-    mu = min(g.moved_count() for g in group.elements if not g.is_identity())
+    mu = group.degree - max(fixed for _, fixed in cycle_stats(group)[1:])
     return NumericInvariants(mu=mu, b=_min_base_size(group), max_sigma=max_sigma)
 
 
 def max_subgroup_class_count(group: PermGroup, budgets: Budgets = DEFAULT) -> int:
     """e(H): the largest class count over all subgroups; inherits the lattice budget."""
-    return max(class_count(PermGroup.from_elements(s, degree=group.degree, budgets=budgets))
-               for s in subgroups(group, budgets))
+    return max(map(class_count, subgroups(group, budgets)))
 
 
 def max_cycle_count(group: PermGroup) -> int:
-    """max_sigma: the largest cycle count of a nonidentity element, kept on the group."""
-    if group._max_sigma is None:
-        if group.order == 1:
-            raise ValueError("max cycle count needs a nontrivial group")
-        group._max_sigma = max(g.cycle_count() for g in group.elements if not g.is_identity())
-    return group._max_sigma
+    """max_sigma: the largest cycle count of a nonidentity element."""
+    if group.order == 1:
+        raise ValueError("max cycle count needs a nontrivial group")
+    return max(sigma for sigma, _ in cycle_stats(group)[1:])  # [0] is the identity

@@ -5,10 +5,13 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wreathcount import (
     DEFAULT,
     BudgetExceeded,
+    PermGroup,
     Permutation,
     UnknownFamily,
     block_decomposition,
@@ -17,6 +20,8 @@ from wreathcount import (
     family,
     fix_subsets_direct,
     fix_subsets_formula,
+    is_primitive,
+    is_transitive,
     parse_group_spec,
     parse_permutation,
     product_action_build,
@@ -26,7 +31,8 @@ from wreathcount import (
     subset_unrank,
     subsets_action_lift,
 )
-from wreathcount.actions import cycle_type_class_size
+from wreathcount.actions import cycle_type_class_size, induced_block_permutation
+from wreathcount.permgroup import all_block_systems, minimal_block_partition
 
 
 def _all_perms(m):
@@ -237,3 +243,75 @@ def test_block_decomposition_edge_cases():
     assert block_decomposition(parse_group_spec("symmetric:3")) is None
     with pytest.raises(ValueError):
         block_decomposition(parse_group_spec("gens:3,(1 2)"))
+
+
+def _reference_is_primitive(group):
+    """Transitive, and every minimal partition joining 0 to another point is one block."""
+    if not is_transitive(group):
+        return False
+    return all(len(minimal_block_partition(group, q)) == 1 for q in range(1, group.degree))
+
+
+def _reference_block_decomposition(group):
+    """(r, blocks, quotient order): every system's quotient closed, the primitive ones kept."""
+    candidates = []
+    for part in all_block_systems(group):
+        quotient = PermGroup([induced_block_permutation(g, part) for g in group.generators])
+        if _reference_is_primitive(quotient):
+            candidates.append((len(part), next(b for b in part if 0 in b), part, quotient.order))
+    if not candidates:
+        return None
+    r, _, blocks, quotient_order = min(candidates)
+    return r, blocks, quotient_order
+
+
+def _iterated_wreath_element(draw, shape):
+    """A random element of S_shape[0] wr S_shape[1] wr ..., on prod(shape) points.
+
+    Point j * size + x lies in top-level block j, at point x of that block, so
+    every element keeps the nested block systems of the shape.
+    """
+    if len(shape) == 1:
+        return draw(st.permutations(range(shape[0])))
+    size = math.prod(shape[:-1])
+    top = draw(st.permutations(range(shape[-1])))
+    images = []
+    for j in range(shape[-1]):
+        inner = _iterated_wreath_element(draw, shape[:-1])
+        images += [top[j] * size + x for x in inner]
+    return images
+
+
+@st.composite
+def transitive_groups(draw):
+    """A transitive group of degree <= 8, from random elements of an iterated wreath product."""
+    shape = draw(st.sampled_from([(1,), (2,), (3,), (4,), (5,), (6,), (7,), (8,), (2, 2),
+                                  (2, 3), (3, 2), (2, 4), (4, 2), (2, 2, 2)]))
+    gens = [Permutation(_iterated_wreath_element(draw, shape))
+            for _ in range(draw(st.integers(1, 3)))]
+    group = PermGroup(gens)
+    assume(is_transitive(group))
+    return group
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(group=transitive_groups())
+def test_block_decomposition_matches_the_per_system_filter(group):
+    assert is_primitive(group) == _reference_is_primitive(group)
+    want = _reference_block_decomposition(group)
+    got = block_decomposition(group)
+    if want is None:
+        assert got is None
+    else:
+        assert (got.r, got.blocks, got.quotient.order) == want
+        assert got.kernel.order * got.quotient.order == group.order
+
+
+@pytest.mark.parametrize("spec", ["cyclic:8", "quaternion"])
+def test_block_decomposition_tests_one_quotient(spy, spec):
+    from wreathcount import permgroup
+
+    tested = []
+    spy(permgroup, "is_primitive", tested)
+    assert block_decomposition(parse_group_spec(spec)).r == 2
+    assert len(tested) == 1

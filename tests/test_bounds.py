@@ -279,3 +279,17 @@ def test_large_base_bound_on_matched_family():
     rep = large_base_count_bound(*match, 2)
     assert rep.lhs == auto_count(parse_group_spec(spec), 2).value
     assert rep.holds is True
+
+
+def test_bounds_report_walks_each_element_once(spy):
+    from wreathcount import Permutation
+
+    group = parse_group_spec("subsets:6,2")
+    walked, fixed = [], []
+    spy(Permutation, "cycle_count", walked)
+    spy(Permutation, "fixed_point_count", fixed)
+    bounds_report(group, 2, "five-pow-n-third")
+    # one pass over H's 720 elements; the per-class sums walk a few class
+    # representatives again
+    assert group.order <= len(walked) < group.order + group.order // 10
+    assert group.order <= len(fixed) < group.order + group.order // 10

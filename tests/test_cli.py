@@ -299,33 +299,18 @@ def test_bounds_budget_refusal_notes(run_cli):
     assert semi["note"] == f"e_K skipped: {refusal}"
 
 
-def _spy(monkeypatch, module, name, calls):
-    """Record the first argument of every call to module.name, under every name bound to it."""
-    original = getattr(module, name)
-
-    def spy(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.split(".")[0] == "wreathcount":
-            for key, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, key, spy)
-
-
 @pytest.mark.parametrize("spec", ["cyclic:4", "wreath-cyclic:4", "subsets-alt:5,2"])
-def test_bounds_computes_each_fact_once(run_cli, monkeypatch, spec):
+def test_bounds_computes_each_fact_once(run_cli, spy, spec):
     from collections import Counter
 
     from wreathcount import classcount, permgroup
 
     base_dfs, census, streams, normals = [], [], [], []
-    _spy(monkeypatch, permgroup, "_min_base_size", base_dfs)
-    _spy(monkeypatch, classcount, "_seeded_walk", census)  # the two census routes
-    _spy(monkeypatch, classcount, "coloring_orbit_reps", census)
-    _spy(monkeypatch, permgroup, "coloring_stabilizers", streams)
-    _spy(monkeypatch, permgroup, "normal_subgroups", normals)
+    spy(permgroup, "_min_base_size", base_dfs)
+    spy(classcount, "_seeded_walk", census)  # the two census routes
+    spy(classcount, "coloring_orbit_reps", census)
+    spy(permgroup, "coloring_stabilizers", streams)
+    spy(permgroup, "normal_subgroups", normals)
     code, _, _ = run_cli("bounds", "--group", spec, "--k", "2", "--output", "json")
     assert code == 0
     assert len(base_dfs) == 1
@@ -336,15 +321,15 @@ def test_bounds_computes_each_fact_once(run_cli, monkeypatch, spec):
 
 @pytest.mark.parametrize("spec, built", [("subsets:5,2", []), ("product:5,2,1", []),
                                          ("subsets-alt:5,2", ["product"])])
-def test_bounds_large_base_rows_count_once(monkeypatch, spec, built):
+def test_bounds_large_base_rows_count_once(spy, spec, built):
     from wreathcount import actions, bounds, classcount, parse_group_spec
 
     group = parse_group_spec(spec)
     families, census, singles = [], [], []
-    _spy(monkeypatch, actions, "family", families)
-    _spy(monkeypatch, classcount, "_seeded_walk", census)  # the two census routes
-    _spy(monkeypatch, classcount, "coloring_orbit_reps", census)
-    _spy(monkeypatch, bounds, "subset_orbit_count_exact", singles)
+    spy(actions, "family", families)
+    spy(classcount, "_seeded_walk", census)  # the two census routes
+    spy(classcount, "coloring_orbit_reps", census)
+    spy(bounds, "subset_orbit_count_exact", singles)
     reports, _ = bounds.bounds_report(group, 2)
     rows = {r.name: r for r in reports}
     assert rows["large-base-count-bound"].lhs == 136  # k(X wr S_5 on pairs), k = 2

@@ -16,7 +16,6 @@ from wreathcount import (
     Permutation,
     build_wreath_group,
     class_count,
-    closure_elements,
     coloring_stabilizer,
     coloring_stabilizers,
     conjugacy_classes,
@@ -108,11 +107,11 @@ def test_cycle_and_point_counts():
 
 
 def test_closure_orders():
-    s3 = closure_elements(parse_generators("(1 2), (1 2 3)"))
+    s3 = PermGroup(parse_generators("(1 2), (1 2 3)"))
     assert s3.order == 6
-    klein = closure_elements(parse_generators("(1 2)(3 4), (1 3)(2 4)"))
+    klein = PermGroup(parse_generators("(1 2)(3 4), (1 3)(2 4)"))
     assert klein.order == 4
-    s5 = closure_elements(parse_generators("(1 2), (1 2 3 4 5)"))
+    s5 = PermGroup(parse_generators("(1 2), (1 2 3 4 5)"))
     assert s5.order == 120
 
 
@@ -120,7 +119,7 @@ def test_closure_respects_order_budget():
     tight = DEFAULT.with_overrides(max_group_order=10)
     gens = parse_generators("(1 2), (1 2 3 4)")
     with pytest.raises(BudgetExceeded):
-        closure_elements(gens, budgets=tight).order
+        PermGroup(gens, budgets=tight).order
 
 
 def test_closure_order_divides_symmetric_order():
@@ -446,7 +445,7 @@ def test_normal_subgroup_counts():
 def test_subgroups_of_klein():
     klein = parse_group_spec("gens:4,(1 2)(3 4),(1 3)(2 4)")
     subs = subgroups(klein)
-    assert sorted(len(s) for s in subs) == [1, 2, 2, 2, 4]
+    assert [s.order for s in subs] == [1, 2, 2, 2, 4]
 
 
 def _reference_subgroups(group):
@@ -475,7 +474,14 @@ def test_subgroups_match_naive_lattice_walk(spec, count):
     grp = parse_group_spec(spec)
     subs = subgroups(grp)
     assert len(subs) == count
-    assert subs == _reference_subgroups(grp)
+    assert [frozenset(s.elements) for s in subs] == _reference_subgroups(grp)
+    _assert_generators_close_to_elements(subs)
+
+
+def _assert_generators_close_to_elements(lattice):
+    """Each lattice group's recorded generators, closed afresh, give exactly its elements."""
+    for sub in lattice:
+        assert PermGroup(sub.generators).elements == sub.elements
 
 
 def _reference_normal_subgroups(group):
@@ -502,7 +508,17 @@ def _reference_normal_subgroups(group):
     "gens:6,(1 2),(3 4),(5 6)"])
 def test_normal_subgroups_match_reference_walk(spec):
     grp = parse_group_spec(spec)
-    assert normal_subgroups(grp) == _reference_normal_subgroups(grp)
+    normals = normal_subgroups(grp)
+    assert [frozenset(n.elements) for n in normals] == _reference_normal_subgroups(grp)
+    _assert_generators_close_to_elements(normals)
+
+
+def test_max_subgroup_class_count_builds_no_group_from_elements(spy):
+    grp = parse_group_spec("wreath-cyclic:3")
+    wrapped = []
+    spy(PermGroup, "from_elements", wrapped)
+    assert max_subgroup_class_count(grp) == 8  # the abelian base (Z_2)^3
+    assert wrapped == []
 
 
 @pytest.mark.parametrize("call,field", [
