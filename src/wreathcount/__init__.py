@@ -20,7 +20,6 @@ from .actions import (
     fix_subsets_direct,
     parse_group_spec,
     product_action_build,
-    sigma,
     sigma_prime,
     subset_rank,
     subset_unrank,
@@ -124,7 +123,7 @@ __all__ = [
     "orbits", "parse_generators",
     "parse_group_spec", "parse_permutation", "partition_count", "partition_enum",
     "point_stabilizer", "predicates", "product_action_build", "product_orbit_identity",
-    "schmid_cyclic", "semiprimitive_report", "sigma", "sigma_prime",
+    "schmid_cyclic", "semiprimitive_report", "sigma_prime",
     "stirling_first", "structure_classify", "subgroups", "subset_orbit_bound",
     "subset_orbit_count_exact", "subset_rank", "subset_unrank", "subsets_action_lift",
     "tuples_of_partitions_count", "weak_composition_count",

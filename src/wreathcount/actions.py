@@ -47,16 +47,6 @@ class CycleType:
     def degree(self) -> int:
         return sum(length * mult for length, mult in self.alpha)
 
-    def sigma(self) -> int:
-        return sum(mult for _, mult in self.alpha)
-
-    def fixed(self) -> int:
-        return dict(self.alpha).get(1, 0)
-
-
-def sigma(p: Permutation) -> int:
-    """Cycle count of p on its full domain, fixed points included."""
-    return p.cycle_count()
 
 
 def cycle_type(p: Permutation) -> CycleType:
@@ -202,21 +192,21 @@ class WreathGroup:
 
     Elements are pairs (v, h) with v in (Z_k)^n and h in H; the product is
     (v, h)(w, g) = (v + h.w, h g) where (h.w)_i = w_{h^-1(i)}. The order
-    k**n * |H| is checked against the budget up front, but no element is
+    k**n * |H| is checked against H's budgets up front, but no element is
     stored: conjugates() walks every element by its integer code
     v * |H| + index(h), with v read in base k, point 0 most significant, and
     index(h) the position of h in H's sorted element list.
     """
 
-    def __init__(self, k: int, top: PermGroup, budgets: Budgets = DEFAULT):
+    def __init__(self, k: int, top: PermGroup):
         if k < 1:
             raise ValueError("k must be >= 1")
         n = top.degree
         size = k ** n * top.order
-        if size > budgets.max_group_order:
+        if size > top.budgets.max_group_order:
             raise BudgetExceeded(
                 f"wreath group order k**n * |H| = {size} exceeds the max_group_order "
-                f"budget {budgets.max_group_order}")
+                f"budget {top.budgets.max_group_order}")
         self.k = k
         self.top = top
         self.n = n
@@ -298,8 +288,8 @@ class WreathGroup:
                 x += 1
 
 
-def build_wreath_group(k: int, top: PermGroup, budgets: Budgets = DEFAULT) -> WreathGroup:
-    return WreathGroup(k, top, budgets)
+def build_wreath_group(k: int, top: PermGroup) -> WreathGroup:
+    return WreathGroup(k, top)
 
 
 # ---------------------------------------------------------------------------
@@ -368,33 +358,30 @@ def _int_params(params: Sequence[str], count: int, name: str) -> list[int]:
 def family(name: str, params: Sequence[str] = (), budgets: Budgets = DEFAULT) -> PermGroup:
     """Construct a named group family; see the CLI help for the grammar."""
     params = tuple(str(p) for p in params)
-    tag = tuple(params)
     if name == "cyclic":
         (n,) = _int_params(params, 1, name)
         if n < 1:
             raise UnknownFamily("cyclic needs n >= 1")
         gens = [_cyclic_gen(n)] if n > 1 else [Permutation.identity(1)]
-        grp = PermGroup(gens, family=(name, tag), budgets=budgets)
     elif name == "symmetric":
         (n,) = _int_params(params, 1, name)
         if n < 1:
             raise UnknownFamily("symmetric needs n >= 1")
-        grp = PermGroup(_symmetric_gens(n), family=(name, tag), budgets=budgets)
+        gens = _symmetric_gens(n)
     elif name == "alternating":
         (n,) = _int_params(params, 1, name)
         if n < 1:
             raise UnknownFamily("alternating needs n >= 1")
-        grp = PermGroup(_alternating_gens(n), family=(name, tag), budgets=budgets)
+        gens = _alternating_gens(n)
     elif name == "dihedral":
         (n,) = _int_params(params, 1, name)
-        grp = PermGroup(_dihedral_gens(n), family=(name, tag), budgets=budgets)
+        gens = _dihedral_gens(n)
     elif name == "subsets" or name == "subsets-alt":
         m, ell = _int_params(params, 2, name)
         if not (m >= 2 and 1 <= ell <= m - 1):
             raise UnknownFamily(f"need m >= 2 and 1 <= ell <= m-1, got {m},{ell}")
         base = _symmetric_gens(m) if name == "subsets" else _alternating_gens(m)
         gens = [subsets_action_lift(g, ell, budgets) for g in base]
-        grp = PermGroup(gens, family=(name, tag), budgets=budgets)
     elif name == "product":
         m, ell, t = _int_params(params, 3, name)
         if not (m >= 2 and 1 <= ell <= m - 1 and t >= 1):
@@ -411,16 +398,15 @@ def family(name: str, params: Sequence[str] = (), budgets: Budgets = DEFAULT) ->
             if tau.is_identity():
                 continue
             gens.append(product_action_build([ident] * t, tau, m, ell, budgets))
-        grp = PermGroup(gens, family=(name, tag), budgets=budgets)
     elif name == "wreath-cyclic":
         (m,) = _int_params(params, 1, name)
         if m < 1:
             raise UnknownFamily("wreath-cyclic needs m >= 1")
-        grp = PermGroup(_wreath_cyclic_gens(m), family=(name, tag), budgets=budgets)
+        gens = _wreath_cyclic_gens(m)
     elif name == "quaternion":
         if params:
             raise UnknownFamily("quaternion takes no parameters")
-        grp = PermGroup(list(_QUATERNION_GENS), family=(name, ()), budgets=budgets)
+        gens = _QUATERNION_GENS
     elif name == "gens":
         if not params:
             raise UnknownFamily("gens needs at least one permutation")
@@ -434,10 +420,9 @@ def family(name: str, params: Sequence[str] = (), budgets: Budgets = DEFAULT) ->
             gens = parse_generators(",".join(rest), degree)
         except ParseError as exc:
             raise UnknownFamily(f"bad generator list: {exc}") from exc
-        grp = PermGroup(gens, family=(name, tag), budgets=budgets)
     else:
         raise UnknownFamily(f"unknown family {name!r}")
-    return grp
+    return PermGroup(gens, family=(name, params), budgets=budgets)
 
 
 def parse_group_spec(spec: str, budgets: Budgets = DEFAULT) -> PermGroup:
@@ -474,14 +459,14 @@ def induced_block_permutation(h: Permutation, blocks: Sequence[Sequence[int]]) -
     return Permutation(images)
 
 
-def block_decomposition(group: PermGroup, budgets: Budgets = DEFAULT) -> BlockDecomposition | None:
+def block_decomposition(group: PermGroup) -> BlockDecomposition | None:
     """Coarsest block system of a transitive group, or None if primitive.
 
     Picks the system with the fewest blocks r > 1; ties break toward the
     lexicographically smallest block containing 0, then the smallest
     partition. No proper system is coarser than one with the fewest blocks,
     so its quotient action is primitive; only that one quotient is built,
-    and its primitivity is checked.
+    and its primitivity is checked. Kernel and quotient carry group.budgets.
     """
     if not is_transitive(group):
         raise ValueError("block decomposition needs a transitive group")
@@ -491,7 +476,7 @@ def block_decomposition(group: PermGroup, budgets: Budgets = DEFAULT) -> BlockDe
     blocks = min(systems, key=lambda part: (
         len(part), next(b for b in part if 0 in b), part))
     quotient = PermGroup([induced_block_permutation(g, blocks) for g in group.generators],
-                         budgets=budgets)
+                         budgets=group.budgets)
     if not is_primitive(quotient):
         raise InvariantViolation("a system with the fewest blocks has an imprimitive quotient")
 
@@ -499,7 +484,7 @@ def block_decomposition(group: PermGroup, budgets: Budgets = DEFAULT) -> BlockDe
     for h in group.elements:
         if induced_block_permutation(h, blocks).is_identity():
             kernel_elems.append(h)
-    kernel = PermGroup.from_elements(kernel_elems, degree=group.degree, budgets=budgets)
+    kernel = PermGroup.from_elements(kernel_elems, degree=group.degree, budgets=group.budgets)
     if kernel.order * quotient.order != group.order:
         raise InvariantViolation("kernel/quotient orders do not multiply to the group order")
     return BlockDecomposition(r=len(blocks), blocks=blocks, kernel=kernel, quotient=quotient)

@@ -109,14 +109,14 @@ def _tolerant_less(lhs, rhs):
 # The main class-count upper bound k(G) < k**n/|H| + 2*e*k**max_sigma.
 
 
-def _resolve_e(group: PermGroup, e_source: str, budgets: Budgets):
+def _resolve_e(group: PermGroup, e_source: str):
     """(e, "exact" | "float", the source used, with "auto" resolved)."""
     n = group.degree
     if e_source == "auto":
-        e_source = ("exact-lattice" if group.order <= budgets.max_subgroup_order
+        e_source = ("exact-lattice" if group.order <= group.budgets.max_subgroup_order
                     else "five-pow-n-third")
     if e_source == "exact-lattice":
-        return max_subgroup_class_count(group, budgets), "exact", e_source
+        return max_subgroup_class_count(group), "exact", e_source
     if e_source == "five-pow-n-third":
         if n % 3 == 0:
             return 5 ** (n // 3), "exact", e_source
@@ -126,27 +126,28 @@ def _resolve_e(group: PermGroup, e_source: str, budgets: Budgets):
     raise ValueError(f"e_source must be one of {E_SOURCES}, got {e_source!r}")
 
 
-def count_upper_bound(group: PermGroup, k: int, e_source: str = "exact-lattice",
-                      budgets: Budgets = DEFAULT) -> BoundReport:
+def count_upper_bound(group: PermGroup, k: int, e_source: str = "exact-lattice"
+                      ) -> BoundReport:
     """k(G) < k**n/|H| + 2*e*k**max_sigma, with e = max subgroup class count.
 
     rhs is an exact rational whenever e is exact. lhs is the auto-dispatched
     count; when that is infeasible within budgets the verdict is
-    indeterminate and the bracket lands in the note. The report records the
+    indeterminate and the bracket lands in the note. The group's budgets gate
+    both the count and the lattice behind e. The report records the
     e source used, so "auto" reads as the source it resolved to.
     """
     if group.order == 1:
         raise ValueError("bound needs a nontrivial group")
     n = group.degree
     max_sigma = max_cycle_count(group)
-    e, mode, e_source = _resolve_e(group, e_source, budgets)
+    e, mode, e_source = _resolve_e(group, e_source)
     if mode == "exact":
         rhs: object = count_upper_fraction(group, k, e)
     else:
         rhs = float(Fraction(k ** n, group.order)) + 2.0 * e * float(k ** max_sigma)
     inputs = {"k": k, "n": n, "order": group.order, "max_sigma": max_sigma, "e": e}
     try:
-        lhs = auto_count(group, k, budgets).value
+        lhs = auto_count(group, k).value
     except (Infeasible, BudgetExceeded) as exc:
         return BoundReport("count-upper-bound", None, rhs, "indeterminate", mode,
                            inputs, e_source=e_source, note=f"count not computed: {exc}")
@@ -182,7 +183,7 @@ def _leq_two_pow_quarter_sqrt(order: int, n: int):
     return x <= n, "float"
 
 
-def predicates(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> list[BoundReport]:
+def predicates(group: PermGroup, k: int) -> list[BoundReport]:
     """The unconditional inequalities and hypothesis predicates for (H, k)."""
     if group.order == 1:
         raise ValueError("predicates need a nontrivial group")
@@ -365,7 +366,7 @@ def _large_base_count_bound(group: PermGroup | None, m: int, ell: int, t: int, k
     try:
         if group is None:
             group = family("product", (str(m), str(ell), str(t)), budgets)
-        lhs = auto_count(group, k, budgets).value
+        lhs = auto_count(group, k).value
     except (BudgetExceeded, Infeasible) as exc:
         return BoundReport("large-base-count-bound", None, rhs, "indeterminate", mode,
                            inputs, asymptotic=True, note=f"count not computed: {exc}")
@@ -428,8 +429,7 @@ class SemiprimitiveReport:
             "blocks": [list(b) for b in self.blocks]}
 
 
-def semiprimitive_report(group: PermGroup, k: int,
-                         budgets: Budgets = DEFAULT) -> SemiprimitiveReport:
+def semiprimitive_report(group: PermGroup, k: int) -> SemiprimitiveReport:
     """Block decomposition checks for a transitive, imprimitive, semiprimitive group.
 
     Verifies that the block kernel K is semiregular, that cycle counts on the
@@ -438,7 +438,7 @@ def semiprimitive_report(group: PermGroup, k: int,
         n(H, X-colorings) < n(H/K, blocks) + k**n/|H| + n*k**(n/2)/|H|
     holds with exact rational arithmetic (k**(n/2) exact iff n is even).
     """
-    report = structure_classify(group, budgets)
+    report = structure_classify(group)
     if not report.transitive:
         raise NotSemiprimitive("group is not transitive")
     if not report.semiprimitive:
@@ -446,7 +446,7 @@ def semiprimitive_report(group: PermGroup, k: int,
     if report.primitive:
         raise NotSemiprimitive("group is primitive; no proper block system to decompose")
 
-    decomp = block_decomposition(group, budgets)
+    decomp = block_decomposition(group)
     if decomp is None:
         raise InvariantViolation("transitive imprimitive group has no block decomposition")
     n = group.degree
@@ -487,7 +487,7 @@ def semiprimitive_report(group: PermGroup, k: int,
     e_k: int | None = None
     note = ""
     try:
-        census = _census(group, k, budgets, stabilizers=True)
+        census = _census(group, k, stabilizers=True)
         if census.regular:
             e_k = 1  # a regular orbit's stabilizer is trivial
         for stab in dict.fromkeys([group] + census.stabilizers):  # equal ones are one object
@@ -497,8 +497,8 @@ def semiprimitive_report(group: PermGroup, k: int,
         note = f"e_K skipped: {exc}"
 
     e_k_quot = None
-    if e_k is not None and quotient.order <= budgets.max_subgroup_order:
-        e_k_quot = e_k <= max_subgroup_class_count(quotient, budgets)
+    if e_k is not None and quotient.order <= quotient.budgets.max_subgroup_order:
+        e_k_quot = e_k <= max_subgroup_class_count(quotient)
     e_k_58 = None
     if e_k is not None and not group.is_abelian():
         e_k_58 = Fraction(e_k) <= Fraction(5, 8) * group.order
@@ -516,19 +516,18 @@ def semiprimitive_report(group: PermGroup, k: int,
 # Every report for one (H, k).
 
 
-def bounds_report(group: PermGroup, k: int, e_source: str = "auto",
-                  budgets: Budgets = DEFAULT
+def bounds_report(group: PermGroup, k: int, e_source: str = "auto"
                   ) -> tuple[list[BoundReport], SemiprimitiveReport | None]:
     """The bound reports for (H, k), and the semiprimitive report or None.
 
-    The reports come in the order the CLI prints them; one the budgets
-    refuse reads indeterminate, with the reason in its note. The
+    The reports come in the order the CLI prints them; one the group's
+    budgets refuse reads indeterminate, with the reason in its note. The
     semiprimitive report is None where the decomposition does not apply.
     """
-    reports = [count_upper_bound(group, k, e_source, budgets)]
-    reports.extend(predicates(group, k, budgets))
+    reports = [count_upper_bound(group, k, e_source)]
+    reports.extend(predicates(group, k))
     try:
-        stats = nonregular_orbit_stats(group, k, budgets)
+        stats = nonregular_orbit_stats(group, k)
     except BudgetExceeded as exc:
         reports.append(BoundReport("nonregular-orbit-count", None, None, "indeterminate",
                                    "exact", {"k": k}, note=f"orbit census skipped: {exc}"))
@@ -542,6 +541,7 @@ def bounds_report(group: PermGroup, k: int, e_source: str = "auto",
     match = large_base_match(group)
     if match is not None:
         m, ell, t = match
+        budgets = group.budgets  # the large-base checks take no group
         subset = subset_orbit_bound(m, ell, k, budgets)  # lhs: n(S_m, B), the op's one count
         reports.append(subset)
         try:  # the identity refuses the lift whenever the subset count does
@@ -554,7 +554,7 @@ def bounds_report(group: PermGroup, k: int, e_source: str = "auto",
         except BudgetExceeded:
             pass
     try:
-        semi = semiprimitive_report(group, k, budgets)
+        semi = semiprimitive_report(group, k)
     except (BudgetExceeded, NotSemiprimitive):
         semi = None  # the bound reports stand on their own where the decomposition does not apply
     return reports, semi
@@ -591,7 +591,7 @@ def counterexample_scan(m_values: Sequence[int], k: int = 2,
         order = (2 ** m) * m  # known for this family, avoids materializing it
         param = f"wreath-cyclic:{m}"
         try:
-            value = clifford_count(grp, k, budgets).value
+            value = clifford_count(grp, k).value
         except BudgetExceeded:
             for tag, bound in ((f"{param}|5^m/m", Fraction(5 ** m, m)),
                                (f"{param}|k^n", k ** n)):

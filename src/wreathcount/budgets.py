@@ -1,11 +1,16 @@
 """Size budgets that gate every potentially explosive enumeration.
 
-All limits can be overridden per call by passing a Budgets. The CLI builds
-its Budgets from from_env() (environment variables WREATHCOUNT_MAX_ORDER,
-WREATHCOUNT_MAX_COLORINGS, WREATHCOUNT_MAX_LIFT_DEGREE,
-WREATHCOUNT_MAX_SUBGROUP_ORDER) and then its --budget-max-* flags. DEFAULT,
-the library default, holds the built-in limits and never reads the
-environment, so importing the package cannot fail on a bad variable.
+A Budgets is given once, where a group is built (parse_group_spec, family,
+PermGroup, PermGroup.from_elements): every function that takes the group
+reads group.budgets, and every group derived from it (subgroups, kernels,
+quotients, stabilizers) inherits them. Functions that take no group, such
+as the subset lifts and the combinatorics kernels, take a Budgets argument
+of their own. The CLI builds its Budgets from from_env() (environment
+variables WREATHCOUNT_MAX_ORDER, WREATHCOUNT_MAX_COLORINGS,
+WREATHCOUNT_MAX_LIFT_DEGREE, WREATHCOUNT_MAX_SUBGROUP_ORDER) and then its
+--budget-max-* flags. DEFAULT, the library default, holds the built-in
+limits and never reads the environment, so importing the package cannot
+fail on a bad variable.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Conjugacy class counts for G = X wr H.
 
 The count depends on X only through k = k(X), the number of classes of X, so
-each route takes (H, k) and returns a CountResult; the enumerating ones
-take the caller's budgets too. Three independent routes are kept
-deliberately separate so they can cross-check each other:
+each route takes (H, k) and returns a CountResult; every enumeration is
+gated by H.budgets, given where H was built. Three independent routes are
+kept deliberately separate so they can cross-check each other:
 
 * clifford_count: (k**n - |Delta|)/|H| regular orbits, which contribute 1
   each, plus k(I_H(c)) for each non-regular orbit representative c, I the
@@ -46,7 +46,6 @@ from math import ceil
 
 from . import combinatorics
 from .actions import build_wreath_group
-from .budgets import DEFAULT, Budgets
 from .errors import (
     BudgetExceeded,
     DivisibilityViolation,
@@ -159,15 +158,17 @@ def _orbit_reps_numpy(gens: list[Permutation], k: int, space: int) -> list[tuple
     return list(zip(reps.tolist(), sizes[reps].tolist()))
 
 
-def _check_space(space: int, budgets: Budgets) -> None:
-    if space > budgets.max_coloring_space:
+def _check_space(group: PermGroup, k: int) -> int:
+    """k**n, refused when it passes the group's max_coloring_space budget."""
+    space = k ** group.degree
+    if space > group.budgets.max_coloring_space:
         raise BudgetExceeded(
             f"coloring space k**n = {space} exceeds the max_coloring_space budget "
-            f"{budgets.max_coloring_space}")
+            f"{group.budgets.max_coloring_space}")
+    return space
 
 
-def coloring_orbit_reps(group: PermGroup, k: int,
-                        budgets: Budgets = DEFAULT) -> list[tuple[int, int]]:
+def coloring_orbit_reps(group: PermGroup, k: int) -> list[tuple[int, int]]:
     """Orbit representatives of the group on k-colorings of its domain: the full census.
 
     Returns (encoding, orbit size) pairs in increasing encoding order; each
@@ -177,8 +178,7 @@ def coloring_orbit_reps(group: PermGroup, k: int,
     in pure Python over a visited bitmap of the whole space.
     """
     n = group.degree
-    space = k ** n
-    _check_space(space, budgets)
+    space = _check_space(group, k)
 
     gens = [g for g in group.generators if not g.is_identity()]
     if not gens:
@@ -247,8 +247,7 @@ def _seeded_walk(group: PermGroup, k: int, seed_cycles: list[list[tuple[int, ...
     return reps, len(seen)
 
 
-def nonregular_orbits(group: PermGroup, k: int, budgets: Budgets = DEFAULT
-                      ) -> tuple[list[tuple[int, int]], int]:
+def nonregular_orbits(group: PermGroup, k: int) -> tuple[list[tuple[int, int]], int]:
     """The orbits of the group on k-colorings smaller than |H|, and |Delta|.
 
     Returns (reps, delta): the (encoding, orbit size) pairs that
@@ -264,12 +263,11 @@ def nonregular_orbits(group: PermGroup, k: int, budgets: Budgets = DEFAULT
     instead when the seeds would outnumber the space (U >= k**n), and when
     U passes _NUMPY_MIN_SPACE while k**n is in numpy's range.
     """
-    space = k ** group.degree
-    _check_space(space, budgets)  # before anything closes the group
+    space = _check_space(group, k)  # before anything closes the group
     seed_cycles, bound = _prime_seeds(group, k)
     if bound >= space or (bound > _NUMPY_MIN_SPACE and space <= _NUMPY_MAX_SPACE):
         order = group.order
-        reps = [(e, size) for e, size in coloring_orbit_reps(group, k, budgets) if size < order]
+        reps = [(e, size) for e, size in coloring_orbit_reps(group, k) if size < order]
         return reps, sum(size for _, size in reps)
     return _seeded_walk(group, k, seed_cycles)
 
@@ -282,20 +280,19 @@ class _Census:
     stabilizers: list[PermGroup] | None = None  # of the reps of size > 1, in order
 
 
-def _census(group: PermGroup, k: int, budgets: Budgets, stabilizers: bool = False) -> _Census:
-    """The census of (group, k), kept on the group like its class BFS; budgets checked first.
+def _census(group: PermGroup, k: int, stabilizers: bool = False) -> _Census:
+    """The census of (group, k), kept on the group like its class BFS; budget checked first.
 
     stabilizers=True fills in, once, the stabilizers of the reps of size > 1
     from one coloring_stabilizers stream. Checks: |H| divides k**n - |Delta|,
     each generator fixes each rep of size 1, and |I_H(c)| * |orbit| = |H|.
     """
     n = group.degree
-    space = k ** n
-    _check_space(space, budgets)
+    space = _check_space(group, k)  # before group.order closes the group
     census = group._census.get(k)
     order = group.order
     if census is None:
-        reps, delta = nonregular_orbits(group, k, budgets)
+        reps, delta = nonregular_orbits(group, k)
         regular, rem = divmod(space - delta, order)
         if rem:
             raise InvariantViolation(
@@ -373,7 +370,7 @@ def burnside_orbit_count(group: PermGroup, k: int) -> int:
     return total // order
 
 
-def clifford_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> CountResult:
+def clifford_count(group: PermGroup, k: int) -> CountResult:
     """k(X wr H) = (k**n - |Delta|)/|H| + sum of k(I_H(c)) over the non-regular orbits.
 
     Regular orbits have trivial stabilizer and contribute 1 each. The
@@ -384,7 +381,7 @@ def clifford_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> Coun
     if k < 1:
         raise ValueError("k must be >= 1")
     space = k ** group.degree
-    census = _census(group, k, budgets, stabilizers=True)
+    census = _census(group, k, stabilizers=True)
     fixed = sum(size == 1 for _, size in census.reps)  # their stabilizer is H
     value = census.regular + fixed * class_count(group)
     # keyed by identity: equal stabilizers are one object
@@ -398,7 +395,7 @@ def clifford_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> Coun
                        orbit_count=census.regular + len(census.reps))
 
 
-def brute_force_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> CountResult:
+def brute_force_count(group: PermGroup, k: int) -> CountResult:
     """k(X wr H) by union-find over conjugation in Z_k wr H, element by element.
 
     Independent of the Clifford route end to end: no coloring enumeration,
@@ -406,7 +403,7 @@ def brute_force_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> C
     integer code and merged with its conjugate by each generator as that
     conjugate is computed; the class count is the order minus the merges.
     """
-    wr = build_wreath_group(k, group, budgets)
+    wr = build_wreath_group(k, group)
     uf = UnionFind(wr.order)
     union = uf.union
     merges = 0
@@ -454,7 +451,7 @@ def closed_form(group: PermGroup, k: int) -> CountResult | None:
     return CountResult(k=k, group=group, method="closed-form", value=value)
 
 
-def route_values(group: PermGroup, k: int, budgets: Budgets) -> dict[str, int]:
+def route_values(group: PermGroup, k: int) -> dict[str, int]:
     """The value of every exact route that fits the budgets, keyed by route name.
 
     Routes are "closed-form" (when the family has one), "clifford" and
@@ -465,7 +462,7 @@ def route_values(group: PermGroup, k: int, budgets: Budgets) -> dict[str, int]:
     ran = {} if closed is None else {"closed-form": closed.value}
     for name, route in (("clifford", clifford_count), ("brute", brute_force_count)):
         try:
-            ran[name] = route(group, k, budgets).value
+            ran[name] = route(group, k).value
         except BudgetExceeded:
             pass
     if len(set(ran.values())) > 1:
@@ -473,13 +470,12 @@ def route_values(group: PermGroup, k: int, budgets: Budgets) -> dict[str, int]:
     return ran
 
 
-def direct_orbit_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> int:
+def direct_orbit_count(group: PermGroup, k: int) -> int:
     """Orbit count by explicit enumeration; the cross-check for Burnside."""
-    return len(coloring_orbit_reps(group, k, budgets))
+    return len(coloring_orbit_reps(group, k))
 
 
-def nonregular_orbit_stats(group: PermGroup, k: int,
-                           budgets: Budgets = DEFAULT) -> OrbitStats:
+def nonregular_orbit_stats(group: PermGroup, k: int) -> OrbitStats:
     """Census of non-regular coloring orbits, with its unconditional size bounds.
 
     For nontrivial H, the number t of non-regular orbits satisfies
@@ -487,7 +483,7 @@ def nonregular_orbit_stats(group: PermGroup, k: int,
     |Delta| <= (|H| - 1) * k**max_sigma. Violations mean a bug, so they raise;
     the result carries both bounds. The census is clifford_count's.
     """
-    census = _census(group, k, budgets)
+    census = _census(group, k)
     nonregular, delta = len(census.reps), census.delta
     order = group.order
     orbit_bound = delta_bound = None
@@ -510,11 +506,11 @@ def count_upper_fraction(group: PermGroup, k: int, e: int) -> Fraction:
     return Fraction(k ** n, group.order) + 2 * e * k ** max_cycle_count(group)
 
 
-def auto_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> CountResult:
+def auto_count(group: PermGroup, k: int) -> CountResult:
     """Dispatch: closed form when the family allows it, else clifford, else brute.
 
     Raises Infeasible with the tightest available bracket when no exact
-    method fits the budgets.
+    method fits the group's budgets.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -525,10 +521,10 @@ def auto_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> CountRes
 
     n = group.degree
     space = k ** n
-    if space <= budgets.max_coloring_space:
-        return clifford_count(group, k, budgets)
-    if space * group.order <= budgets.max_group_order:
-        return brute_force_count(group, k, budgets)
+    if space <= group.budgets.max_coloring_space:
+        return clifford_count(group, k)
+    if space * group.order <= group.budgets.max_group_order:
+        return brute_force_count(group, k)
 
     lower = ceil(Fraction(space, group.order))
     # e <= 5**(n/3) for any permutation group; round the exponent up to stay integral
@@ -539,19 +535,18 @@ def auto_count(group: PermGroup, k: int, budgets: Budgets = DEFAULT) -> CountRes
 METHODS = ("auto", "clifford", "brute", "closed-form", "all")
 
 
-def count_by_method(group: PermGroup, k: int, method: str = "auto",
-                    budgets: Budgets = DEFAULT) -> CountResult:
+def count_by_method(group: PermGroup, k: int, method: str = "auto") -> CountResult:
     """k(X wr H) by one of METHODS: auto_count, one route alone, or "all".
 
     "all" is the value the routes that fit the budgets agree on (route_values),
     or auto_count's Infeasible bracket when the budgets refuse them all.
     """
     if method == "auto":
-        return auto_count(group, k, budgets)
+        return auto_count(group, k)
     if method == "clifford":
-        return clifford_count(group, k, budgets)
+        return clifford_count(group, k)
     if method == "brute":
-        return brute_force_count(group, k, budgets)
+        return brute_force_count(group, k)
     if method == "closed-form":
         result = closed_form(group, k)
         if result is None:
@@ -559,8 +554,8 @@ def count_by_method(group: PermGroup, k: int, method: str = "auto",
         return result
     if method != "all":
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    ran = route_values(group, k, budgets)
+    ran = route_values(group, k)
     if not ran:
-        return auto_count(group, k, budgets)  # raises Infeasible with a bracket
+        return auto_count(group, k)  # raises Infeasible with a bracket
     return CountResult(k=k, group=group, method="all:" + "+".join(sorted(ran)),
                        value=next(iter(ran.values())))

@@ -153,7 +153,7 @@ def _cmd_count(args) -> int:
     budgets = _budgets_from_args(args)
     k = _resolve_k(args, budgets)
     groups = (parse_group_spec(spec, budgets) for spec in args.group)
-    dicts = [count_by_method(g, k, args.method, budgets).to_json_dict() for g in groups]
+    dicts = [count_by_method(g, k, args.method).to_json_dict() for g in groups]
     if args.output == "json":
         _emit_json(dicts[0] if len(dicts) == 1 else dicts)
     elif args.output == "csv":
@@ -173,7 +173,7 @@ def _cmd_count(args) -> int:
 
 def _classify_one(spec: str, budgets: Budgets) -> dict:
     group = parse_group_spec(spec, budgets)
-    report = structure_classify(group, budgets)
+    report = structure_classify(group)
     out = {
         "group": group.spec_string(),
         "degree": group.degree,
@@ -230,7 +230,7 @@ def _cmd_bounds(args) -> int:
     budgets = _budgets_from_args(args)
     k = _resolve_k(args, budgets)
     groups = (parse_group_spec(spec, budgets) for spec in args.group)
-    results = [(g.spec_string(), *bounds_mod.bounds_report(g, k, args.e_source, budgets))
+    results = [(g.spec_string(), *bounds_mod.bounds_report(g, k, args.e_source))
                for g in groups]  # (spec, reports, semiprimitive report or None)
     if args.output == "json":
         dicts = [{"group": name, "k": k, "reports": [r.to_json_dict() for r in reports],

@@ -131,9 +131,6 @@ class Permutation:
     def fixed_point_count(self) -> int:
         return sum(1 for i, img in enumerate(self.images) if i == img)
 
-    def moved_count(self) -> int:
-        return self.degree - self.fixed_point_count()
-
     def cycle_string(self) -> str:
         """1-indexed disjoint cycle notation; identity prints as ``()``."""
         cycs = self.cycles()
@@ -586,8 +583,8 @@ def class_count(group: PermGroup) -> int:
     return len(_class_indices(group))
 
 
-def normal_subgroups(group: PermGroup, budgets: Budgets = DEFAULT) -> list[PermGroup]:
-    """All normal subgroups, by order and then by sorted elements.
+def normal_subgroups(group: PermGroup) -> list[PermGroup]:
+    """All normal subgroups, by order and then by sorted elements; refuses over group.budgets.
 
     Every normal subgroup is a union of conjugacy classes and is generated by
     the classes it contains, so the lattice is exactly the join-closure of
@@ -599,6 +596,7 @@ def normal_subgroups(group: PermGroup, budgets: Budgets = DEFAULT) -> list[PermG
     image tuples; each distinct one is returned as a PermGroup generated by
     the classes that built it, with no further closure.
     """
+    budgets = group.budgets
     if group.order > budgets.max_normal_order:
         raise BudgetExceeded(
             f"normal subgroup enumeration refused: order {group.order} exceeds the "
@@ -621,18 +619,23 @@ def normal_subgroups(group: PermGroup, budgets: Budgets = DEFAULT) -> list[PermG
                         f"max_subgroup_count budget {budgets.max_subgroup_count}")
                 found[grown] = gens + cls
                 queue.append(grown)
-    return _wrap_lattice(group, found, budgets)
+    return _wrap_lattice(group, found)
 
 
-def _wrap_lattice(group: PermGroup, lattice: dict[frozenset[tuple[int, ...]], tuple],
-                  budgets: Budgets) -> list[PermGroup]:
-    """Image-tuple subgroups, keyed to their generators, as PermGroups by (order, elements)."""
+def _wrap_lattice(group: PermGroup, lattice: dict[frozenset[tuple[int, ...]], tuple]
+                  ) -> list[PermGroup]:
+    """Image-tuple subgroups, keyed to their generators, as PermGroups by (order, elements).
+
+    The whole group is returned as itself, so its cached classes serve the
+    lattice; every other member carries group.budgets.
+    """
     element = dict(zip(group.image_tuples, group.elements)).__getitem__
     ordered = sorted(((len(s), sorted(s), gens) for s, gens in lattice.items()),
                      key=lambda t: t[:2])
-    return [PermGroup._closed(gens, images, map(element, images), group.degree,
-                              budgets=budgets)
-            for _, images, gens in ordered]
+    return [group if size == group.order else
+            PermGroup._closed(gens, images, map(element, images), group.degree,
+                              budgets=group.budgets)
+            for size, images, gens in ordered]
 
 
 def minimal_block_partition(group: PermGroup, point: int) -> tuple[tuple[int, ...], ...]:
@@ -702,7 +705,7 @@ class StructureReport:
     normal_subgroup_count: int
 
 
-def structure_classify(group: PermGroup, budgets: Budgets = DEFAULT) -> StructureReport:
+def structure_classify(group: PermGroup) -> StructureReport:
     """Transitivity, semiregularity, primitivity, semiprimitivity.
 
     Semiprimitive: transitive and every normal subgroup is transitive or
@@ -712,7 +715,7 @@ def structure_classify(group: PermGroup, budgets: Budgets = DEFAULT) -> Structur
     transitive = is_transitive(group)
     semiregular = is_semiregular(group)
     primitive = is_primitive(group)
-    normals = normal_subgroups(group, budgets)
+    normals = normal_subgroups(group)
     semiprimitive = transitive and all(is_transitive(n) or is_semiregular(n) for n in normals)
     return StructureReport(
         transitive=transitive,
@@ -723,8 +726,8 @@ def structure_classify(group: PermGroup, budgets: Budgets = DEFAULT) -> Structur
     )
 
 
-def subgroups(group: PermGroup, budgets: Budgets = DEFAULT) -> list[PermGroup]:
-    """Every subgroup, by order and then by sorted elements; refuses groups over the budget.
+def subgroups(group: PermGroup) -> list[PermGroup]:
+    """Every subgroup, by order and then by sorted elements; refuses over group.budgets.
 
     Walk the lattice by extending each known subgroup with one more element.
     Every subgroup is reachable this way from the trivial one. Each closure
@@ -735,6 +738,7 @@ def subgroups(group: PermGroup, budgets: Budgets = DEFAULT) -> list[PermGroup]:
     keys subgroups by image tuples; each distinct one is returned as a
     PermGroup generated by the elements that built it, with no further closure.
     """
+    budgets = group.budgets
     if group.order > budgets.max_subgroup_order:
         raise BudgetExceeded(
             f"subgroup lattice refused: order {group.order} exceeds the "
@@ -763,7 +767,7 @@ def subgroups(group: PermGroup, budgets: Budgets = DEFAULT) -> list[PermGroup]:
                 if y not in done:  # done is a union of cosets y*sub
                     y_of = y.__getitem__
                     done.update([tuple(map(y_of, ti)) for ti in sub])  # s * x * t
-    return _wrap_lattice(group, seen, budgets)
+    return _wrap_lattice(group, seen)
 
 
 @dataclass(frozen=True)
@@ -809,9 +813,9 @@ def numeric_invariants(group: PermGroup) -> NumericInvariants:
     return NumericInvariants(mu=mu, b=_min_base_size(group), max_sigma=max_sigma)
 
 
-def max_subgroup_class_count(group: PermGroup, budgets: Budgets = DEFAULT) -> int:
+def max_subgroup_class_count(group: PermGroup) -> int:
     """e(H): the largest class count over all subgroups; inherits the lattice budget."""
-    return max(map(class_count, subgroups(group, budgets)))
+    return max(map(class_count, subgroups(group)))
 
 
 def max_cycle_count(group: PermGroup) -> int:

@@ -47,13 +47,13 @@ def _expect(cond: bool, detail: str):
 
 
 def _routes_agree(budgets: Budgets, spec: str, k: int):
-    ran = classcount.route_values(parse_group_spec(spec, budgets), k, budgets)
+    ran = classcount.route_values(parse_group_spec(spec, budgets), k)
     refused = [route for route in ("clifford", "brute") if route not in ran]
     _expect(not refused, f"{' and '.join(refused)} refused by the budgets; ran {sorted(ran)}")
 
 
 def _golden(budgets: Budgets, spec: str, k: int, want: int):
-    got = classcount.clifford_count(parse_group_spec(spec, budgets), k, budgets).value
+    got = classcount.clifford_count(parse_group_spec(spec, budgets), k).value
     _expect(got == want, f"expected {want}, got {got}")
 
 
@@ -64,7 +64,7 @@ def _golden(budgets: Budgets, spec: str, k: int, want: int):
 def _burnside_direct(budgets: Budgets, spec: str, k: int):
     group = parse_group_spec(spec, budgets)
     averaged = classcount.burnside_orbit_count(group, k)
-    direct = classcount.direct_orbit_count(group, k, budgets)
+    direct = classcount.direct_orbit_count(group, k)
     _expect(averaged == direct, f"burnside {averaged} != direct {direct}")
 
 
@@ -122,8 +122,7 @@ def _tuples_of_partitions(budgets: Budgets):
     _expect(combinatorics.tuples_of_partitions_count(2, 3) == 10, "tuples(2,3) != 10")
     for n in range(1, 6):
         for k in (2, 3):
-            got = classcount.clifford_count(
-                parse_group_spec(f"symmetric:{n}", budgets), k, budgets).value
+            got = classcount.clifford_count(parse_group_spec(f"symmetric:{n}", budgets), k).value
             want = combinatorics.tuples_of_partitions_count(k, n)
             _expect(got == want, f"clifford S_{n} k={k}: {got} != tuples {want}")
 
@@ -132,8 +131,7 @@ def _schmid(budgets: Budgets):
     for n in range(2, 9):
         for k in range(1, 5):
             exact, upper = classcount.schmid_cyclic(k, n)  # exact is None unless n is prime
-            got = classcount.clifford_count(
-                parse_group_spec(f"cyclic:{n}", budgets), k, budgets).value
+            got = classcount.clifford_count(parse_group_spec(f"cyclic:{n}", budgets), k).value
             _expect(exact is None or got == exact,
                     f"cyclic:{n} k={k}: clifford {got} != formula {exact}")
             _expect(got <= upper, f"cyclic:{n} k={k}: clifford {got} > upper {upper}")
@@ -147,7 +145,7 @@ _PREDICATES_THAT_HOLD = ("min-degree-base-product", "fixed-point-ratio",
 
 
 def _predicates_hold(budgets: Budgets, spec: str, k: int):
-    for rep in bounds_mod.predicates(parse_group_spec(spec, budgets), k, budgets):
+    for rep in bounds_mod.predicates(parse_group_spec(spec, budgets), k):
         if rep.name in _PREDICATES_THAT_HOLD:
             _expect(rep.holds is True,
                     f"{rep.name}: lhs={rep.lhs} rhs={rep.rhs} holds={rep.holds}")
@@ -155,25 +153,24 @@ def _predicates_hold(budgets: Budgets, spec: str, k: int):
 
 def _upper_bound_holds(budgets: Budgets, spec: str, k: int):
     group = parse_group_spec(spec, budgets)
-    rep = bounds_mod.count_upper_bound(group, k, "exact-lattice", budgets)
+    rep = bounds_mod.count_upper_bound(group, k, "exact-lattice")
     _expect(rep.holds is True, f"lhs={rep.lhs} rhs={rep.rhs} holds={rep.holds}")
 
 
 def _orbit_census(budgets: Budgets, spec: str, k: int):
-    group = parse_group_spec(spec, budgets)
-    classcount.nonregular_orbit_stats(group, k, budgets)  # raises on violation
+    classcount.nonregular_orbit_stats(parse_group_spec(spec, budgets), k)  # raises on violation
 
 
 def _inertia_identity(budgets: Budgets, spec: str, k: int):
     group = parse_group_spec(spec, budgets)
     n, order = group.degree, group.order
-    reps = classcount.coloring_orbit_reps(group, k, budgets)
+    reps = classcount.coloring_orbit_reps(group, k)
     delta = sum(size for _, size in reps if size < order)
     inertia = sum(map(class_count, coloring_stabilizers(
         group, (classcount.decode_coloring(enc, k, n) for enc, size in reps if size < order))))
     _expect((k ** n - delta) % order == 0, "regular part not divisible by |H|")
     want = (k ** n - delta) // order + inertia
-    got = classcount.clifford_count(group, k, budgets).value
+    got = classcount.clifford_count(group, k).value
     _expect(got == want, f"identity value {want} != clifford {got}")
 
 
@@ -208,7 +205,7 @@ def _subset_exact(budgets: Budgets):
 
 
 def _decomposition_checks(budgets: Budgets, spec: str, k: int):
-    rep = bounds_mod.semiprimitive_report(parse_group_spec(spec, budgets), k, budgets)
+    rep = bounds_mod.semiprimitive_report(parse_group_spec(spec, budgets), k)
     _expect(rep.kernel_semiregular, "kernel is not semiregular")
     _expect(rep.cycle_bound_holds, "sigma <= (n/r)*sigma_blocks failed")
     _expect(rep.alpha_bound_holds, "alpha bound failed")
@@ -219,17 +216,17 @@ def _decomposition_checks(budgets: Budgets, spec: str, k: int):
 def _rejects_wreath_cyclic(budgets: Budgets):
     group = parse_group_spec("wreath-cyclic:2", budgets)
     try:
-        bounds_mod.semiprimitive_report(group, 2, budgets)
+        bounds_mod.semiprimitive_report(group, 2)
     except NotSemiprimitive:
         return
     raise AssertionError("wreath-cyclic:2 accepted but is not semiprimitive")
 
 
 def _decomposition_shapes(budgets: Budgets):
-    rep4 = bounds_mod.semiprimitive_report(parse_group_spec("cyclic:4", budgets), 2, budgets)
+    rep4 = bounds_mod.semiprimitive_report(parse_group_spec("cyclic:4", budgets), 2)
     _expect(rep4.r == 2 and rep4.kernel_order == 2,
             f"cyclic:4 expected r=2 |K|=2, got r={rep4.r} |K|={rep4.kernel_order}")
-    rep6 = bounds_mod.semiprimitive_report(parse_group_spec("cyclic:6", budgets), 2, budgets)
+    rep6 = bounds_mod.semiprimitive_report(parse_group_spec("cyclic:6", budgets), 2)
     _expect(rep6.r in (2, 3), f"cyclic:6 expected r in {{2,3}}, got {rep6.r}")
 
 

@@ -39,7 +39,6 @@ from wreathcount import (
     product_orbit_identity,
     schmid_cyclic,
     semiprimitive_report,
-    sigma,
     sigma_prime,
     tuples_of_partitions_count,
     weak_composition_count,
@@ -251,7 +250,7 @@ def test_criterion_5_unconditional_inequalities():
         inv = numeric_invariants(grp)
         # cycle-count half bound, elementwise
         for h in grp.elements:
-            assert 2 * sigma(h) - h.fixed_point_count() <= n, spec
+            assert 2 * h.cycle_count() - h.fixed_point_count() <= n, spec
         # fixed point ratio inequality and minimal degree * base size
         assert 2 ** n <= order ** inv.mu, spec
         assert inv.mu * inv.b >= n, spec

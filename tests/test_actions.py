@@ -25,7 +25,6 @@ from wreathcount import (
     parse_group_spec,
     parse_permutation,
     product_action_build,
-    sigma,
     sigma_prime,
     subset_rank,
     subset_unrank,
@@ -45,16 +44,16 @@ def test_cycle_type_alpha():
     ct = cycle_type(p)
     assert ct.alpha == ((1, 1), (2, 1), (3, 1))
     assert ct.degree == 6
-    assert ct.sigma() == 3
-    assert ct.fixed() == 1
+    assert sum(mult for _, mult in ct.alpha) == p.cycle_count() == 3
+    assert ct.as_dict()[1] == p.fixed_point_count() == 1
     assert ct.as_dict() == {1: 1, 2: 1, 3: 1}
 
 
 def test_sigma_and_gamma_count_cycles():
     p = parse_permutation("(1 2 3)", 4)
-    assert sigma(p) == 2
+    assert p.cycle_count() == 2
     ident = Permutation(range(4))
-    assert sigma(ident) == 4
+    assert ident.cycle_count() == 4
 
 
 def test_class_sizes_sum_to_factorial():

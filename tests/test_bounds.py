@@ -62,7 +62,8 @@ def test_auto_e_source_records_the_source_it_resolved_to():
     c4 = parse_group_spec("cyclic:4")
     rep = count_upper_bound(c4, 2, e_source="auto")
     assert (rep.e_source, rep.rhs) == ("exact-lattice", 36)
-    rep = count_upper_bound(c4, 2, "auto", Budgets(max_subgroup_order=3))
+    rep = count_upper_bound(parse_group_spec("cyclic:4", Budgets(max_subgroup_order=3)), 2,
+                            "auto")
     assert (rep.e_source, rep.mode) == ("five-pow-n-third", "float")
 
 

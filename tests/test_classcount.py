@@ -338,15 +338,16 @@ def test_cached_census_is_still_refused_under_a_tighter_budget():
     stats = nonregular_orbit_stats(grp, 2)
     assert (stats.nonregular_orbits, stats.delta_size) == (3, 4)
     assert (stats.orbit_bound, stats.delta_bound) == (8, 12)  # max_sigma = 2
-    census = classcount._census(grp, 2, DEFAULT)
-    assert classcount._census(grp, 2, DEFAULT) is census  # kept on the group object
-    tight = Budgets(max_coloring_space=8)
-    for call in (lambda: classcount._census(grp, 2, tight),
-                 lambda: nonregular_orbit_stats(grp, 2, tight),
-                 lambda: clifford_count(grp, 2, tight)):
+    census = classcount._census(grp, 2)
+    assert classcount._census(grp, 2) is census  # kept on the group object
+    tight = parse_group_spec("cyclic:4", Budgets(max_coloring_space=8))
+    for call in (lambda: classcount._census(tight, 2),
+                 lambda: nonregular_orbit_stats(tight, 2),
+                 lambda: clifford_count(tight, 2)):
         with pytest.raises(BudgetExceeded,
                            match=r"k\*\*n = 16 exceeds the max_coloring_space budget 8"):
             call()
+    assert classcount._census(grp, 2) is census and grp._census == {2: census}
     assert nonregular_orbit_stats(grp, 2) == stats
 
 
@@ -412,13 +413,13 @@ def test_invariant_check_survives_optimize_flag():
      "(PermGroup([], degree=group.degree) for _ in colorings)",
      "InvariantViolation: orbit-stabilizer"),
     # an orbit walk that calls every coloring fixed would skip its stabilizer
-    ("cc.nonregular_orbits = lambda group, k, budgets: "
+    ("cc.nonregular_orbits = lambda group, k: "
      "([(e, 1) for e in range(k ** 4)], k ** 4)",
      "InvariantViolation: coloring (0, 0, 0, 1) has orbit size 1 but is moved"),
     # a walk that drops one non-regular orbit leaves k**n - |Delta| off a multiple of |H|
     ("walk = cc.nonregular_orbits\n"
-     "def dropping(group, k, budgets):\n"
-     "    reps, delta = walk(group, k, budgets)\n"
+     "def dropping(group, k):\n"
+     "    reps, delta = walk(group, k)\n"
      "    return reps[:-1], delta - reps[-1][1]\n"
      "cc.nonregular_orbits = dropping",
      "InvariantViolation: regular part k**n - |Delta| = 16 - 15 not divisible by |H| = 8"),
@@ -460,7 +461,7 @@ def test_clifford_budget_message_names_coloring_space():
 def test_brute_budget_refusal():
     tight = DEFAULT.with_overrides(max_group_order=40)
     with pytest.raises(BudgetExceeded):
-        brute_force_count(parse_group_spec("symmetric:3"), 2, budgets=tight)
+        brute_force_count(parse_group_spec("symmetric:3", tight), 2)
 
 
 def test_count_result_json_shape():

@@ -60,8 +60,8 @@ def test_count_method_all_disagreement_exits_one(run_cli, monkeypatch):
 
     real = classcount.brute_force_count
 
-    def off_by_one(group, k, budgets):
-        res = real(group, k, budgets)
+    def off_by_one(group, k):
+        res = real(group, k)
         res.value += 1
         return res
 
@@ -277,7 +277,7 @@ def test_bounds_classifies_the_group_once(run_cli, monkeypatch, spec, section):
     original = permgroup.normal_subgroups
     calls = []
     monkeypatch.setattr(permgroup, "normal_subgroups",
-                        lambda group, budgets: calls.append(group) or original(group, budgets))
+                        lambda group: calls.append(group) or original(group))
     code, out, _ = run_cli("bounds", "--group", spec, "--k", "2")
     assert code == 0
     assert len(calls) == 1

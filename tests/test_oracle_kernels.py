@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wreathcount import (
-    DEFAULT,
     PermGroup,
     Permutation,
     build_wreath_group,
@@ -37,7 +36,7 @@ def small_groups(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(group=small_groups(), k=st.integers(1, 3))
 def test_routes_agree_on_random_generator_sets(group, k):
-    ran = route_values(group, k, DEFAULT)  # raises when two routes disagree
+    ran = route_values(group, k)  # raises when two routes disagree
     assert {"clifford", "brute"} <= set(ran), ran
     assert burnside_orbit_count(group, k) == direct_orbit_count(group, k)
 
@@ -48,7 +47,7 @@ def test_routes_agree_across_many_stabilizer_blocks():
     group = parse_group_spec("gens:14,(1 2),(3 4)")
     moved = [size for _, size in coloring_orbit_reps(group, 2) if size not in (1, group.order)]
     assert len(moved) > 3 * _STAB_BLOCK
-    assert route_values(group, 2, DEFAULT) == {"clifford": 25600, "brute": 25600}
+    assert route_values(group, 2) == {"clifford": 25600, "brute": 25600}
     res = clifford_count(parse_group_spec("gens:18,(1 2),(3 4)"), 2)
     assert (res.value, res.orbit_count) == (409600, 147456)
 

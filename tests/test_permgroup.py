@@ -1,5 +1,6 @@
 """Permutation arithmetic, closure, and structure classification."""
 
+import inspect
 import math
 import random
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wreathcount
 from wreathcount import (
     DEFAULT,
     BudgetExceeded,
@@ -14,11 +16,15 @@ from wreathcount import (
     ParseError,
     PermGroup,
     Permutation,
+    auto_count,
+    block_decomposition,
+    bounds_report,
     build_wreath_group,
     class_count,
     coloring_stabilizer,
     coloring_stabilizers,
     conjugacy_classes,
+    count_upper_bound,
     fix_subsets_direct,
     fix_subsets_formula,
     is_primitive,
@@ -39,6 +45,7 @@ from wreathcount import (
     subset_orbit_count_exact,
     subsets_action_lift,
 )
+from wreathcount import classcount, permgroup
 from wreathcount.permgroup import UnionFind, _closure
 
 
@@ -103,7 +110,6 @@ def test_cycle_and_point_counts():
     p = parse_permutation("(1 2)(3 4)", 5)
     assert p.cycle_count() == 3
     assert p.fixed_point_count() == 1
-    assert p.moved_count() == 4
 
 
 def test_closure_orders():
@@ -351,6 +357,27 @@ def test_stabilizers_inherit_the_group_budgets():
     assert point_stabilizer(s4, 0).budgets is s4.budgets
 
 
+def test_derived_groups_inherit_the_group_budgets():
+    d4 = parse_group_spec("dihedral:4", DEFAULT.with_overrides(max_group_order=500))
+    decomp = block_decomposition(d4)
+    stabs = classcount._census(d4, 2, stabilizers=True).stabilizers
+    derived = [*subgroups(d4), *normal_subgroups(d4), decomp.kernel, decomp.quotient, *stabs]
+    assert len(derived) > 18 and stabs
+    assert all(sub.budgets is d4.budgets for sub in derived)
+
+
+def test_no_group_function_takes_budgets():
+    # budgets are given where a group is built; a function handed the group reads group.budgets
+    functions = [getattr(wreathcount, name) for name in wreathcount.__all__]
+    functions = [f for f in functions + [classcount.route_values] if inspect.isfunction(f)
+                 or inspect.isclass(f) and not issubclass(f, Exception)]
+    takes_group = [f for f in functions if any(p.annotation in ("PermGroup", PermGroup)
+                                               for p in inspect.signature(f).parameters.values())]
+    assert len(takes_group) > 30
+    assert [f.__name__ for f in takes_group
+            if "budgets" in inspect.signature(f).parameters] == []
+
+
 def test_from_elements_rejects_non_closed_set():
     elems = [Permutation.identity(3), parse_permutation("(1 2 3)")]
     with pytest.raises(ValueError, match="element set is not closed under products"):
@@ -513,6 +540,16 @@ def test_normal_subgroups_match_reference_walk(spec):
     _assert_generators_close_to_elements(normals)
 
 
+def test_bounds_report_walks_the_class_bfs_of_h_once(spy):
+    grp = parse_group_spec("wreath-cyclic:4")
+    walked = []
+    spy(permgroup, "_class_indices", walked)
+    bounds_report(grp, 2)
+    # the top of both lattices is H itself, so H's cached classes serve it
+    assert [g for g in dict.fromkeys(walked) if g.order == grp.order] == [grp]
+    assert subgroups(grp)[-1] is grp and normal_subgroups(grp)[-1] is grp
+
+
 def test_max_subgroup_class_count_builds_no_group_from_elements(spy):
     grp = parse_group_spec("wreath-cyclic:3")
     wrapped = []
@@ -522,11 +559,15 @@ def test_max_subgroup_class_count_builds_no_group_from_elements(spy):
 
 
 @pytest.mark.parametrize("call,field", [
-    (lambda b: subgroups(parse_group_spec("symmetric:4"), b), "max_subgroup_order"),
-    (lambda b: normal_subgroups(parse_group_spec("symmetric:4"), b), "max_normal_order"),
+    (lambda b: subgroups(parse_group_spec("symmetric:4", b)), "max_subgroup_order"),
+    (lambda b: normal_subgroups(parse_group_spec("symmetric:4", b)), "max_normal_order"),
+    (lambda b: structure_classify(parse_group_spec("symmetric:4", b)), "max_normal_order"),
+    (lambda b: count_upper_bound(parse_group_spec("symmetric:4", b), 2, "exact-lattice"),
+     "max_subgroup_order"),
+    (lambda b: auto_count(parse_group_spec("alternating:6", b), 2), "max_group_order"),
     (lambda b: PermGroup(parse_generators("(1 2), (1 2 3 4)"), budgets=b).elements,
      "max_group_order"),
-    (lambda b: build_wreath_group(2, parse_group_spec("symmetric:3"), b), "max_group_order"),
+    (lambda b: build_wreath_group(2, parse_group_spec("symmetric:3", b)), "max_group_order"),
     (lambda b: subsets_action_lift(Permutation.identity(6), 3, b), "max_lift_degree"),
     (lambda b: fix_subsets_direct(Permutation.identity(6), 3, b), "max_lift_degree"),
     (lambda b: product_action_build([Permutation.identity(3)] * 3, Permutation.identity(3),
@@ -536,7 +577,8 @@ def test_max_subgroup_class_count_builds_no_group_from_elements(spy):
     (lambda b: product_orbit_identity(3, 1, 2, 2, b), "max_group_order"),
     (lambda b: product_orbit_identity(3, 1, 2, 2, b), "max_coloring_space"),
     (lambda b: fix_subsets_formula({1: 12}, 11, b), "max_partition_size"),
-], ids=["subgroups", "normal_subgroups", "closure", "wreath", "subsets_lift",
+], ids=["subgroups", "normal_subgroups", "structure_classify", "count_upper_bound_lattice",
+        "auto_count", "closure", "wreath", "subsets_lift",
         "fix_subsets_direct", "product_action", "subset_orbit_count", "product_identity_lift",
         "product_identity_order", "product_identity_colorings", "fix_subsets_formula"])
 def test_refusal_names_its_budget(call, field):
@@ -548,7 +590,7 @@ def test_refusal_names_its_budget(call, field):
 def test_lattice_safety_cap_names_its_budget(enumerate_):
     tight = DEFAULT.with_overrides(max_subgroup_count=2)
     with pytest.raises(BudgetExceeded, match="max_subgroup_count budget 2"):
-        enumerate_(parse_group_spec("symmetric:4"), tight)
+        enumerate_(parse_group_spec("symmetric:4", tight))
 
 
 def test_primitivity():
