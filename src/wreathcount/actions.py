@@ -17,7 +17,6 @@ from typing import Sequence
 
 from .budgets import DEFAULT, Budgets
 from .errors import (
-    BudgetExceeded,
     DegreeMismatch,
     InvariantViolation,
     ParseError,
@@ -97,10 +96,7 @@ def subsets_action_lift(p: Permutation, ell: int, budgets: Budgets = DEFAULT) ->
     m = p.degree
     if not 1 <= ell <= m:
         raise ValueError(f"need 1 <= ell <= {m}, got {ell}")
-    n = math.comb(m, ell)
-    if n > budgets.max_lift_degree:
-        raise BudgetExceeded(f"lifted degree C({m},{ell}) = {n} exceeds the max_lift_degree "
-                             f"budget {budgets.max_lift_degree}")
+    budgets.check("max_lift_degree", math.comb(m, ell), f"lifted degree C({m},{ell})")
     rank = _colex_ranks(m, ell)
     p_of = p.images.__getitem__
     # rank lists the subsets in rank order, so position r holds the image of subset r
@@ -128,10 +124,7 @@ def fix_subsets_direct(p: Permutation, ell: int, budgets: Budgets = DEFAULT) -> 
     m = p.degree
     if not 0 <= ell <= m:
         raise ValueError(f"need 0 <= ell <= {m}")
-    n = math.comb(m, ell)
-    if n > budgets.max_lift_degree:
-        raise BudgetExceeded(f"C({m},{ell}) = {n} exceeds the max_lift_degree budget "
-                             f"{budgets.max_lift_degree}")
+    budgets.check("max_lift_degree", math.comb(m, ell), f"C({m},{ell})")
     # a subset's bitmask is the sum of its points' bits; both combinations
     # walks visit the same index subsets in the same order, so the second
     # yields the bits of the image p(S) next to the bits of each S
@@ -162,9 +155,7 @@ def product_action_build(coords: Sequence[Permutation], top: Permutation,
             raise DegreeMismatch(
                 f"coordinate degree {c.degree} != C({m},{ell}) = {base}")
     degree = base ** t
-    if degree > budgets.max_lift_degree:
-        raise BudgetExceeded(f"product action degree {degree} exceeds the max_lift_degree "
-                             f"budget {budgets.max_lift_degree}")
+    budgets.check("max_lift_degree", degree, f"product action degree C({m},{ell})**{t}")
     topinv = top.inverse()
     images = [0] * degree
     for point in range(degree):
@@ -203,10 +194,7 @@ class WreathGroup:
             raise ValueError("k must be >= 1")
         n = top.degree
         size = k ** n * top.order
-        if size > top.budgets.max_group_order:
-            raise BudgetExceeded(
-                f"wreath group order k**n * |H| = {size} exceeds the max_group_order "
-                f"budget {top.budgets.max_group_order}")
+        top.budgets.check("max_group_order", size, "wreath group order k**n * |H|")
         self.k = k
         self.top = top
         self.n = n

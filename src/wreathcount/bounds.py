@@ -244,13 +244,10 @@ def predicates(group: PermGroup, k: int) -> list[BoundReport]:
 def subset_orbit_count_exact(m: int, ell: int, k: int,
                              budgets: Budgets = DEFAULT) -> int:
     """n(S_m, k-colorings of the ell-subsets), exactly, via per-cycle-type Burnside."""
-    c = math.comb(m, ell)
-    if c > budgets.max_lift_degree:
-        raise BudgetExceeded(f"C({m},{ell}) = {c} exceeds the max_lift_degree budget "
-                             f"{budgets.max_lift_degree}")
+    budgets.check("max_lift_degree", math.comb(m, ell), f"C({m},{ell})")
     fact = math.factorial(m)
     total = 0
-    for part in combinatorics.partition_enum(m):
+    for part in combinatorics.partition_enum(m, budgets):
         # one permutation of this cycle type: consecutive runs of points as cycles
         images = []
         for length in part.parts:
@@ -314,15 +311,9 @@ def _product_orbit_identity(m: int, ell: int, t: int, k: int, single: int,
     if t < 1:
         raise ValueError("t must be >= 1")
     c = math.comb(m, ell)
-    if t * c > budgets.max_lift_degree:
-        raise BudgetExceeded(f"product Burnside refused: t*C({m},{ell}) = {t * c} exceeds "
-                             f"the max_lift_degree budget {budgets.max_lift_degree}")
-    if math.factorial(m) ** t > budgets.max_group_order:
-        raise BudgetExceeded(f"product Burnside refused: ({m}!)**{t} = {math.factorial(m) ** t} "
-                             f"exceeds the max_group_order budget {budgets.max_group_order}")
-    if k ** (t * c) > budgets.max_coloring_space:
-        raise BudgetExceeded(f"tuple coloring space k**(t*C({m},{ell})) = {k ** (t * c)} exceeds "
-                             f"the max_coloring_space budget {budgets.max_coloring_space}")
+    budgets.check("max_lift_degree", t * c, f"product Burnside degree t*C({m},{ell})")
+    # the closure would refuse too, but only after building up to the whole budget
+    budgets.check("max_group_order", math.factorial(m) ** t, f"power group order ({m}!)**{t}")
 
     gens = []
     for i in range(t):
@@ -626,12 +617,12 @@ def fixed_subset_fraction_probe(m_values: Sequence[int],
     results = []
     for m in m_values:
         witness = None
-        for part in combinatorics.partition_enum(m):
+        for part in combinatorics.partition_enum(m, budgets):
             if 4 * part.num_parts > 3 * m:
                 continue
             # fix[ell] = ell-subsets fixed by this type, for every 1 <= ell < m/2
             fix = combinatorics.fixed_subset_polynomial(
-                part.multiplicities(), max(m - 1, 0) // 2, budgets)
+                part.multiplicities(), max(m - 1, 0) // 2)
             for ell in range(1, (m + 1) // 2):
                 if 4 * fix[ell] >= 3 * math.comb(m, ell):
                     witness = (part.parts, ell)

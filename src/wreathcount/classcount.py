@@ -161,10 +161,7 @@ def _orbit_reps_numpy(gens: list[Permutation], k: int, space: int) -> list[tuple
 def _check_space(group: PermGroup, k: int) -> int:
     """k**n, refused when it passes the group's max_coloring_space budget."""
     space = k ** group.degree
-    if space > group.budgets.max_coloring_space:
-        raise BudgetExceeded(
-            f"coloring space k**n = {space} exceeds the max_coloring_space budget "
-            f"{group.budgets.max_coloring_space}")
+    group.budgets.check("max_coloring_space", space, "coloring space k**n")
     return space
 
 

@@ -8,8 +8,8 @@ Output is a human table by default, or machine JSON/CSV; JSON and CSV are
 byte-identical across runs for a fixed invocation and seed (class counts
 travel as decimal strings, and timings are never serialized).
 
-Exit codes: 0 success, 1 invalid input or failed verification, 2 budget
-refusal (the job was understood but is too large for the configured limits).
+Exit codes: 0 success, 1 invalid input, failed verification or closed stdout,
+2 budget refusal (the job was understood but is too large for the configured limits).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -339,7 +340,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         "scan": _cmd_scan,
     }
     try:
-        return dispatch[args.command](args)
+        code = dispatch[args.command](args)
+        sys.stdout.flush()  # inside the try, so a closed pipe is caught here
+        return code
+    except BrokenPipeError:
+        # the reader of stdout exited; point stdout at devnull so the exit flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return 1
     except Infeasible as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         if exc.lower is not None:

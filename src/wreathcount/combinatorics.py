@@ -4,7 +4,9 @@ Every function here returns unbounded Python ints; no floats enter any
 counting path. Two kernels carry the closed forms and the probes: Euler's
 recurrence for k-tuples of partitions (k(X wr S_n)), and the fixed-subset
 polynomial, product over the cycles of a permutation of (1 + x**len),
-whose coefficients count the subsets each size fixes.
+whose coefficients count the subsets each size fixes. Both do polynomial
+integer work and take no budgets; partition_enum lists p(n) partitions,
+which grows like exp(pi * sqrt(2n/3)), so it checks max_partition_size.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .budgets import DEFAULT, Budgets
-from .errors import BudgetExceeded, InvariantViolation
+from .errors import InvariantViolation
 
 
 @dataclass(frozen=True)
@@ -62,10 +64,11 @@ def partition_count(n: int) -> int:
     return _partition_table(n)[n]
 
 
-def partition_enum(n: int) -> list[Partition]:
-    """All partitions of n in reverse-lexicographic order: (n) first, (1,...,1) last."""
+def partition_enum(n: int, budgets: Budgets = DEFAULT) -> list[Partition]:
+    """All p(n) partitions of n in reverse-lexicographic order: (n) first, (1,...,1) last."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    budgets.check("max_partition_size", n, "partition size n")
 
     def rec(remaining: int, cap: int):
         if remaining == 0:
@@ -107,8 +110,7 @@ def weak_composition_count(n: int, k: int) -> int:
     return math.comb(n + k - 1, k - 1)
 
 
-def fixed_subset_polynomial(cycle_type: Mapping[int, int], degree: int,
-                            budgets: Budgets = DEFAULT) -> list[int]:
+def fixed_subset_polynomial(cycle_type: Mapping[int, int], degree: int) -> list[int]:
     """Coefficients of x**0 .. x**degree in the product over cycles of (1 + x**len).
 
     ``cycle_type`` maps cycle length to multiplicity (fixed points as length
@@ -117,10 +119,6 @@ def fixed_subset_polynomial(cycle_type: Mapping[int, int], degree: int,
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if degree > budgets.max_partition_size:
-        raise BudgetExceeded(
-            f"fixed-subset polynomial refused: degree {degree} exceeds the "
-            f"max_partition_size budget {budgets.max_partition_size}")
     alpha = dict(getattr(cycle_type, "alpha", cycle_type))
     coeffs = [1] + [0] * degree
     for length, mult in alpha.items():
@@ -131,8 +129,7 @@ def fixed_subset_polynomial(cycle_type: Mapping[int, int], degree: int,
     return coeffs
 
 
-def fix_subsets_formula(cycle_type: Mapping[int, int], ell: int,
-                        budgets: Budgets = DEFAULT) -> int:
+def fix_subsets_formula(cycle_type: Mapping[int, int], ell: int) -> int:
     """Number of ell-subsets fixed setwise by a permutation with the given cycle type.
 
     The x**ell coefficient of fixed_subset_polynomial; callers that need
@@ -140,7 +137,7 @@ def fix_subsets_formula(cycle_type: Mapping[int, int], ell: int,
     """
     if ell < 0:
         raise ValueError("ell must be nonnegative")
-    return fixed_subset_polynomial(cycle_type, ell, budgets)[ell]
+    return fixed_subset_polynomial(cycle_type, ell)[ell]
 
 
 def tuples_of_partitions_count(k: int, n: int) -> int:

@@ -271,8 +271,8 @@ def _closure(generators: Sequence[Permutation], limit: int,
                 if y not in group:
                     if len(group) + len(sub) > limit:
                         raise BudgetExceeded(
-                            f"group order exceeds the max_group_order budget {limit} "
-                            f"during closure")
+                            f"closure order = {len(group) + len(sub)} exceeds the "
+                            f"max_group_order budget {limit}")
                     y_of = y.__getitem__
                     group.update([tuple(map(y_of, h)) for h in sub])  # y * h
                     reps.append(y)
@@ -596,11 +596,7 @@ def normal_subgroups(group: PermGroup) -> list[PermGroup]:
     image tuples; each distinct one is returned as a PermGroup generated by
     the classes that built it, with no further closure.
     """
-    budgets = group.budgets
-    if group.order > budgets.max_normal_order:
-        raise BudgetExceeded(
-            f"normal subgroup enumeration refused: order {group.order} exceeds the "
-            f"max_normal_order budget {budgets.max_normal_order}")
+    group.budgets.check("max_normal_order", group.order, "normal subgroup lattice: |H|")
     classes = conjugacy_classes(group)
     trivial = frozenset({group.identity.images})
     found = {trivial: ()}
@@ -613,10 +609,7 @@ def normal_subgroups(group: PermGroup) -> list[PermGroup]:
                 continue
             grown = frozenset(_closure(gens + cls, limit=group.order, base=base))
             if grown not in found:
-                if len(found) >= budgets.max_subgroup_count:
-                    raise BudgetExceeded(
-                        f"normal subgroup lattice larger than safety cap: more than the "
-                        f"max_subgroup_count budget {budgets.max_subgroup_count}")
+                group.budgets.check("max_subgroup_count", len(found) + 1, "normal subgroups found")
                 found[grown] = gens + cls
                 queue.append(grown)
     return _wrap_lattice(group, found)
@@ -738,11 +731,7 @@ def subgroups(group: PermGroup) -> list[PermGroup]:
     keys subgroups by image tuples; each distinct one is returned as a
     PermGroup generated by the elements that built it, with no further closure.
     """
-    budgets = group.budgets
-    if group.order > budgets.max_subgroup_order:
-        raise BudgetExceeded(
-            f"subgroup lattice refused: order {group.order} exceeds the "
-            f"max_subgroup_order budget {budgets.max_subgroup_order}")
+    group.budgets.check("max_subgroup_order", group.order, "subgroup lattice: |H|")
     trivial = frozenset({group.identity.images})
     seen = {trivial: ()}
     queue = [trivial]
@@ -756,10 +745,7 @@ def subgroups(group: PermGroup) -> list[PermGroup]:
             # a skipped x reaches what an earlier closed x did: seen matches the full walk
             grown = frozenset(_closure(gens + (x,), limit=group.order, base=sub))
             if grown not in seen:
-                if len(seen) >= budgets.max_subgroup_count:
-                    raise BudgetExceeded(
-                        f"subgroup lattice larger than safety cap: more than the "
-                        f"max_subgroup_count budget {budgets.max_subgroup_count}")
+                group.budgets.check("max_subgroup_count", len(seen) + 1, "subgroups found")
                 seen[grown] = gens + (x,)
                 queue.append(grown)
             for si in sub:

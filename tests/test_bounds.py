@@ -181,6 +181,12 @@ def test_product_orbit_identity_budget():
         product_orbit_identity(4, 1, 12, 2)
 
 
+def test_product_orbit_identity_enumerates_no_coloring():
+    # the Burnside sum runs over conjugacy classes, so k**(t*C) = 64 needs no coloring budget
+    tight = DEFAULT.with_overrides(max_coloring_space=10)
+    assert product_orbit_identity(3, 1, 2, 2, tight).holds is True
+
+
 def test_large_base_count_bound():
     rep = large_base_count_bound(6, 1, 1, 2)
     assert (rep.lhs, rep.rhs, rep.holds, rep.mode) == (65, 468750, True, "exact")

@@ -186,6 +186,22 @@ def test_tripped_invariant_exits_one_without_traceback(run_cli, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["count", "--group", "cyclic:3", "--k", "2"],
+                                  ["verify", "formulas"]])
+def test_closed_stdout_exits_one_without_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the first write
+    try:
+        res = subprocess.run(CLI + argv, stdout=write_end, stderr=subprocess.PIPE,
+                             env=dict(os.environ, PYTHONHASHSEED="0"))
+    finally:
+        os.close(write_end)
+    err = res.stderr.decode()
+    assert res.returncode == 1
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_budget_env_variable(run_cli):
     res = _subprocess_run(["count", "--group", "symmetric:5", "--k", "2",
                            "--method", "brute"],

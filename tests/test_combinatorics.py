@@ -144,7 +144,7 @@ def test_fix_subsets_total_over_sizes():
 def test_fix_subsets_budget_refusal():
     tight = DEFAULT.with_overrides(max_partition_size=4)
     with pytest.raises(BudgetExceeded):
-        fix_subsets_formula({1: 12}, 10, budgets=tight)
+        partition_enum(12, tight)
 
 
 def test_is_prime_small_range():

@@ -1,5 +1,6 @@
 """Permutation arithmetic, closure, and structure classification."""
 
+import dataclasses
 import inspect
 import math
 import random
@@ -12,6 +13,7 @@ import wreathcount
 from wreathcount import (
     DEFAULT,
     BudgetExceeded,
+    Budgets,
     DegreeMismatch,
     ParseError,
     PermGroup,
@@ -26,7 +28,7 @@ from wreathcount import (
     conjugacy_classes,
     count_upper_bound,
     fix_subsets_direct,
-    fix_subsets_formula,
+    fixed_subset_fraction_probe,
     is_primitive,
     is_semiregular,
     is_transitive,
@@ -37,6 +39,7 @@ from wreathcount import (
     parse_generators,
     parse_group_spec,
     parse_permutation,
+    partition_enum,
     point_stabilizer,
     product_action_build,
     product_orbit_identity,
@@ -199,7 +202,8 @@ def test_closure_from_a_base_refuses_exactly_past_the_limit(spec):
     gens = group.generators
     assert len(_closure(gens, limit=group.order, base=base)) == group.order
     with pytest.raises(BudgetExceeded,
-                       match=f"the max_group_order budget {group.order - 1} during closure"):
+                       match=rf"^closure order = \d+ exceeds the max_group_order budget "
+                             rf"{group.order - 1}$"):
         _closure(gens, limit=group.order - 1, base=base)
 
 
@@ -558,32 +562,55 @@ def test_max_subgroup_class_count_builds_no_group_from_elements(spy):
     assert wrapped == []
 
 
-@pytest.mark.parametrize("call,field", [
-    (lambda b: subgroups(parse_group_spec("symmetric:4", b)), "max_subgroup_order"),
-    (lambda b: normal_subgroups(parse_group_spec("symmetric:4", b)), "max_normal_order"),
-    (lambda b: structure_classify(parse_group_spec("symmetric:4", b)), "max_normal_order"),
-    (lambda b: count_upper_bound(parse_group_spec("symmetric:4", b), 2, "exact-lattice"),
-     "max_subgroup_order"),
-    (lambda b: auto_count(parse_group_spec("alternating:6", b), 2), "max_group_order"),
-    (lambda b: PermGroup(parse_generators("(1 2), (1 2 3 4)"), budgets=b).elements,
-     "max_group_order"),
-    (lambda b: build_wreath_group(2, parse_group_spec("symmetric:3", b)), "max_group_order"),
-    (lambda b: subsets_action_lift(Permutation.identity(6), 3, b), "max_lift_degree"),
-    (lambda b: fix_subsets_direct(Permutation.identity(6), 3, b), "max_lift_degree"),
-    (lambda b: product_action_build([Permutation.identity(3)] * 3, Permutation.identity(3),
-                                    3, 1, b), "max_lift_degree"),
-    (lambda b: subset_orbit_count_exact(6, 3, 2, b), "max_lift_degree"),
-    (lambda b: product_orbit_identity(3, 1, 4, 2, b), "max_lift_degree"),
-    (lambda b: product_orbit_identity(3, 1, 2, 2, b), "max_group_order"),
-    (lambda b: product_orbit_identity(3, 1, 2, 2, b), "max_coloring_space"),
-    (lambda b: fix_subsets_formula({1: 12}, 11, b), "max_partition_size"),
-], ids=["subgroups", "normal_subgroups", "structure_classify", "count_upper_bound_lattice",
-        "auto_count", "closure", "wreath", "subsets_lift",
-        "fix_subsets_direct", "product_action", "subset_orbit_count", "product_identity_lift",
-        "product_identity_order", "product_identity_colorings", "fix_subsets_formula"])
+# every budget refusal, keyed by test id: (call on budgets b, the field set to 10)
+_REFUSALS = {
+    "subgroups": (lambda b: subgroups(parse_group_spec("symmetric:4", b)),
+                  "max_subgroup_order"),
+    "subgroups_cap": (lambda b: subgroups(parse_group_spec("symmetric:4", b)),
+                      "max_subgroup_count"),
+    "normal_subgroups": (lambda b: normal_subgroups(parse_group_spec("symmetric:4", b)),
+                         "max_normal_order"),
+    "normal_subgroups_cap": (lambda b: normal_subgroups(
+        parse_group_spec("gens:8,(1 2),(3 4),(5 6),(7 8)", b)), "max_subgroup_count"),
+    "structure_classify": (lambda b: structure_classify(parse_group_spec("symmetric:4", b)),
+                           "max_normal_order"),
+    "count_upper_bound_lattice": (lambda b: count_upper_bound(
+        parse_group_spec("symmetric:4", b), 2, "exact-lattice"), "max_subgroup_order"),
+    "auto_count": (lambda b: auto_count(parse_group_spec("alternating:6", b), 2),
+                   "max_group_order"),
+    "closure": (lambda b: PermGroup(parse_generators("(1 2), (1 2 3 4)"), budgets=b).elements,
+                "max_group_order"),
+    "wreath": (lambda b: build_wreath_group(2, parse_group_spec("symmetric:3", b)),
+               "max_group_order"),
+    "subsets_lift": (lambda b: subsets_action_lift(Permutation.identity(6), 3, b),
+                     "max_lift_degree"),
+    "fix_subsets_direct": (lambda b: fix_subsets_direct(Permutation.identity(6), 3, b),
+                           "max_lift_degree"),
+    "product_action": (lambda b: product_action_build(
+        [Permutation.identity(3)] * 3, Permutation.identity(3), 3, 1, b), "max_lift_degree"),
+    "subset_orbit_count": (lambda b: subset_orbit_count_exact(6, 3, 2, b), "max_lift_degree"),
+    "product_identity_lift": (lambda b: product_orbit_identity(3, 1, 4, 2, b),
+                              "max_lift_degree"),
+    "product_identity_order": (lambda b: product_orbit_identity(3, 1, 2, 2, b),
+                               "max_group_order"),
+    "partition_enum": (lambda b: partition_enum(12, b), "max_partition_size"),
+    "fixed_subset_probe": (lambda b: fixed_subset_fraction_probe([12], b),
+                           "max_partition_size"),
+    "subset_orbit_count_partitions": (lambda b: subset_orbit_count_exact(12, 1, 2, b),
+                                      "max_partition_size"),
+    "coloring_space": (lambda b: classcount._census(parse_group_spec("cyclic:4", b), 2),
+                       "max_coloring_space"),
+}
+
+
+@pytest.mark.parametrize("call,field", _REFUSALS.values(), ids=list(_REFUSALS))
 def test_refusal_names_its_budget(call, field):
-    with pytest.raises(BudgetExceeded, match=f"the {field} budget 10"):
+    with pytest.raises(BudgetExceeded, match=rf"^.+ = \d+ exceeds the {field} budget 10$"):
         call(DEFAULT.with_overrides(**{field: 10}))
+
+
+def test_every_budget_has_a_refusal_row():
+    assert {f.name for f in dataclasses.fields(Budgets)} <= {f for _, f in _REFUSALS.values()}
 
 
 @pytest.mark.parametrize("enumerate_", [subgroups, normal_subgroups])
