@@ -11,7 +11,6 @@ cross-check suites behind ``wreathcount verify``.
 
 from .actions import (
     BlockDecomposition,
-    CycleType,
     WreathGroup,
     block_decomposition,
     build_wreath_group,
@@ -60,7 +59,6 @@ from .classcount import (
     schmid_cyclic,
 )
 from .combinatorics import (
-    Partition,
     fix_subsets_formula,
     partition_count,
     partition_enum,
@@ -106,11 +104,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockDecomposition", "BoundReport", "BudgetExceeded", "Budgets", "CountResult",
-    "CycleType", "DEFAULT", "DegreeMismatch", "DivisibilityViolation", "Infeasible",
-    "InvariantViolation", "NotSemiprimitive", "NumericInvariants", "OrbitStats", "ParseError",
-    "Partition", "PermGroup", "Permutation", "ScanRow",
-    "SemiprimitiveReport", "StructureReport", "UnknownFamily", "WreathGroup",
-    "WreathcountError", "auto_count", "block_decomposition", "bounds_report",
+    "DEFAULT", "DegreeMismatch", "DivisibilityViolation", "Infeasible", "InvariantViolation",
+    "NotSemiprimitive", "NumericInvariants", "OrbitStats", "ParseError", "PermGroup",
+    "Permutation", "ScanRow", "SemiprimitiveReport", "StructureReport", "UnknownFamily",
+    "WreathGroup", "WreathcountError", "auto_count", "block_decomposition", "bounds_report",
     "brute_force_count", "build_wreath_group", "burnside_orbit_count", "class_count",
     "clifford_count", "closed_form", "coloring_orbit_reps",
     "coloring_stabilizer", "coloring_stabilizers", "conjugacy_classes",

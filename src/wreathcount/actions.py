@@ -1,14 +1,17 @@
 """Derived actions and group constructors.
 
-Covers cycle statistics, the induced action on ell-subsets, the product
-action on tuples of subsets, explicit wreath product groups, the named group
-family constructors used by the CLI, and block decompositions of imprimitive
-groups.
+Covers cycle types, the induced action on ell-subsets, the product action
+on tuples of subsets, explicit wreath product groups, the named group family
+constructors used by the CLI, and block decompositions of imprimitive
+groups. A cycle type is the weakly decreasing tuple of cycle lengths (fixed
+points as 1s), the same part tuple combinatorics.partition_enum yields for
+its class.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -33,35 +36,17 @@ from .permgroup import (
 )
 
 
-@dataclass(frozen=True)
-class CycleType:
-    """Multiset of cycle lengths, as a mapping length -> multiplicity."""
-
-    alpha: tuple[tuple[int, int], ...]
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.alpha)
-
-    @property
-    def degree(self) -> int:
-        return sum(length * mult for length, mult in self.alpha)
+def cycle_type(p: Permutation) -> tuple[int, ...]:
+    """Cycle lengths, fixed points as 1s, weakly decreasing: the partition of the class."""
+    return tuple(sorted(map(len, p.cycles(include_fixed=True)), reverse=True))
 
 
-
-def cycle_type(p: Permutation) -> CycleType:
-    counts: dict[int, int] = {}
-    for cyc in p.cycles(include_fixed=True):
-        counts[len(cyc)] = counts.get(len(cyc), 0) + 1
-    return CycleType(tuple(sorted(counts.items())))
-
-
-def cycle_type_class_size(ct: CycleType) -> int:
+def cycle_type_class_size(parts: Sequence[int]) -> int:
     """Size of the conjugacy class in the symmetric group with this cycle type."""
-    m = ct.degree
     denom = 1
-    for length, mult in ct.alpha:
+    for length, mult in Counter(parts).items():
         denom *= length ** mult * math.factorial(mult)
-    return math.factorial(m) // denom
+    return math.factorial(sum(parts)) // denom
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ back to floats, with a relative tolerance of 1e-9 and an explicit
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -19,7 +20,6 @@ from . import combinatorics
 from .actions import (
     _symmetric_gens,
     block_decomposition,
-    cycle_type,
     cycle_type_class_size,
     family,
     induced_block_permutation,
@@ -95,10 +95,18 @@ class BoundReport:
         return out
 
 
+def _binary64(expr):
+    """expr(), or inf when a binary64 operation in it overflows."""
+    try:
+        return expr()
+    except OverflowError:
+        return math.inf
+
+
 def _tolerant_less(lhs, rhs):
     """lhs < rhs for exact lhs and possibly-float rhs, with 1e-9 relative tolerance."""
-    if isinstance(rhs, float) and math.isinf(rhs):
-        return rhs > 0
+    if isinstance(rhs, float) and math.isinf(rhs):  # rhs is past binary64; is lhs?
+        return lhs <= sys.float_info.max or "indeterminate"
     l, r = Fraction(lhs), Fraction(rhs)
     if abs(l - r) <= _TOL * max(Fraction(1), abs(r)):
         return "indeterminate"
@@ -120,7 +128,7 @@ def _resolve_e(group: PermGroup, e_source: str):
     if e_source == "five-pow-n-third":
         if n % 3 == 0:
             return 5 ** (n // 3), "exact", e_source
-        return 5.0 ** (n / 3), "float", e_source
+        return _binary64(lambda: 5.0 ** (n / 3)), "float", e_source
     if e_source == "five-pow-n-minus-one":
         return 5 ** (n - 1), "exact", e_source
     raise ValueError(f"e_source must be one of {E_SOURCES}, got {e_source!r}")
@@ -144,7 +152,8 @@ def count_upper_bound(group: PermGroup, k: int, e_source: str = "exact-lattice"
     if mode == "exact":
         rhs: object = count_upper_fraction(group, k, e)
     else:
-        rhs = float(Fraction(k ** n, group.order)) + 2.0 * e * float(k ** max_sigma)
+        rhs = _binary64(lambda: float(Fraction(k ** n, group.order))
+                        + 2.0 * e * float(k ** max_sigma))
     inputs = {"k": k, "n": n, "order": group.order, "max_sigma": max_sigma, "e": e}
     try:
         lhs = auto_count(group, k).value
@@ -247,15 +256,15 @@ def subset_orbit_count_exact(m: int, ell: int, k: int,
     budgets.check("max_lift_degree", math.comb(m, ell), f"C({m},{ell})")
     fact = math.factorial(m)
     total = 0
-    for part in combinatorics.partition_enum(m, budgets):
+    for parts in combinatorics.partition_enum(m, budgets):
         # one permutation of this cycle type: consecutive runs of points as cycles
         images = []
-        for length in part.parts:
+        for length in parts:
             start = len(images)
             images.extend(range(start + 1, start + length))
             images.append(start)
         rep = Permutation._unsafe(tuple(images))
-        total += cycle_type_class_size(cycle_type(rep)) * k ** sigma_prime(rep, ell, budgets)
+        total += cycle_type_class_size(parts) * k ** sigma_prime(rep, ell, budgets)
     if total % fact:
         raise DivisibilityViolation("subset-action Burnside sum not divisible by m!")
     return total // fact
@@ -352,7 +361,8 @@ def _large_base_count_bound(group: PermGroup | None, m: int, ell: int, t: int, k
         rhs: object = outer * (2 ** t * nterm + k ** (2 * n // 3))
         mode = "exact"
     else:
-        rhs = float(outer) * (float(2 ** t * nterm) + float(k) ** (2 * n / 3))
+        rhs = _binary64(lambda: float(outer) * (float(2 ** t * nterm)
+                                                + float(k) ** (2 * n / 3)))
         mode = "float"
     try:
         if group is None:
@@ -469,7 +479,8 @@ def semiprimitive_report(group: PermGroup, k: int) -> SemiprimitiveReport:
         chain_mode = "exact"
         chain_holds: object = lhs < chain_rhs
     else:
-        chain_rhs = float(quot_count) + float(term2) + n * float(k) ** (n / 2) / group.order
+        chain_rhs = _binary64(lambda: float(quot_count) + float(term2)
+                              + n * float(k) ** (n / 2) / group.order)
         chain_mode = "float"
         chain_holds = _tolerant_less(lhs, chain_rhs)
 
@@ -617,15 +628,14 @@ def fixed_subset_fraction_probe(m_values: Sequence[int],
     results = []
     for m in m_values:
         witness = None
-        for part in combinatorics.partition_enum(m, budgets):
-            if 4 * part.num_parts > 3 * m:
+        for parts in combinatorics.partition_enum(m, budgets):
+            if 4 * len(parts) > 3 * m:
                 continue
             # fix[ell] = ell-subsets fixed by this type, for every 1 <= ell < m/2
-            fix = combinatorics.fixed_subset_polynomial(
-                part.multiplicities(), max(m - 1, 0) // 2)
+            fix = combinatorics.fixed_subset_polynomial(parts, max(m - 1, 0) // 2)
             for ell in range(1, (m + 1) // 2):
                 if 4 * fix[ell] >= 3 * math.comb(m, ell):
-                    witness = (part.parts, ell)
+                    witness = (parts, ell)
                     break
             if witness:
                 break

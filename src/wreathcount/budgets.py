@@ -37,7 +37,7 @@ class Budgets:
     max_subgroup_count: int = 20_000
     # normal-subgroup enumeration refuses larger groups
     max_normal_order: int = 100_000
-    # partition_enum refuses larger n (p(n) partitions are listed)
+    # partition_enum refuses larger n (it streams p(n) partitions, so this bounds time)
     max_partition_size: int = 64
 
     def with_overrides(self, **kw) -> "Budgets":

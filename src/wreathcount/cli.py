@@ -326,6 +326,8 @@ def _cmd_scan(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact values and --k may pass 4300 digits
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

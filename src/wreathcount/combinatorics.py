@@ -1,50 +1,24 @@
 """Exact counting helpers: partitions, Stirling numbers, compositions.
 
 Every function here returns unbounded Python ints; no floats enter any
-counting path. Two kernels carry the closed forms and the probes: Euler's
-recurrence for k-tuples of partitions (k(X wr S_n)), and the fixed-subset
-polynomial, product over the cycles of a permutation of (1 + x**len),
-whose coefficients count the subsets each size fixes. Both do polynomial
-integer work and take no budgets; partition_enum lists p(n) partitions,
-which grows like exp(pi * sqrt(2n/3)), so it checks max_partition_size.
+counting path. A partition, and so the cycle type of a permutation, is the
+weakly decreasing tuple of its parts (fixed points count as parts 1). Two
+kernels carry the closed forms and the probes: Euler's recurrence for
+k-tuples of partitions (k(X wr S_n)), and the fixed-subset polynomial,
+product over the cycles of a permutation of (1 + x**len), whose
+coefficients count the subsets each size fixes. Both do polynomial integer
+work and take no budgets; partition_enum streams p(n) partitions, which
+grows like exp(pi * sqrt(2n/3)), so it checks max_partition_size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import Iterator, Sequence
 
 from .budgets import DEFAULT, Budgets
 from .errors import InvariantViolation
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Integer partition as a weakly decreasing tuple of positive parts."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(p <= 0 for p in self.parts):
-            raise ValueError("parts must be positive")
-        if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
-            raise ValueError("parts must be weakly decreasing")
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def num_parts(self) -> int:
-        return len(self.parts)
-
-    def multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
 
 
 @lru_cache(maxsize=None)
@@ -64,8 +38,9 @@ def partition_count(n: int) -> int:
     return _partition_table(n)[n]
 
 
-def partition_enum(n: int, budgets: Budgets = DEFAULT) -> list[Partition]:
-    """All p(n) partitions of n in reverse-lexicographic order: (n) first, (1,...,1) last."""
+def partition_enum(n: int, budgets: Budgets = DEFAULT) -> Iterator[tuple[int, ...]]:
+    """The p(n) partitions of n as part tuples, streamed in reverse-lexicographic
+    order: (n) first, (1,...,1) last. The budget is checked at the call."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     budgets.check("max_partition_size", n, "partition size n")
@@ -78,7 +53,7 @@ def partition_enum(n: int, budgets: Budgets = DEFAULT) -> list[Partition]:
             for rest in rec(remaining - first, first):
                 yield (first,) + rest
 
-    return [Partition(parts) for parts in rec(n, n)]
+    return rec(n, n)
 
 
 @lru_cache(maxsize=None)
@@ -110,34 +85,32 @@ def weak_composition_count(n: int, k: int) -> int:
     return math.comb(n + k - 1, k - 1)
 
 
-def fixed_subset_polynomial(cycle_type: Mapping[int, int], degree: int) -> list[int]:
+def fixed_subset_polynomial(parts: Sequence[int], degree: int) -> list[int]:
     """Coefficients of x**0 .. x**degree in the product over cycles of (1 + x**len).
 
-    ``cycle_type`` maps cycle length to multiplicity (fixed points as length
-    1). A subset fixed setwise by a permutation is a union of whole cycles,
-    so the coefficient of x**ell counts the fixed ell-subsets.
+    ``parts`` are the cycle lengths (fixed points as length 1). A subset
+    fixed setwise by a permutation is a union of whole cycles, so the
+    coefficient of x**ell counts the fixed ell-subsets.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    alpha = dict(getattr(cycle_type, "alpha", cycle_type))
     coeffs = [1] + [0] * degree
-    for length, mult in alpha.items():
-        for _ in range(mult):
-            # multiply by (1 + x**length), truncated; high degrees first
-            for d in range(degree, length - 1, -1):
-                coeffs[d] += coeffs[d - length]
+    for length in parts:
+        # multiply by (1 + x**length), truncated; high degrees first
+        for d in range(degree, length - 1, -1):
+            coeffs[d] += coeffs[d - length]
     return coeffs
 
 
-def fix_subsets_formula(cycle_type: Mapping[int, int], ell: int) -> int:
-    """Number of ell-subsets fixed setwise by a permutation with the given cycle type.
+def fix_subsets_formula(parts: Sequence[int], ell: int) -> int:
+    """Number of ell-subsets fixed setwise by a permutation with these cycle lengths.
 
     The x**ell coefficient of fixed_subset_polynomial; callers that need
     several ell for one type should read that polynomial once instead.
     """
     if ell < 0:
         raise ValueError("ell must be nonnegative")
-    return fixed_subset_polynomial(cycle_type, ell)[ell]
+    return fixed_subset_polynomial(parts, ell)[ell]
 
 
 def tuples_of_partitions_count(k: int, n: int) -> int:

@@ -24,7 +24,8 @@ from itertools import permutations
 
 from . import bounds as bounds_mod
 from . import classcount, combinatorics
-from .actions import cycle_type, fix_subsets_direct, parse_group_spec, sigma_prime
+from .actions import (cycle_type, cycle_type_class_size, fix_subsets_direct,
+                      parse_group_spec, sigma_prime)
 from .budgets import Budgets
 from .errors import NotSemiprimitive
 from .permgroup import Permutation, class_count, coloring_stabilizers
@@ -105,11 +106,8 @@ def _stirling_rows(budgets: Budgets):
         total = sum(combinatorics.stirling_first(j, m) for j in range(0, m + 1))
         _expect(total == math.factorial(m), f"row {m} sums to {total}, not {m}!")
         by_cycles = {}
-        for part in combinatorics.partition_enum(m, budgets):
-            size = math.factorial(m)
-            for length, mult in part.multiplicities().items():
-                size //= length ** mult * math.factorial(mult)
-            by_cycles[part.num_parts] = by_cycles.get(part.num_parts, 0) + size
+        for parts in combinatorics.partition_enum(m, budgets):
+            by_cycles[len(parts)] = by_cycles.get(len(parts), 0) + cycle_type_class_size(parts)
         for j, size in by_cycles.items():
             want = combinatorics.stirling_first(j, m)
             _expect(size == want, f"S({j},{m}): class sizes give {size}, table {want}")

@@ -160,22 +160,21 @@ def test_criterion_3_burnside_consistency():
                      f"instances incl. subset actions and weak compositions")
 
 
-def _formula_vector(ctype: dict, m: int) -> tuple:
-    return tuple(fix_subsets_formula(ctype, ell) for ell in range(m + 1))
+def _formula_vector(parts: tuple, m: int) -> tuple:
+    return tuple(fix_subsets_formula(parts, ell) for ell in range(m + 1))
 
 
 def _direct_vector(p: Permutation, m: int) -> tuple:
     return tuple(fix_subsets_direct(p, ell) for ell in range(m + 1))
 
 
-def _canonical_perm(alpha: tuple, m: int) -> Permutation:
+def _canonical_perm(parts: tuple, m: int) -> Permutation:
     images = list(range(m))
     start = 0
-    for length, mult in alpha:
-        for _ in range(mult):
-            for i in range(length):
-                images[start + i] = start + (i + 1) % length
-            start += length
+    for length in parts:
+        for i in range(length):
+            images[start + i] = start + (i + 1) % length
+        start += length
     return Permutation(images)
 
 
@@ -194,8 +193,7 @@ def _run_fix_subset_sweep() -> tuple[float, int]:
     for m in range(1, 9):
         for images in itertools.permutations(range(m)):
             p = Permutation(images)
-            ctype = cycle_type(p).as_dict()
-            assert _formula_vector(ctype, m) == _direct_vector(p, m), images
+            assert _formula_vector(cycle_type(p), m) == _direct_vector(p, m), images
             checked += 1
     # m = 9, 10: fixed-subset counts are class functions, so the direct
     # route runs once per cycle type (canonical representative plus one
@@ -207,27 +205,26 @@ def _run_fix_subset_sweep() -> tuple[float, int]:
         observed: dict[tuple, int] = {}
         for images in itertools.permutations(range(m)):
             p = Permutation(images)
-            ct = cycle_type(p)
-            alpha = ct.alpha
-            vec = verified.get(alpha)
+            parts = cycle_type(p)
+            vec = verified.get(parts)
             if vec is None:
-                canon = _canonical_perm(alpha, m)
-                vec = _formula_vector(ct.as_dict(), m)
-                assert vec == _direct_vector(canon, m), alpha
-                assert vec == _direct_vector(_random_conjugate(canon, rng), m), alpha
-                verified[alpha] = vec
-            observed[alpha] = observed.get(alpha, 0) + 1
+                canon = _canonical_perm(parts, m)
+                vec = _formula_vector(parts, m)
+                assert vec == _direct_vector(canon, m), parts
+                assert vec == _direct_vector(_random_conjugate(canon, rng), m), parts
+                verified[parts] = vec
+            observed[parts] = observed.get(parts, 0) + 1
             checked += 1
-        for alpha, count in observed.items():
-            ct = cycle_type(_canonical_perm(alpha, m))
-            assert count == cycle_type_class_size(ct), alpha
+        for parts, count in observed.items():
+            assert cycle_type(_canonical_perm(parts, m)) == parts
+            assert count == cycle_type_class_size(parts), parts
     # m = 14: seeded random sample, one random subset size per draw
     for _ in range(1000):
         images = list(range(14))
         rng.shuffle(images)
         p = Permutation(images)
         ell = rng.randrange(15)
-        assert (fix_subsets_formula(cycle_type(p).as_dict(), ell)
+        assert (fix_subsets_formula(cycle_type(p), ell)
                 == fix_subsets_direct(p, ell))
         checked += 1
     return time.perf_counter() - t0, checked

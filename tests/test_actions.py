@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,6 +25,7 @@ from wreathcount import (
     is_transitive,
     parse_group_spec,
     parse_permutation,
+    partition_enum,
     product_action_build,
     sigma_prime,
     subset_rank,
@@ -42,11 +44,16 @@ def _all_perms(m):
 def test_cycle_type_alpha():
     p = parse_permutation("(1 2)(3 4 5)", 6)
     ct = cycle_type(p)
-    assert ct.alpha == ((1, 1), (2, 1), (3, 1))
-    assert ct.degree == 6
-    assert sum(mult for _, mult in ct.alpha) == p.cycle_count() == 3
-    assert ct.as_dict()[1] == p.fixed_point_count() == 1
-    assert ct.as_dict() == {1: 1, 2: 1, 3: 1}
+    assert ct == (3, 2, 1)
+    assert sum(ct) == 6
+    assert len(ct) == p.cycle_count() == 3
+    assert ct.count(1) == p.fixed_point_count() == 1
+    assert Counter(ct) == {1: 1, 2: 1, 3: 1}
+
+
+def test_cycle_types_are_the_partitions():
+    for m in range(1, 7):
+        assert {cycle_type(p) for p in _all_perms(m)} == set(partition_enum(m))
 
 
 def test_sigma_and_gamma_count_cycles():
@@ -58,13 +65,10 @@ def test_sigma_and_gamma_count_cycles():
 
 def test_class_sizes_sum_to_factorial():
     for m in range(1, 8):
-        seen = {}
-        for p in _all_perms(m):
-            seen[cycle_type(p).alpha] = seen.get(cycle_type(p).alpha, 0) + 1
+        seen = Counter(cycle_type(p) for p in _all_perms(m))
         total = 0
-        for alpha, count in seen.items():
-            ct = cycle_type(Permutation(range(m)))
-            size = cycle_type_class_size(type(ct)(alpha))
+        for parts, count in seen.items():
+            size = cycle_type_class_size(parts)
             assert size == count
             total += size
         assert total == math.factorial(m)
@@ -134,7 +138,7 @@ def test_sigma_prime_and_fix_match_lift():
 def test_fix_formula_matches_direct_exhaustive():
     for m in range(2, 7):
         for p in _all_perms(m):
-            ctype = cycle_type(p).as_dict()
+            ctype = cycle_type(p)
             for ell in range(m + 1):
                 assert fix_subsets_formula(ctype, ell) == fix_subsets_direct(p, ell)
 

@@ -198,6 +198,22 @@ def test_large_base_count_bound():
     assert rep.holds is True
 
 
+def test_float_sides_past_binary64_read_inf():
+    # each float expression overflows binary64; its side reads inf, not an OverflowError
+    rep = count_upper_bound(parse_group_spec("cyclic:2002"), 2, "five-pow-n-third")
+    assert (rep.rhs, rep.mode) == (math.inf, "float")  # e = 5.0 ** (2002 / 3)
+    rep = large_base_count_bound(4, 1, 1, 10 ** 200)  # 2n = 8 is not a multiple of 3
+    assert (rep.rhs, rep.mode) == (math.inf, "float")
+
+
+def test_infinite_rhs_decides_only_a_binary64_lhs():
+    from wreathcount.bounds import _tolerant_less
+
+    assert _tolerant_less(5, math.inf) is True
+    assert _tolerant_less(2 ** 1023, math.inf) is True
+    assert _tolerant_less(2 ** 1024, math.inf) == "indeterminate"
+
+
 def test_large_base_match():
     assert large_base_match(parse_group_spec("subsets:5,2")) == (5, 2, 1)
     assert large_base_match(parse_group_spec("subsets-alt:6,1")) == (6, 1, 1)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
@@ -353,6 +354,33 @@ def test_bounds_large_base_rows_count_once(spy, spec, built):
     assert families == built  # the report counts the group it holds
     assert singles == [5]  # n(S_5, pairs) is counted once
     assert group in census and len(census) == len(set(census)) == 1 + len(built)
+
+
+def test_bounds_float_overflow_exits_zero(run_cli):
+    # float sides past binary64 read inf: the chain's float(k) ** (n/2), float(k**n/|H|)
+    big = str(10 ** 200)
+    code, out, err = run_cli("bounds", "--group", "cyclic:9", "--k", big, "--output", "json")
+    assert code == 0 and err == ""
+    semi = json.loads(out)["semiprimitive"]
+    assert semi["chain_rhs"] == float("inf")
+    assert semi["chain_holds"] == "indeterminate"  # lhs ~ k**9/9 is past binary64 too
+    code, out, err = run_cli("bounds", "--group", "cyclic:4", "--k", big,
+                             "--e-source", "five-pow-n-third", "--output", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["reports"][0]["rhs"] == float("inf")
+
+
+def test_count_prints_values_past_4300_digits():
+    # a fresh interpreter holds the default int/str digit limit; Decimal renders
+    # the expected value here without it
+    k = 10 ** 1000
+    proc = _subprocess_run(["count", "--group", "cyclic:5", "--k", str(k), "--output", "json"])
+    assert proc.returncode == 0, proc.stderr
+    value = json.loads(proc.stdout)["value"]
+    assert len(value) > 4300
+    assert value == str(Decimal((k ** 5 - k) // 5 + 5 * k))
+    proc = _subprocess_run(["count", "--group", "cyclic:2", "--k", "9" * 5000])
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_bounds_json_shape(run_cli):

@@ -2,13 +2,13 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from wreathcount import (
     DEFAULT,
     BudgetExceeded,
-    Partition,
     fix_subsets_formula,
     partition_count,
     partition_enum,
@@ -59,19 +59,32 @@ def test_partition_count_small():
 
 def test_partition_enum_matches_count():
     for n in range(13):
-        parts = partition_enum(n)
+        parts = list(partition_enum(n))
         assert len(parts) == partition_count(n)
         assert len(set(parts)) == len(parts)
+        assert parts == sorted(parts, reverse=True)  # reverse-lexicographic
         for p in parts:
-            assert p.size == n
+            assert sum(p) == n
+            assert all(a >= b >= 1 for a, b in zip(p, p[1:] + (1,)))
 
 
-def test_partition_validation():
-    assert Partition((3, 1, 1)).size == 5
-    with pytest.raises(ValueError):
-        Partition((1, 2))
-    with pytest.raises(ValueError):
-        Partition((2, 0))
+def test_partition_enum_refuses_at_the_call():
+    # the refusal comes before any iteration, not at the first next()
+    with pytest.raises(BudgetExceeded, match="max_partition_size"):
+        partition_enum(65)
+    assert next(partition_enum(64)) == (64,)
+
+
+def test_partition_enum_streams():
+    # p(40) = 37338 partitions; streaming holds one at a time
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in partition_enum(40))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == partition_count(40)
+    assert peak < 1_000_000, peak
 
 
 def test_weak_composition_count():
@@ -107,22 +120,22 @@ def test_tuples_of_partitions_triples():
 def test_fix_subsets_identity_type():
     for m in range(1, 9):
         for ell in range(m + 1):
-            assert fix_subsets_formula({1: m}, ell) == math.comb(m, ell)
+            assert fix_subsets_formula((1,) * m, ell) == math.comb(m, ell)
 
 
 def test_fix_subsets_single_cycle():
     # a full cycle fixes no subset strictly between empty and everything
     for m in range(2, 9):
         for ell in range(1, m):
-            assert fix_subsets_formula({m: 1}, ell) == 0
-        assert fix_subsets_formula({m: 1}, 0) == 1
-        assert fix_subsets_formula({m: 1}, m) == 1
+            assert fix_subsets_formula((m,), ell) == 0
+        assert fix_subsets_formula((m,), 0) == 1
+        assert fix_subsets_formula((m,), m) == 1
 
 
 def test_fix_subsets_double_transposition():
-    assert fix_subsets_formula({2: 2}, 2) == 2
-    assert fix_subsets_formula({2: 2}, 1) == 0
-    assert fix_subsets_formula({2: 1, 1: 2}, 1) == 2
+    assert fix_subsets_formula((2, 2), 2) == 2
+    assert fix_subsets_formula((2, 2), 1) == 0
+    assert fix_subsets_formula((2, 1, 1), 1) == 2
 
 
 def test_fix_subsets_total_over_sizes():
@@ -130,15 +143,12 @@ def test_fix_subsets_total_over_sizes():
     # each cycle is either wholly in or out, giving 2**(cycle count)
     rng = random.Random(17)
     for _ in range(40):
-        ctype = {}
-        m = 0
+        parts = ()
         for length in rng.sample(range(1, 7), rng.randrange(1, 4)):
-            mult = rng.randrange(1, 4)
-            ctype[length] = mult
-            m += length * mult
-        cycles = sum(ctype.values())
-        total = sum(fix_subsets_formula(ctype, ell) for ell in range(m + 1))
-        assert total == 2 ** cycles
+            parts += (length,) * rng.randrange(1, 4)
+        m = sum(parts)
+        total = sum(fix_subsets_formula(parts, ell) for ell in range(m + 1))
+        assert total == 2 ** len(parts)
 
 
 def test_fix_subsets_budget_refusal():
