@@ -95,7 +95,6 @@ from .permgroup import (
     orbits,
     parse_generators,
     parse_permutation,
-    point_stabilizer,
     structure_classify,
     subgroups,
 )
@@ -119,7 +118,7 @@ __all__ = [
     "nonregular_orbit_stats", "nonregular_orbits", "normal_subgroups", "numeric_invariants",
     "orbits", "parse_generators",
     "parse_group_spec", "parse_permutation", "partition_count", "partition_enum",
-    "point_stabilizer", "predicates", "product_action_build", "product_orbit_identity",
+    "predicates", "product_action_build", "product_orbit_identity",
     "schmid_cyclic", "semiprimitive_report", "sigma_prime",
     "stirling_first", "structure_classify", "subgroups", "subset_orbit_bound",
     "subset_orbit_count_exact", "subset_rank", "subset_unrank", "subsets_action_lift",

@@ -75,7 +75,7 @@ class BoundReport:
 
     def to_json_dict(self) -> dict:
         def render(x):
-            return x if x is None or isinstance(x, float) else fraction_text(x)
+            return x if x is None else _json_float(x) if isinstance(x, float) else fraction_text(x)
 
         out = {
             "name": self.name,
@@ -83,7 +83,7 @@ class BoundReport:
             "rhs": render(self.rhs),
             "holds": self.holds,
             "mode": self.mode,
-            "inputs": {k: render(v) if isinstance(v, (int, Fraction)) else v
+            "inputs": {k: render(v) if isinstance(v, (int, Fraction, float)) else v
                        for k, v in sorted(self.inputs.items())},
         }
         if self.e_source is not None:
@@ -93,6 +93,11 @@ class BoundReport:
         if self.note:
             out["note"] = self.note
         return out
+
+
+def _json_float(x: float) -> float | str:
+    """x, or past binary64 the text a table cell prints ("inf"): JSON has no infinity."""
+    return x if math.isfinite(x) else repr(x)
 
 
 def _binary64(expr):
@@ -425,7 +430,8 @@ class SemiprimitiveReport:
     note: str = ""
 
     def to_json_dict(self) -> dict:
-        return {k: fraction_text(v) if isinstance(v, Fraction) else v
+        return {k: fraction_text(v) if isinstance(v, Fraction)
+                else _json_float(v) if isinstance(v, float) else v
                 for k, v in self.__dict__.items() if k != "blocks"} | {
             "blocks": [list(b) for b in self.blocks]}
 

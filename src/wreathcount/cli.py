@@ -127,7 +127,7 @@ def _resolve_k(args, budgets: Budgets) -> int:
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    print(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False))
 
 
 def _csv_line(fields: Sequence[str]) -> str:

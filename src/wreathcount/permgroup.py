@@ -6,7 +6,8 @@ coset at a time (Dimino's algorithm), so the subgroup lattices extend each
 known subgroup from its own elements and return it with the generators that
 built it; conjugacy classes are BFS over generator conjugations, orbits are
 union-find, block systems are found once and answer primitivity too, and an
-explicit element set gets a generating set by an incremental greedy walk.
+explicit element set gets a greedy generating set, each generator closed by
+the same coset extension from the group generated before it.
 Coloring stabilizers come in batches: one pass over a group's cached image
 tuples tests every element against a block of colorings at once, through bit
 masks with one bit per coloring. No stabilizer chains. That keeps results
@@ -314,16 +315,15 @@ class PermGroup:
 
     @classmethod
     def from_elements(cls, elements: Iterable[Permutation], degree: int | None = None,
-                      family: tuple[str, tuple] | None = None,
                       budgets: Budgets = DEFAULT) -> "PermGroup":
         """Wrap an explicit, already-closed element set; finds a small generating set.
 
-        The greedy walk adds the smallest element not yet generated, so the
-        generating set (and everything derived from it) is deterministic. It
-        runs on sorted image tuples and grows the generated set incrementally:
-        a new generator x is applied to every known element, then every
-        generator to the new elements only. Raises ValueError when the set
-        is not closed under products.
+        The greedy walk takes the smallest element, by image tuple, not yet
+        generated, so the generating set (and everything derived from it) is
+        deterministic. Each new generator is closed by _closure from the group
+        generated so far, with the element count as its limit: a closed set
+        never outgrows itself and an open one always does. Raises ValueError
+        when the set is not closed under products.
         """
         by_image = {p.images: p for p in elements}
         if not by_image:
@@ -335,35 +335,23 @@ class PermGroup:
             raise DegreeMismatch(
                 f"element degrees {sorted({len(im) for im in images})} vs degree {degree}")
         gens: list[Permutation] = []
-        getters = []
         known = {tuple(range(degree))}
         for x in images:
             if x in known:
                 continue
             gens.append(by_image[x])
-            x_of = x.__getitem__
-            getters.append(x_of)
-            candidates = [tuple(map(x_of, y)) for y in known]  # x * y
-            while candidates:
-                fresh = set(candidates)
-                fresh -= known
-                known |= fresh
-                # known ends as a superset of the elements, so a closed set
-                # never outgrows it and an open one always does
-                if len(known) > len(images):
-                    raise ValueError("element set is not closed under products")
-                candidates = [tuple(map(g, y)) for y in fresh for g in getters]
-        return cls._closed(gens, images, map(by_image.__getitem__, images), degree,
-                           family, budgets)
+            try:
+                known = _closure(gens, limit=len(images), base=known)
+            except BudgetExceeded:
+                raise ValueError("element set is not closed under products") from None
+        return cls._closed(gens, images, map(by_image.__getitem__, images), degree, budgets)
 
     @classmethod
     def _closed(cls, generators: Sequence[Permutation], images: Iterable[tuple[int, ...]],
-                elements: Iterable[Permutation], degree: int,
-                family: tuple[str, tuple] | None = None, budgets: Budgets = DEFAULT
+                elements: Iterable[Permutation], degree: int, budgets: Budgets = DEFAULT
                 ) -> "PermGroup":
         """The group the generators close to: these sorted image tuples and elements, unchecked."""
-        grp = cls(generators or [Permutation.identity(degree)], degree=degree,
-                  family=family, budgets=budgets)
+        grp = cls(generators or [Permutation.identity(degree)], degree=degree, budgets=budgets)
         grp._images = tuple(images)
         grp._elements = tuple(elements)
         return grp
@@ -467,14 +455,6 @@ def cycle_stats(group: PermGroup) -> tuple[tuple[int, int], ...]:
         group._cycle_stats = tuple((g.cycle_count(), g.fixed_point_count())
                                    for g in group.elements)
     return group._cycle_stats
-
-
-def point_stabilizer(group: PermGroup, point: int) -> PermGroup:
-    if not 0 <= point < group.degree:
-        raise ValueError(f"point {point} out of range")
-    return PermGroup.from_elements(
-        [g for g, im in zip(group.elements, group.image_tuples) if im[point] == point],
-        degree=group.degree, budgets=group.budgets)
 
 
 def coloring_stabilizer(group: PermGroup, coloring: Sequence[int]) -> PermGroup:

@@ -356,18 +356,30 @@ def test_bounds_large_base_rows_count_once(spy, spec, built):
     assert group in census and len(census) == len(set(census)) == 1 + len(built)
 
 
+def _strict_json(text):
+    """json.loads that refuses the non-RFC tokens Infinity, -Infinity and NaN."""
+    def refuse(token):
+        raise ValueError(f"non-RFC JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_bounds_float_overflow_exits_zero(run_cli):
-    # float sides past binary64 read inf: the chain's float(k) ** (n/2), float(k**n/|H|)
+    # float sides past binary64 read "inf", as in table cells: the chain's
+    # float(k) ** (n/2), float(k**n/|H|), and 2.0 ** best past 2**1020
     big = str(10 ** 200)
     code, out, err = run_cli("bounds", "--group", "cyclic:9", "--k", big, "--output", "json")
     assert code == 0 and err == ""
-    semi = json.loads(out)["semiprimitive"]
-    assert semi["chain_rhs"] == float("inf")
+    semi = _strict_json(out)["semiprimitive"]
+    assert semi["chain_rhs"] == "inf"
     assert semi["chain_holds"] == "indeterminate"  # lhs ~ k**9/9 is past binary64 too
     code, out, err = run_cli("bounds", "--group", "cyclic:4", "--k", big,
                              "--e-source", "five-pow-n-third", "--output", "json")
     assert code == 0 and err == ""
-    assert json.loads(out)["reports"][0]["rhs"] == float("inf")
+    assert _strict_json(out)["reports"][0]["rhs"] == "inf"
+    code, out, err = run_cli("bounds", "--group", "subsets:5,2", "--k", big, "--output", "json")
+    assert code == 0 and err == ""
+    assert [r["rhs"] for r in _strict_json(out)["reports"]
+            if r["name"] == "subset-orbit-bound"] == ["inf"]
 
 
 def test_count_prints_values_past_4300_digits():

@@ -40,7 +40,6 @@ from wreathcount import (
     parse_group_spec,
     parse_permutation,
     partition_enum,
-    point_stabilizer,
     product_action_build,
     product_orbit_identity,
     structure_classify,
@@ -358,7 +357,6 @@ def test_stabilizers_inherit_the_group_budgets():
     budgets = DEFAULT.with_overrides(max_group_order=500)
     s4 = PermGroup(parse_generators("(1 2), (1 2 3 4)"), budgets=budgets)
     assert coloring_stabilizer(s4, (0, 0, 1, 1)).budgets is s4.budgets
-    assert point_stabilizer(s4, 0).budgets is s4.budgets
 
 
 def test_derived_groups_inherit_the_group_budgets():
@@ -388,6 +386,26 @@ def test_from_elements_rejects_non_closed_set():
         PermGroup.from_elements(elems)
     with pytest.raises(ValueError, match="element set is not closed under products"):
         PermGroup.from_elements([parse_permutation("(1 2)")])
+    a6 = parse_group_spec("alternating:6").elements
+    with pytest.raises(ValueError, match="element set is not closed under products"):
+        PermGroup.from_elements(a6 + (parse_permutation("(1 2)", 6),))
+
+
+@pytest.mark.parametrize("spec", ["alternating:6", "subsets:5,2", "wreath-cyclic:4"])
+def test_from_elements_matches_the_reference_past_degree_six(spec):
+    group = parse_group_spec(spec)
+    wrapped = PermGroup.from_elements(reversed(group.elements))
+    assert ((wrapped.generators, wrapped.elements)
+            == _reference_from_elements(group.elements, group.degree))
+
+
+@pytest.mark.parametrize("spec", ["alternating:6", "wreath-cyclic:4"])
+def test_from_elements_closes_once_per_generator(spec, spy):
+    elements = parse_group_spec(spec).elements
+    closed = []
+    spy(permgroup, "_closure", closed)
+    wrapped = PermGroup.from_elements(elements)
+    assert len(closed) == len(wrapped.generators) > 1
 
 
 def test_from_elements_rejects_mixed_degrees():
@@ -411,13 +429,6 @@ def test_transitivity_and_semiregularity():
     klein = parse_group_spec("gens:4,(1 2)(3 4),(1 3)(2 4)")
     assert is_transitive(klein) and is_semiregular(klein)
     assert not is_transitive(parse_group_spec("gens:4,(1 2)"))
-
-
-def test_point_stabilizer_orders():
-    s4 = parse_group_spec("symmetric:4")
-    assert point_stabilizer(s4, 0).order == 6
-    c4 = parse_group_spec("cyclic:4")
-    assert point_stabilizer(c4, 2).order == 1
 
 
 def test_coloring_stabilizer():
