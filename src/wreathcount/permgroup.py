@@ -2,12 +2,14 @@
 
 Everything here works by explicit element enumeration on raw image tuples,
 wrapped as Permutations only where a caller sees them: closures add one
-coset at a time (Dimino's algorithm), so the subgroup lattices extend each
-known subgroup from its own elements and return it with the generators that
-built it; conjugacy classes are BFS over generator conjugations, orbits are
-union-find, block systems are found once and answer primitivity too, and an
-explicit element set gets a greedy generating set, each generator closed by
-the same coset extension from the group generated before it.
+coset at a time (Dimino's algorithm), so the walk over the conjugacy classes
+of subgroups (one subgroup per class) and the normal-subgroup lattice extend
+each known subgroup from its own elements and return it with the generators
+that built it; conjugacy classes, of elements and of subgroups, are BFS over
+generator conjugations, orbits are union-find, block systems are found once
+and answer primitivity too, and an explicit element set gets a greedy
+generating set, each generator closed by the same coset extension from the
+group generated before it.
 Coloring stabilizers come in batches: one pass over a group's cached image
 tuples tests every element against a block of colorings at once, through bit
 masks with one bit per coloring. No stabilizer chains. That keeps results
@@ -513,21 +515,34 @@ def coloring_stabilizers(group: PermGroup, colorings: Iterable[Sequence[int]]
             yield stab
 
 
+def _conjugations(group: PermGroup) -> list[list[int]]:
+    """For each generator g, the map x -> g*x*g^-1 on element positions.
+
+    Generator conjugations generate all conjugations, so a BFS under these
+    maps walks a conjugacy class, of elements or of subgroups. Conjugates
+    are looked up by position, so no product outlives its lookup.
+    """
+    images = group.image_tuples
+    position = dict(zip(images, range(len(images))))
+    maps = []
+    for g in group.generators:
+        g_of, g_inv = g.images.__getitem__, g.inverse().images
+        maps.append([position[tuple(map(g_of, map(x.__getitem__, g_inv)))] for x in images])
+    return maps
+
+
 def _class_indices(group: PermGroup) -> list[list[int]]:
     """Conjugacy classes as lists of element positions, ordered by smallest member.
 
-    BFS from each element not yet reached, in sorted order, under
-    x -> g*x*g^-1 for each generator g; generator conjugations suffice
-    because they generate all conjugations. A class is complete before the
-    next start, so each class starts at its smallest member. Conjugates are
-    looked up by position, so no product outlives its lookup. The walk runs
-    once per group; later calls return the same lists.
+    BFS from each element not yet reached, in sorted order, under the
+    generator conjugations. A class is complete before the next start, so
+    each class starts at its smallest member. The walk runs once per group;
+    later calls return the same lists.
     """
     if group._classes is not None:
         return group._classes
     images = group.image_tuples
-    position = dict(zip(images, range(len(images))))
-    conj = [(g.images.__getitem__, g.inverse().images) for g in group.generators]
+    conj = _conjugations(group)
     seen = bytearray(len(images))
     classes = []
     for start in range(len(images)):
@@ -539,9 +554,8 @@ def _class_indices(group: PermGroup) -> list[list[int]]:
         while frontier:
             fresh = []
             for i in frontier:
-                x_of = images[i].__getitem__
-                for g_of, g_inv in conj:
-                    j = position[tuple(map(g_of, map(x_of, g_inv)))]  # g * x * g^-1
+                for c in conj:
+                    j = c[i]
                     if not seen[j]:
                         seen[j] = 1
                         fresh.append(j)
@@ -699,41 +713,113 @@ def structure_classify(group: PermGroup) -> StructureReport:
     )
 
 
-def subgroups(group: PermGroup) -> list[PermGroup]:
-    """Every subgroup, by order and then by sorted elements; refuses over group.budgets.
+def _subgroup_class(group: PermGroup, sub: frozenset[tuple[int, ...]],
+                    generators: tuple[Permutation, ...], conj: list[list[int]],
+                    position: dict[tuple[int, ...], int]
+                    ) -> tuple[list[frozenset[tuple[int, ...]]], list[Permutation]]:
+    """The conjugacy class of sub = <generators>, and elements that with sub generate N_H(sub).
 
-    Walk the lattice by extending each known subgroup with one more element.
-    Every subgroup is reachable this way from the trivial one. Each closure
-    starts from the known subgroup sub, so it only adds the cosets the new
-    element brings. For s, t in sub, <sub, x> = <sub, s*x*t>, so once x is
-    closed the rest of its double coset sub*x*sub (which holds x*sub and
-    sub*x) is skipped: it can only reach the same subgroup again. The walk
-    keys subgroups by image tuples; each distinct one is returned as a
-    PermGroup generated by the elements that built it, with no further closure.
+    BFS under the generator conjugations, recording for each conjugate an
+    element t with conjugate = t*sub*t^-1. When the generator g takes the
+    conjugate of t to that of u, u^-1*g*t normalizes sub, and these
+    generate N_H(sub) (Schreier's lemma). One is kept only if it lies
+    outside the group generated so far, and none once that group has the
+    order |H| / |class| of N_H(sub).
+    """
+    images = group.image_tuples
+    ident = group.identity.images
+    via = {sub: ident}
+    cls = [(list(map(position.__getitem__, sub)), ident)]
+    edges = []
+    for member, t in cls:  # grows while walked
+        for c, g in zip(conj, group.generators):
+            moved = list(map(c.__getitem__, member))
+            conjugate = frozenset(map(images.__getitem__, moved))
+            gt = tuple(map(g.images.__getitem__, t))  # g * t
+            u = via.get(conjugate)
+            if u is None:
+                via[conjugate] = gt
+                cls.append((moved, gt))
+            else:
+                edges.append((u, gt))
+    if len(via) == 1:  # sub is normal: its Schreier generators are H's, and no closure sorts them
+        return list(via), [g for g in group.generators if g.images not in sub]
+    order = group.order // len(via)
+    normalizing: list[Permutation] = []
+    normalizer, gens = set(sub), list(generators)
+    for u, gt in edges:
+        if len(normalizer) == order:
+            break
+        n = tuple(map(Permutation._unsafe(u).inverse().images.__getitem__, gt))  # u^-1 * g * t
+        if n not in normalizer:
+            normalizing.append(Permutation._unsafe(n))
+            gens.append(normalizing[-1])
+            normalizer = _closure(gens, limit=group.order, base=normalizer)
+    return list(via), normalizing
+
+
+def subgroups(group: PermGroup) -> list[PermGroup]:
+    """One subgroup per conjugacy class, by order and then by sorted elements.
+
+    Refuses over group.budgets. Walk the classes by extending a
+    representative R of each with one more element x (Neubüser's cyclic
+    extension). Every class is reached this way from the trivial subgroup:
+    if K = <K', x> and K' = g*R*g^-1, then g^-1*K*g = <R, g^-1*x*g>. Each
+    closure starts from R itself, so it only adds the cosets x brings. A
+    subgroup not seen before becomes the representative of its class; its
+    conjugates are marked seen and never extended. For s, t in R,
+    <R, x> = <R, s*x*t>, and for n in the normalizer N_H(R),
+    <R, n*x*n^-1> = n*<R, x>*n^-1 lies in the class of <R, x>. So once x is
+    closed, its double coset R*x*R and the double cosets of its
+    N_H(R)-conjugates are skipped. Each representative is returned as a
+    PermGroup generated by the elements that built it, with no further
+    closure; the representative of H's own class is H.
     """
     group.budgets.check("max_subgroup_order", group.order, "subgroup lattice: |H|")
+    images = group.image_tuples
+    position = dict(zip(images, range(len(images))))
+    conj = _conjugations(group)
+    seen: set[frozenset[tuple[int, ...]]] = set()  # every subgroup of a found class
+
+    def mark(sub: frozenset[tuple[int, ...]]):
+        group.budgets.check("max_subgroup_count", len(seen) + 1, "subgroups found")
+        seen.add(sub)
+
     trivial = frozenset({group.identity.images})
-    seen = {trivial: ()}
+    reps = {trivial: ()}
+    normalizing = {trivial: list(group.generators)}  # with R, they generate N_H(R)
+    mark(trivial)
     queue = [trivial]
     while queue:
         sub = queue.pop()
-        gens = seen[sub]
-        done = set(sub)
-        for x, xi in zip(group.elements, group.image_tuples):
+        gens = reps[sub]
+        conjugators = [(n.images.__getitem__, n.inverse().images) for n in normalizing.pop(sub)]
+        done = set(sub)  # a union of double cosets R*z*R, closed under N_H(R)-conjugation
+        for x, xi in zip(group.elements, images):
             if xi in done:
                 continue
-            # a skipped x reaches what an earlier closed x did: seen matches the full walk
             grown = frozenset(_closure(gens + (x,), limit=group.order, base=sub))
             if grown not in seen:
-                group.budgets.check("max_subgroup_count", len(seen) + 1, "subgroups found")
-                seen[grown] = gens + (x,)
+                reps[grown] = gens + (x,)
                 queue.append(grown)
-            for si in sub:
-                y = tuple(map(si.__getitem__, xi))  # s * x
-                if y not in done:  # done is a union of cosets y*sub
-                    y_of = y.__getitem__
-                    done.update([tuple(map(y_of, ti)) for ti in sub])  # s * x * t
-    return _wrap_lattice(group, seen)
+                cls, normalizing[grown] = _subgroup_class(group, grown, reps[grown], conj,
+                                                          position)
+                for member in cls:
+                    mark(member)
+            front = [xi]
+            while front:  # the double cosets of the N_H(R)-conjugates of x
+                z = front.pop()
+                for si in sub:
+                    y = tuple(map(si.__getitem__, z))  # s * z
+                    if y not in done:  # done is a union of cosets y*sub
+                        y_of = y.__getitem__
+                        done.update([tuple(map(y_of, ti)) for ti in sub])  # s * z * t
+                z_of = z.__getitem__
+                for n_of, n_inv in conjugators:
+                    w = tuple(map(n_of, map(z_of, n_inv)))  # n * z * n^-1
+                    if w not in done:
+                        front.append(w)
+    return _wrap_lattice(group, reps)
 
 
 @dataclass(frozen=True)
@@ -780,7 +866,10 @@ def numeric_invariants(group: PermGroup) -> NumericInvariants:
 
 
 def max_subgroup_class_count(group: PermGroup) -> int:
-    """e(H): the largest class count over all subgroups; inherits the lattice budget."""
+    """e(H): the largest class count over all subgroups; inherits the budgets of subgroups.
+
+    Conjugate subgroups are isomorphic, so one subgroup per class suffices.
+    """
     return max(map(class_count, subgroups(group)))
 
 

@@ -84,7 +84,8 @@ def _fix_formula_matches(p: Permutation, ells, budgets: Budgets, label: str):
     for ell in ells:
         f = combinatorics.fix_subsets_formula(ct, ell)
         d = fix_subsets_direct(p, ell, budgets)
-        _expect(f == d, f"{label} ell={ell} pi={p.cycle_string()}: {f} != {d}")
+        if f != d:  # not _expect: p.cycle_string() runs only on failure
+            raise AssertionError(f"{label} ell={ell} pi={p.cycle_string()}: {f} != {d}")
 
 
 def _fix_exhaustive(budgets: Budgets, m: int):
@@ -180,7 +181,8 @@ def _lifted_half_bound(budgets: Budgets):
                 sp = sigma_prime(p, ell, budgets)
                 fx = fix_subsets_direct(p, ell, budgets)
                 c = math.comb(m, ell)
-                _expect(2 * sp - fx <= c,
+                if 2 * sp - fx > c:  # not _expect: p.cycle_string() runs only on failure
+                    raise AssertionError(
                         f"m={m} ell={ell} pi={p.cycle_string()}: 2*{sp}-{fx} > {c}")
 
 

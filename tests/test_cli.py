@@ -440,6 +440,32 @@ def test_verify_formulas_stdout(run_cli):
     )) + "formulas: 10/10 passed\n"
 
 
+@pytest.mark.parametrize("suite", ["bounds", "formulas"])
+def test_passing_verify_renders_no_failure_text(run_cli, spy, suite):
+    from wreathcount.permgroup import Permutation
+
+    rendered = []
+    spy(Permutation, "cycle_string", rendered)
+    assert run_cli("verify", suite)[0] == 0
+    assert rendered == []
+
+
+def test_verify_failure_lines_name_the_permutation(run_cli, monkeypatch):
+    from wreathcount import verify
+
+    sigma_prime, fix_subsets_direct = verify.sigma_prime, verify.fix_subsets_direct
+    monkeypatch.setattr(verify, "sigma_prime", lambda p, ell, b: (
+        sigma_prime(p, ell, b) if p.is_identity() else 99))
+    monkeypatch.setattr(verify, "fix_subsets_direct", lambda p, ell, b: (
+        fix_subsets_direct(p, ell, b) if p.is_identity() or ell != 1 else -1))
+    fails = [line for suite in ("bounds", "formulas")
+             for line in run_cli("verify", suite)[1].splitlines() if line.startswith("FAIL")]
+    assert fails[0] == ("FAIL lifted cycle-count-half-bound S_m ell-subsets: "
+                        "AssertionError: m=2 ell=1 pi=(1 2): 2*99--1 > 2")
+    assert fails[1] == ("FAIL fix-subsets formula=direct S_2 exhaustive: "
+                        "AssertionError: m=2 ell=1 pi=(1 2): 0 != -1")
+
+
 def test_verify_oracles_reports_a_refused_brute_route(run_cli):
     code, out, _ = run_cli("verify", "oracles", "--budget-max-order", "100")
     assert code == 1

@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import wreathcount
@@ -49,6 +49,8 @@ from wreathcount import (
 )
 from wreathcount import classcount, permgroup
 from wreathcount.permgroup import UnionFind, _closure
+
+from test_actions import transitive_groups
 
 
 def test_parse_permutation_images():
@@ -491,21 +493,48 @@ def test_subgroups_of_klein():
 
 
 def _reference_subgroups(group):
-    """The lattice walk without coset skipping, closing over Permutation products."""
+    """Every subgroup, closing over Permutation products.
+
+    The walk extends each subgroup by every element outside it, skipping
+    only the rest of the right coset sub*x, which generates the same group.
+    """
     trivial = frozenset({group.identity})
     seen = {trivial: ()}
     queue = [trivial]
     while queue:
         sub = queue.pop()
-        gens = seen[sub]
+        done = set(sub)
         for x in group.elements:
-            if x in sub:
+            if x in done:
                 continue
-            grown = frozenset(_reference_closure(list(gens) + [x]))
+            gens = seen[sub] + (x,)
+            grown = frozenset(_reference_closure(list(gens)))
             if grown not in seen:
-                seen[grown] = gens + (x,)
+                seen[grown] = gens
                 queue.append(grown)
+            done.update(s * x for s in sub)
     return sorted(seen, key=lambda s: (len(s), sorted(s)))
+
+
+def _reference_classes(group, lattice):
+    """The conjugacy classes of a list of subgroups, each a set of frozensets of Permutations."""
+    classes = []
+    for sub in lattice:
+        if not any(sub in cls for cls in classes):
+            classes.append({frozenset(h * s * h.inverse() for s in sub) for h in group.elements})
+    return classes
+
+
+def _assert_one_subgroup_per_class(subs, classes):
+    """Each class holds exactly one of subs, so no two of subs are conjugate."""
+    hits = sorted(i for s in subs for i, cls in enumerate(classes)
+                  if frozenset(s.elements) in cls)
+    assert len(subs) == len(classes) and hits == list(range(len(classes)))
+
+
+# conjugacy classes of subgroups, as the reference lattice and _reference_classes count them
+_SUBGROUP_CLASSES = {"symmetric:4": 11, "dihedral:4": 8, "alternating:4": 5, "quaternion": 6,
+                     "cyclic:6": 4, "wreath-cyclic:2": 8, "dihedral:6": 10, "wreath-cyclic:3": 12}
 
 
 @pytest.mark.parametrize("spec,count", [
@@ -514,10 +543,37 @@ def _reference_subgroups(group):
     ("wreath-cyclic:3", 26)])
 def test_subgroups_match_naive_lattice_walk(spec, count):
     grp = parse_group_spec(spec)
+    reference = _reference_subgroups(grp)
+    classes = _reference_classes(grp, reference)
+    assert (len(reference), len(classes)) == (count, _SUBGROUP_CLASSES[spec])
     subs = subgroups(grp)
-    assert len(subs) == count
-    assert [frozenset(s.elements) for s in subs] == _reference_subgroups(grp)
+    _assert_one_subgroup_per_class(subs, classes)
     _assert_generators_close_to_elements(subs)
+
+
+def _reference_e(lattice):
+    """e(H) over every subgroup, with k(K) = #{commuting pairs of K} / |K| (Gustafson)."""
+    return max(sum(a * b == b * a for a in sub for b in sub) // len(sub) for sub in lattice)
+
+
+def _assert_matches_the_full_lattice(group):
+    lattice = _reference_subgroups(group)
+    _assert_one_subgroup_per_class(subgroups(group), _reference_classes(group, lattice))
+    assert max_subgroup_class_count(group) == _reference_e(lattice)
+
+
+@pytest.mark.parametrize("spec", [
+    "symmetric:5", "alternating:5", "subsets:5,2", "product:3,1,2", "wreath-cyclic:4",
+    "dihedral:24"])
+def test_subgroups_and_e_match_the_full_lattice(spec):
+    _assert_matches_the_full_lattice(parse_group_spec(spec))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(group=transitive_groups())
+def test_subgroups_and_e_match_the_full_lattice_on_transitive_groups(group):
+    assume(group.order <= 48)
+    _assert_matches_the_full_lattice(group)
 
 
 def _assert_generators_close_to_elements(lattice):
