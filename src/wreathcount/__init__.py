@@ -21,7 +21,6 @@ from .actions import (
     product_action_build,
     sigma_prime,
     subset_rank,
-    subset_unrank,
     subsets_action_lift,
 )
 from .bounds import (
@@ -121,6 +120,6 @@ __all__ = [
     "predicates", "product_action_build", "product_orbit_identity",
     "schmid_cyclic", "semiprimitive_report", "sigma_prime",
     "stirling_first", "structure_classify", "subgroups", "subset_orbit_bound",
-    "subset_orbit_count_exact", "subset_rank", "subset_unrank", "subsets_action_lift",
+    "subset_orbit_count_exact", "subset_rank", "subsets_action_lift",
     "tuples_of_partitions_count", "weak_composition_count",
 ]

@@ -53,27 +53,11 @@ def cycle_type_class_size(parts: Sequence[int]) -> int:
 # ell-subset action, in colexicographic order.
 #
 # Subsets {s_1 < s_2 < ... < s_l} of {0..m-1} are ranked colexicographically:
-# rank = sum_i C(s_i, i), which unranks in O(l) binomial probes and keeps the
-# point labelling independent of m.
+# rank = sum_i C(s_i, i), which keeps the point labelling independent of m.
 
 
 def subset_rank(subset: Sequence[int]) -> int:
     return sum(math.comb(s, i + 1) for i, s in enumerate(sorted(subset)))
-
-
-def subset_unrank(rank: int, ell: int, m: int) -> tuple[int, ...]:
-    out = []
-    rem = rank
-    for i in range(ell, 0, -1):
-        # largest s with C(s, i) <= rem
-        s = i - 1
-        while math.comb(s + 1, i) <= rem:
-            s += 1
-        out.append(s)
-        rem -= math.comb(s, i)
-    if out and out[0] >= m:
-        raise ValueError(f"rank {rank} out of range for C({m},{ell})")
-    return tuple(reversed(out))
 
 
 def subsets_action_lift(p: Permutation, ell: int, budgets: Budgets = DEFAULT) -> Permutation:

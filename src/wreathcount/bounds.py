@@ -57,9 +57,6 @@ from .permgroup import (
 
 _TOL = Fraction(1, 10 ** 9)
 
-# maximum-subgroup-class-count substitutes, by how their value is formed ("auto": _resolve_e)
-E_SOURCES = ("auto", "exact-lattice", "five-pow-n-third", "five-pow-n-minus-one")
-
 
 @dataclass
 class BoundReport:
@@ -122,38 +119,35 @@ def _tolerant_less(lhs, rhs):
 # The main class-count upper bound k(G) < k**n/|H| + 2*e*k**max_sigma.
 
 
-def _resolve_e(group: PermGroup, e_source: str):
-    """(e, "exact" | "float", the source used, with "auto" resolved)."""
-    n = group.degree
-    if e_source == "auto":
-        e_source = ("exact-lattice" if group.order <= group.budgets.max_subgroup_order
-                    else "five-pow-n-third")
-    if e_source == "exact-lattice":
-        return max_subgroup_class_count(group), "exact", e_source
-    if e_source == "five-pow-n-third":
-        if n % 3 == 0:
-            return 5 ** (n // 3), "exact", e_source
-        return _binary64(lambda: 5.0 ** (n / 3)), "float", e_source
-    if e_source == "five-pow-n-minus-one":
-        return 5 ** (n - 1), "exact", e_source
-    raise ValueError(f"e_source must be one of {E_SOURCES}, got {e_source!r}")
+def _exact_e(group: PermGroup) -> int | None:
+    """e(H), or None when the group's budgets refuse the subgroup-class walk."""
+    try:
+        return max_subgroup_class_count(group)
+    except BudgetExceeded:
+        return None
 
 
-def count_upper_bound(group: PermGroup, k: int, e_source: str = "exact-lattice"
-                      ) -> BoundReport:
+def count_upper_bound(group: PermGroup, k: int) -> BoundReport:
     """k(G) < k**n/|H| + 2*e*k**max_sigma, with e = max subgroup class count.
 
-    rhs is an exact rational whenever e is exact. lhs is the auto-dispatched
-    count; when that is infeasible within budgets the verdict is
-    indeterminate and the bracket lands in the note. The group's budgets gate
-    both the count and the lattice behind e. The report records the
-    e source used, so "auto" reads as the source it resolved to.
+    e is exact (e_source "exact-lattice") when the subgroup-class walk fits
+    the group's budgets, and the paper's 5**(n/3) ("five-pow-n-third")
+    otherwise: exact when 3 divides n, binary64 if not. rhs is an exact
+    rational whenever e is exact. lhs is the auto-dispatched count; when
+    that is infeasible within budgets the verdict is indeterminate and the
+    bracket lands in the note.
     """
     if group.order == 1:
         raise ValueError("bound needs a nontrivial group")
     n = group.degree
     max_sigma = max_cycle_count(group)
-    e, mode, e_source = _resolve_e(group, e_source)
+    e, e_source, mode = _exact_e(group), "exact-lattice", "exact"
+    if e is None:
+        e_source = "five-pow-n-third"
+        if n % 3 == 0:
+            e = 5 ** (n // 3)
+        else:
+            e, mode = _binary64(lambda: 5.0 ** (n / 3)), "float"
     if mode == "exact":
         rhs: object = count_upper_fraction(group, k, e)
     else:
@@ -504,9 +498,8 @@ def semiprimitive_report(group: PermGroup, k: int) -> SemiprimitiveReport:
     except BudgetExceeded as exc:
         note = f"e_K skipped: {exc}"
 
-    e_k_quot = None
-    if e_k is not None and quotient.order <= quotient.budgets.max_subgroup_order:
-        e_k_quot = e_k <= max_subgroup_class_count(quotient)
+    e_quot = None if e_k is None else _exact_e(quotient)
+    e_k_quot = None if e_quot is None else e_k <= e_quot
     e_k_58 = None
     if e_k is not None and not group.is_abelian():
         e_k_58 = Fraction(e_k) <= Fraction(5, 8) * group.order
@@ -524,7 +517,7 @@ def semiprimitive_report(group: PermGroup, k: int) -> SemiprimitiveReport:
 # Every report for one (H, k).
 
 
-def bounds_report(group: PermGroup, k: int, e_source: str = "auto"
+def bounds_report(group: PermGroup, k: int
                   ) -> tuple[list[BoundReport], SemiprimitiveReport | None]:
     """The bound reports for (H, k), and the semiprimitive report or None.
 
@@ -532,7 +525,7 @@ def bounds_report(group: PermGroup, k: int, e_source: str = "auto"
     budgets refuse reads indeterminate, with the reason in its note. The
     semiprimitive report is None where the decomposition does not apply.
     """
-    reports = [count_upper_bound(group, k, e_source)]
+    reports = [count_upper_bound(group, k)]
     reports.extend(predicates(group, k))
     try:
         stats = nonregular_orbit_stats(group, k)

@@ -31,10 +31,12 @@ class Budgets:
     max_coloring_space: int = 1 << 27
     # degree of a lifted action (subsets, product action, the subset Burnside sum)
     max_lift_degree: int = 100_000
-    # the subgroup-class walk (exact e(H)) refuses larger groups
+    # the subgroup-class walk (exact e(H)) refuses larger groups; bounds then
+    # takes e = 5**(n/3)
     max_subgroup_order: int = 2_000
     # safety cap on the subgroups a walk holds: every conjugate of each class
-    # subgroups finds, or each normal subgroup normal_subgroups finds
+    # subgroups finds, or each normal subgroup normal_subgroups finds; where
+    # the class walk refuses, bounds takes e = 5**(n/3)
     max_subgroup_count: int = 20_000
     # normal-subgroup enumeration refuses larger groups
     max_normal_order: int = 100_000

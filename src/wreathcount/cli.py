@@ -87,8 +87,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bounds", help="evaluate the bound and predicate reports for (H, k)")
     _add_common(p)
-    p.add_argument("--e-source", choices=bounds_mod.E_SOURCES, default="auto",
-                   help="where the subgroup class-count maximum e comes from")
 
     p = sub.add_parser("verify", help="run a cross-check suite")
     p.add_argument("suite", choices=tuple(verify.SUITES))
@@ -231,7 +229,7 @@ def _cmd_bounds(args) -> int:
     budgets = _budgets_from_args(args)
     k = _resolve_k(args, budgets)
     groups = (parse_group_spec(spec, budgets) for spec in args.group)
-    results = [(g.spec_string(), *bounds_mod.bounds_report(g, k, args.e_source))
+    results = [(g.spec_string(), *bounds_mod.bounds_report(g, k))
                for g in groups]  # (spec, reports, semiprimitive report or None)
     if args.output == "json":
         dicts = [{"group": name, "k": k, "reports": [r.to_json_dict() for r in reports],

@@ -152,7 +152,7 @@ def _predicates_hold(budgets: Budgets, spec: str, k: int):
 
 def _upper_bound_holds(budgets: Budgets, spec: str, k: int):
     group = parse_group_spec(spec, budgets)
-    rep = bounds_mod.count_upper_bound(group, k, "exact-lattice")
+    rep = bounds_mod.count_upper_bound(group, k)
     _expect(rep.holds is True, f"lhs={rep.lhs} rhs={rep.rhs} holds={rep.holds}")
 
 

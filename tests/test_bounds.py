@@ -44,27 +44,25 @@ def test_count_upper_bound_exact_lattice():
 
 
 def test_count_upper_bound_alternate_e_sources():
-    c3 = parse_group_spec("cyclic:3")
-    rep = count_upper_bound(c3, 2, e_source="five-pow-n-third")
+    no_walk = Budgets(max_subgroup_order=0)  # the fallback e = 5**(n/3)
+    rep = count_upper_bound(parse_group_spec("cyclic:3", no_walk), 2)
     assert rep.rhs == Fraction(68, 3)
     assert rep.mode == "exact"  # 3 divides n, the power is an integer
-    rep = count_upper_bound(c3, 2, e_source="five-pow-n-minus-one")
-    assert rep.rhs == Fraction(308, 3)
-    rep = count_upper_bound(parse_group_spec("cyclic:4"), 2,
-                            e_source="five-pow-n-third")
+    rep = count_upper_bound(parse_group_spec("cyclic:4", no_walk), 2)
     assert rep.mode == "float"
     assert rep.holds is True
-    with pytest.raises(ValueError):
-        count_upper_bound(c3, 2, e_source="nosuch")
 
 
 def test_auto_e_source_records_the_source_it_resolved_to():
     c4 = parse_group_spec("cyclic:4")
-    rep = count_upper_bound(c4, 2, e_source="auto")
+    rep = count_upper_bound(c4, 2)
     assert (rep.e_source, rep.rhs) == ("exact-lattice", 36)
-    rep = count_upper_bound(parse_group_spec("cyclic:4", Budgets(max_subgroup_order=3)), 2,
-                            "auto")
+    rep = count_upper_bound(parse_group_spec("cyclic:4", Budgets(max_subgroup_order=3)), 2)
     assert (rep.e_source, rep.mode) == ("five-pow-n-third", "float")
+    # a walk refused by its subgroup count falls back too: symmetric:3 holds 6 subgroups
+    reports, _ = bounds_report(parse_group_spec("symmetric:3", Budgets(max_subgroup_count=3)), 2)
+    assert (len(reports), reports[0].e_source, reports[0].rhs) == (
+        9, "five-pow-n-third", Fraction(124, 3))
 
 
 def test_bounds_report_returns_the_reports_and_the_decomposition():
@@ -74,8 +72,9 @@ def test_bounds_report_returns_the_reports_and_the_decomposition():
     assert census == {"nonregular-orbit-count": (3, 8, True),
                       "nonregular-union-size": (4, 12, True)}
     assert (semi.r, semi.e_k) == (2, 1)  # only the regular orbits meet K trivially
-    reports, semi = bounds_report(parse_group_spec("symmetric:3"), 2, "five-pow-n-minus-one")
-    assert reports[0].e_source == "five-pow-n-minus-one"
+    reports, semi = bounds_report(parse_group_spec("symmetric:3",
+                                                   Budgets(max_subgroup_order=0)), 2)
+    assert reports[0].e_source == "five-pow-n-third"
     assert semi is None  # primitive
 
 
@@ -200,7 +199,7 @@ def test_large_base_count_bound():
 
 def test_float_sides_past_binary64_read_inf():
     # each float expression overflows binary64; its side reads inf, not an OverflowError
-    rep = count_upper_bound(parse_group_spec("cyclic:2002"), 2, "five-pow-n-third")
+    rep = count_upper_bound(parse_group_spec("cyclic:2002", Budgets(max_subgroup_order=0)), 2)
     assert (rep.rhs, rep.mode) == (math.inf, "float")  # e = 5.0 ** (2002 / 3)
     rep = large_base_count_bound(4, 1, 1, 10 ** 200)  # 2n = 8 is not a multiple of 3
     assert (rep.rhs, rep.mode) == (math.inf, "float")
@@ -307,11 +306,11 @@ def test_large_base_bound_on_matched_family():
 def test_bounds_report_walks_each_element_once(spy):
     from wreathcount import Permutation
 
-    group = parse_group_spec("subsets:6,2")
+    group = parse_group_spec("subsets:6,2", Budgets(max_subgroup_order=0))
     walked, fixed = [], []
     spy(Permutation, "cycle_count", walked)
     spy(Permutation, "fixed_point_count", fixed)
-    bounds_report(group, 2, "five-pow-n-third")
+    bounds_report(group, 2)
     # one pass over H's 720 elements; the per-class sums walk a few class
     # representatives again
     assert group.order <= len(walked) < group.order + group.order // 10

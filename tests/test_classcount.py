@@ -358,6 +358,9 @@ def test_auto_count_dispatch():
     assert (res.method, res.value) == ("clifford", 16)
     res = auto_count(parse_group_spec("gens:3,()"), 2)
     assert (res.method, res.value) == ("closed-form", 8)
+    # the brute rung: default budgets never reach it (2**27 > 10**6)
+    res = auto_count(parse_group_spec("cyclic:4", Budgets(max_coloring_space=8)), 2)
+    assert (res.method, res.value) == ("brute", 13)
 
 
 @pytest.mark.parametrize("spec, k, want", [

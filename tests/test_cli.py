@@ -363,7 +363,7 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-def test_bounds_float_overflow_exits_zero(run_cli):
+def test_bounds_float_overflow_exits_zero(run_cli, monkeypatch):
     # float sides past binary64 read "inf", as in table cells: the chain's
     # float(k) ** (n/2), float(k**n/|H|), and 2.0 ** best past 2**1020
     big = str(10 ** 200)
@@ -372,8 +372,8 @@ def test_bounds_float_overflow_exits_zero(run_cli):
     semi = _strict_json(out)["semiprimitive"]
     assert semi["chain_rhs"] == "inf"
     assert semi["chain_holds"] == "indeterminate"  # lhs ~ k**9/9 is past binary64 too
-    code, out, err = run_cli("bounds", "--group", "cyclic:4", "--k", big,
-                             "--e-source", "five-pow-n-third", "--output", "json")
+    monkeypatch.setenv("WREATHCOUNT_MAX_SUBGROUP_ORDER", "0")  # e = 5.0 ** (4/3)
+    code, out, err = run_cli("bounds", "--group", "cyclic:4", "--k", big, "--output", "json")
     assert code == 0 and err == ""
     assert _strict_json(out)["reports"][0]["rhs"] == "inf"
     code, out, err = run_cli("bounds", "--group", "subsets:5,2", "--k", big, "--output", "json")

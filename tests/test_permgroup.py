@@ -26,7 +26,6 @@ from wreathcount import (
     coloring_stabilizer,
     coloring_stabilizers,
     conjugacy_classes,
-    count_upper_bound,
     fix_subsets_direct,
     fixed_subset_fraction_probe,
     is_primitive,
@@ -641,8 +640,8 @@ _REFUSALS = {
         parse_group_spec("gens:8,(1 2),(3 4),(5 6),(7 8)", b)), "max_subgroup_count"),
     "structure_classify": (lambda b: structure_classify(parse_group_spec("symmetric:4", b)),
                            "max_normal_order"),
-    "count_upper_bound_lattice": (lambda b: count_upper_bound(
-        parse_group_spec("symmetric:4", b), 2, "exact-lattice"), "max_subgroup_order"),
+    "max_subgroup_class_count": (lambda b: max_subgroup_class_count(
+        parse_group_spec("symmetric:4", b)), "max_subgroup_order"),
     "auto_count": (lambda b: auto_count(parse_group_spec("alternating:6", b), 2),
                    "max_group_order"),
     "closure": (lambda b: PermGroup(parse_generators("(1 2), (1 2 3 4)"), budgets=b).elements,
