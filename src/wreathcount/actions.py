@@ -62,14 +62,14 @@ def subset_rank(subset: Sequence[int]) -> int:
 
 def subsets_action_lift(p: Permutation, ell: int, budgets: Budgets = DEFAULT) -> Permutation:
     """Permutation induced by p on the ell-subsets of its domain."""
-    m = p.degree
+    m = len(p)
     if not 1 <= ell <= m:
         raise ValueError(f"need 1 <= ell <= {m}, got {ell}")
     budgets.check("max_lift_degree", math.comb(m, ell), f"lifted degree C({m},{ell})")
     rank = _colex_ranks(m, ell)
-    p_of = p.images.__getitem__
+    p_of = p.__getitem__
     # rank lists the subsets in rank order, so position r holds the image of subset r
-    return Permutation._unsafe(tuple([rank[frozenset(map(p_of, s))] for s in rank]))
+    return Permutation._unsafe([rank[frozenset(map(p_of, s))] for s in rank])
 
 
 @lru_cache(maxsize=8)
@@ -90,7 +90,7 @@ def sigma_prime(p: Permutation, ell: int, budgets: Budgets = DEFAULT) -> int:
 
 def fix_subsets_direct(p: Permutation, ell: int, budgets: Budgets = DEFAULT) -> int:
     """Number of ell-subsets fixed setwise by p, by direct enumeration."""
-    m = p.degree
+    m = len(p)
     if not 0 <= ell <= m:
         raise ValueError(f"need 0 <= ell <= {m}")
     budgets.check("max_lift_degree", math.comb(m, ell), f"C({m},{ell})")
@@ -98,7 +98,7 @@ def fix_subsets_direct(p: Permutation, ell: int, budgets: Budgets = DEFAULT) -> 
     # walks visit the same index subsets in the same order, so the second
     # yields the bits of the image p(S) next to the bits of each S
     bits = [1 << i for i in range(m)]
-    image_bits = [1 << j for j in p.images]
+    image_bits = [1 << j for j in p]
     return sum(map(eq, map(sum, combinations(bits, ell)),
                    map(sum, combinations(image_bits, ell))))
 
@@ -140,7 +140,7 @@ def product_action_build(coords: Sequence[Permutation], top: Permutation,
             src = topinv(j)
             img = img * base + coords[src](w[src])
         images[point] = img
-    return Permutation._unsafe(tuple(images))
+    return Permutation._unsafe(images)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +228,7 @@ class WreathGroup:
         # (g.v)_{g(j)} = v_j, so g.v has code sum_j v_j * steps[g(j)]
         top_steps = [[steps[g(j)] for j in range(n)] for g in tops]
         base = self._base_points()
-        h_images = [[h.images[i] for i in base] for h in elems]
+        h_on_base = [[h[i] for i in base] for h in elems]
         wrap = [(k - 1) * s for s in steps]
         x = 0
         for v in product(range(k), repeat=n):
@@ -239,7 +239,7 @@ class WreathGroup:
             for hidx in range(order):
                 # h(i) == i leaves x fixed; up[i] + down[i] would wrap twice
                 images = [x if hi == i else x + up[i] + down[hi]
-                          for i, hi in zip(base, h_images[hidx])]
+                          for i, hi in zip(base, h_on_base[hidx])]
                 images += [gv + conj[hidx] for gv, conj in zip(moved, top_conj)]
                 yield x, images
                 x += 1

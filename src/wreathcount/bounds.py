@@ -262,7 +262,7 @@ def subset_orbit_count_exact(m: int, ell: int, k: int,
             start = len(images)
             images.extend(range(start + 1, start + length))
             images.append(start)
-        rep = Permutation._unsafe(tuple(images))
+        rep = Permutation._unsafe(images)
         total += cycle_type_class_size(parts) * k ** sigma_prime(rep, ell, budgets)
     if total % fact:
         raise DivisibilityViolation("subset-action Burnside sum not divisible by m!")

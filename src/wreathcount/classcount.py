@@ -119,7 +119,7 @@ def _generator_steps(gens: list[Permutation], k: int, n: int
             part = [p + d * w for p in part for d in range(k)]
         return part
 
-    return k ** (n - h), [(half(g.images, range(h)), half(g.images, range(h, n)))
+    return k ** (n - h), [(half(g, range(h)), half(g, range(h, n)))
                           for g in gens]
 
 

@@ -1,18 +1,19 @@
 """Desk-scale permutation groups with fully materialized element sets.
 
-Everything here works by explicit element enumeration on raw image tuples,
-wrapped as Permutations only where a caller sees them: closures add one
-coset at a time (Dimino's algorithm), so the walk over the conjugacy classes
-of subgroups (one subgroup per class) and the normal-subgroup lattice extend
-each known subgroup from its own elements and return it with the generators
-that built it; conjugacy classes, of elements and of subgroups, are BFS over
-generator conjugations, orbits are union-find, block systems are found once
-and answer primitivity too, and an explicit element set gets a greedy
-generating set, each generator closed by the same coset extension from the
-group generated before it.
-Coloring stabilizers come in batches: one pass over a group's cached image
-tuples tests every element against a block of colorings at once, through bit
-masks with one bit per coloring. No stabilizer chains. That keeps results
+Everything here works by explicit element enumeration. A Permutation is the
+tuple of its images, so a group holds one element table, and the inner walks
+build plain image tuples, which hash and compare as the Permutations they
+equal. Closures add one coset at a time (Dimino's algorithm), so the walk
+over the conjugacy classes of subgroups (one subgroup per class) and the
+normal-subgroup lattice extend each known subgroup from its own elements and
+return it with the generators that built it; conjugacy classes, of elements
+and of subgroups, are BFS over generator conjugations, orbits are
+union-find, block systems are found once and answer primitivity too, and an
+explicit element set gets a greedy generating set, each generator closed by
+the same coset extension from the group generated before it.
+Coloring stabilizers come in batches: one pass over a group's cached
+elements tests every element against a block of colorings at once, through
+bit masks with one bit per coloring. No stabilizer chains. That keeps results
 exact, deterministic and easy to audit, and is the right tradeoff for the
 group orders this package targets (closure budget defaults to 10**6 elements).
 """
@@ -36,29 +37,32 @@ _STAB_BLOCK = 1 << 10
 _BINARY = bytes.maketrans(b"\0\1", b"01")
 
 
-class Permutation:
-    """Immutable permutation of {0, ..., degree-1}, stored as an image tuple."""
+class Permutation(tuple):
+    """A permutation of {0, ..., degree-1} is its image tuple: ``p[i] == p(i)``.
 
-    __slots__ = ("degree", "images")
+    Equality, hashing and ordering are the tuple's, so a Permutation equals
+    the plain tuple of its images, and sorting permutations sorts their
+    image tuples. Like any tuple it is immutable.
+    """
 
-    def __init__(self, images: Iterable[int]):
-        images = tuple(images)
-        if sorted(images) != list(range(len(images))):
-            raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images}")
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "degree", len(images))
+    __slots__ = ()
 
-    @classmethod
-    def _unsafe(cls, images: tuple) -> "Permutation":
-        # internal fast path: caller guarantees images is a valid bijection
-        p = object.__new__(cls)
-        object.__setattr__(p, "images", images)
-        object.__setattr__(p, "degree", len(images))
+    def __new__(cls, images: Iterable[int]):
+        p = tuple.__new__(cls, images)
+        if sorted(p) != list(range(len(p))):
+            raise ValueError(f"not a permutation of 0..{len(p) - 1}: {tuple(p)}")
         return p
+
+    # internal fast path: the caller guarantees images is a valid bijection
+    _unsafe = classmethod(tuple.__new__)
+
+    @property
+    def degree(self) -> int:
+        return len(self)
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls._unsafe(tuple(range(degree)))
+        return cls._unsafe(range(degree))
 
     @classmethod
     def from_cycles(cls, cycles: Sequence[Sequence[int]], degree: int) -> "Permutation":
@@ -70,48 +74,43 @@ class Permutation:
                 if not 0 <= pt < degree:
                     raise ValueError(f"point {pt} out of range for degree {degree}")
                 if pt in seen:
-                    raise ValueError(f"point {pt} appears in two cycles")
+                    raise ValueError(f"point {pt} appears twice")
                 seen.add(pt)
             for i, pt in enumerate(cyc):
                 images[pt] = cyc[(i + 1) % len(cyc)]
-        return cls._unsafe(tuple(images))
+        return cls._unsafe(images)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
-
-    def __call__(self, point: int) -> int:
-        return self.images[point]
+    __call__ = tuple.__getitem__
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         # (p * q)(i) = p(q(i)): q acts first
-        if self.degree != other.degree:
-            raise DegreeMismatch(f"degree {self.degree} vs {other.degree}")
-        s = self.images
-        return Permutation._unsafe(tuple(s[i] for i in other.images))
+        if len(self) != len(other):
+            raise DegreeMismatch(f"degree {len(self)} vs {len(other)}")
+        return Permutation._unsafe(map(self.__getitem__, other))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, img in enumerate(self.images):
+        inv = [0] * len(self)
+        for i, img in enumerate(self):
             inv[img] = i
-        return Permutation._unsafe(tuple(inv))
+        return Permutation._unsafe(inv)
 
     def is_identity(self) -> bool:
-        return all(i == img for i, img in enumerate(self.images))
+        return all(i == img for i, img in enumerate(self))
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycles, each rotated to start at its minimum, sorted by start."""
         out = []
-        seen = [False] * self.degree
-        for start in range(self.degree):
+        seen = [False] * len(self)
+        for start in range(len(self)):
             if seen[start]:
                 continue
             cyc = [start]
             seen[start] = True
-            pt = self.images[start]
+            pt = self[start]
             while pt != start:
                 seen[pt] = True
                 cyc.append(pt)
-                pt = self.images[pt]
+                pt = self[pt]
             if len(cyc) > 1 or include_fixed:
                 out.append(tuple(cyc))
         return out
@@ -119,20 +118,19 @@ class Permutation:
     def cycle_count(self) -> int:
         """Number of cycles on the full domain, fixed points included."""
         n = 0
-        seen = [False] * self.degree
-        imgs = self.images
-        for start in range(self.degree):
+        seen = [False] * len(self)
+        for start in range(len(self)):
             if seen[start]:
                 continue
             n += 1
             pt = start
             while not seen[pt]:
                 seen[pt] = True
-                pt = imgs[pt]
+                pt = self[pt]
         return n
 
     def fixed_point_count(self) -> int:
-        return sum(1 for i, img in enumerate(self.images) if i == img)
+        return sum(1 for i, img in enumerate(self) if i == img)
 
     def cycle_string(self) -> str:
         """1-indexed disjoint cycle notation; identity prints as ``()``."""
@@ -141,17 +139,8 @@ class Permutation:
             return "()"
         return "".join("(" + " ".join(str(p + 1) for p in c) + ")" for c in cycs)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __lt__(self, other: "Permutation") -> bool:
-        return self.images < other.images
-
     def __repr__(self) -> str:
-        return f"Permutation({self.cycle_string()!r}, degree={self.degree})"
+        return f"Permutation({self.cycle_string()!r}, degree={len(self)})"
 
 
 def parse_permutation(text: str, degree: int | None = None) -> Permutation:
@@ -210,10 +199,12 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
         degree = max_pt
     elif max_pt > degree:
         raise ParseError(f"point {max_pt} exceeds degree {degree}")
-    try:
-        return Permutation.from_cycles([[p - 1 for p in c] for c in cycles], degree)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    seen = set()
+    for pt in (pt for cyc in cycles for pt in cyc):
+        if pt in seen:  # named as written, 1-indexed
+            raise ParseError(f"point {pt} appears twice")
+        seen.add(pt)
+    return Permutation.from_cycles([[p - 1 for p in c] for c in cycles], degree)
 
 
 def parse_generators(text: str, degree: int | None = None) -> list[Permutation]:
@@ -254,18 +245,17 @@ def _closure(generators: Sequence[Permutation], limit: int,
     instead of from the identity. Refuses as soon as the order passes
     ``limit``.
     """
-    degree = generators[0].degree
-    if any(g.degree != degree for g in generators):
-        raise DegreeMismatch(f"mixed generator degrees {sorted({g.degree for g in generators})}")
+    degree = len(generators[0])
+    if any(len(g) != degree for g in generators):
+        raise DegreeMismatch(f"mixed generator degrees {sorted(set(map(len, generators)))}")
     ident = tuple(range(degree))
     group = {ident} if base is None else set(base)
     # getters of generators of the running group; those in base generate it
-    multipliers = [g.images.__getitem__ for g in generators if g.images in group]
+    multipliers = [g.__getitem__ for g in generators if g in group]
     for g in generators:
-        gi = g.images
-        if gi in group:
+        if g in group:
             continue
-        multipliers.append(gi.__getitem__)
+        multipliers.append(g.__getitem__)
         sub = list(group)
         reps = [ident]
         for r in reps:  # grows while it is walked
@@ -309,7 +299,6 @@ class PermGroup:
         self.family = family
         self.budgets = budgets
         self._elements: tuple[Permutation, ...] | None = None
-        self._images: tuple[tuple[int, ...], ...] | None = None
         self._classes: list[list[int]] | None = None
         self._cycle_stats: tuple[tuple[int, int], ...] | None = None
         # k -> the checked non-regular coloring census (classcount._census)
@@ -327,50 +316,44 @@ class PermGroup:
         never outgrows itself and an open one always does. Raises ValueError
         when the set is not closed under products.
         """
-        by_image = {p.images: p for p in elements}
-        if not by_image:
+        table = sorted(set(elements))
+        if not table:
             raise ValueError("empty element set")
-        images = sorted(by_image)
         if degree is None:
-            degree = len(images[0])
-        if any(len(im) != degree for im in images):
+            degree = len(table[0])
+        if any(len(x) != degree for x in table):
             raise DegreeMismatch(
-                f"element degrees {sorted({len(im) for im in images})} vs degree {degree}")
+                f"element degrees {sorted(set(map(len, table)))} vs degree {degree}")
         gens: list[Permutation] = []
         known = {tuple(range(degree))}
-        for x in images:
+        for x in table:
             if x in known:
                 continue
-            gens.append(by_image[x])
+            gens.append(x)
             try:
-                known = _closure(gens, limit=len(images), base=known)
+                known = _closure(gens, limit=len(table), base=known)
             except BudgetExceeded:
                 raise ValueError("element set is not closed under products") from None
-        return cls._closed(gens, images, map(by_image.__getitem__, images), degree, budgets)
+        return cls._closed(gens, table, degree, budgets)
 
     @classmethod
-    def _closed(cls, generators: Sequence[Permutation], images: Iterable[tuple[int, ...]],
-                elements: Iterable[Permutation], degree: int, budgets: Budgets = DEFAULT
-                ) -> "PermGroup":
-        """The group the generators close to: these sorted image tuples and elements, unchecked."""
+    def _closed(cls, generators: Sequence[Permutation], elements: Iterable[Permutation],
+                degree: int, budgets: Budgets = DEFAULT) -> "PermGroup":
+        """The group the generators close to: these sorted elements, unchecked."""
         grp = cls(generators or [Permutation.identity(degree)], degree=degree, budgets=budgets)
-        grp._images = tuple(images)
         grp._elements = tuple(elements)
         return grp
 
     @property
     def elements(self) -> tuple[Permutation, ...]:
+        """Every element, sorted (by image tuple); closed on first use."""
         if self._elements is None:
-            closed = _closure(self.generators, limit=self.budgets.max_group_order)
-            self._images = tuple(sorted(closed))  # tuple order is Permutation order
-            self._elements = tuple(map(Permutation._unsafe, self._images))
+            table = sorted(_closure(self.generators, limit=self.budgets.max_group_order))
+            unsafe = Permutation._unsafe
+            for i, x in enumerate(table):  # in place: the closure's tuples go as they are wrapped
+                table[i] = unsafe(x)
+            self._elements = tuple(table)
         return self._elements
-
-    @property
-    def image_tuples(self) -> tuple[tuple[int, ...], ...]:
-        """The image tuples of ``elements``, in the same (sorted) order."""
-        self.elements  # sets _images alongside _elements
-        return self._images
 
     @property
     def order(self) -> int:
@@ -437,7 +420,7 @@ def orbits(group: PermGroup) -> tuple[tuple[int, ...], ...]:
     """
     uf = UnionFind(group.degree)
     for g in group.generators:
-        for i, img in enumerate(g.images):
+        for i, img in enumerate(g):
             uf.union(i, img)
     return uf.partition()
 
@@ -484,8 +467,7 @@ def coloring_stabilizers(group: PermGroup, colorings: Iterable[Sequence[int]]
     for the whole stream, so equal stabilizers are the same object.
     """
     degree = group.degree
-    images = group.image_tuples
-    element = group.elements.__getitem__
+    elements = group.elements
     shared: dict[tuple[int, ...], PermGroup] = {}
     stream = iter(colorings)
     while block := list(islice(stream, _STAB_BLOCK)):
@@ -501,8 +483,8 @@ def coloring_stabilizers(group: PermGroup, colorings: Iterable[Sequence[int]]
                 same[i][p] = same[p][i] = sum(
                     m & masks[p].get(v, 0) for v, m in masks[i].items())
         kept = [[0] for _ in block]  # position 0 holds the identity, the smallest tuple
-        for pos in range(1, len(images)):
-            fixed = reduce(and_, map(getitem, same, images[pos]), full)
+        for pos in range(1, len(elements)):
+            fixed = reduce(and_, map(getitem, same, elements[pos]), full)
             while fixed:
                 low = fixed & -fixed
                 kept[low.bit_length() - 1].append(pos)
@@ -511,7 +493,7 @@ def coloring_stabilizers(group: PermGroup, colorings: Iterable[Sequence[int]]
             stab = shared.get(positions)
             if stab is None:
                 stab = shared[positions] = PermGroup.from_elements(
-                    map(element, positions), degree=degree, budgets=group.budgets)
+                    map(elements.__getitem__, positions), degree=degree, budgets=group.budgets)
             yield stab
 
 
@@ -522,12 +504,12 @@ def _conjugations(group: PermGroup) -> list[list[int]]:
     maps walks a conjugacy class, of elements or of subgroups. Conjugates
     are looked up by position, so no product outlives its lookup.
     """
-    images = group.image_tuples
-    position = dict(zip(images, range(len(images))))
+    elements = group.elements
+    position = dict(zip(elements, range(len(elements))))
     maps = []
     for g in group.generators:
-        g_of, g_inv = g.images.__getitem__, g.inverse().images
-        maps.append([position[tuple(map(g_of, map(x.__getitem__, g_inv)))] for x in images])
+        g_of, g_inv = g.__getitem__, g.inverse()
+        maps.append([position[tuple(map(g_of, map(x.__getitem__, g_inv)))] for x in elements])
     return maps
 
 
@@ -541,26 +523,20 @@ def _class_indices(group: PermGroup) -> list[list[int]]:
     """
     if group._classes is not None:
         return group._classes
-    images = group.image_tuples
     conj = _conjugations(group)
-    seen = bytearray(len(images))
+    seen = bytearray(group.order)
     classes = []
-    for start in range(len(images)):
+    for start in range(group.order):
         if seen[start]:
             continue
         seen[start] = 1
         cls = [start]
-        frontier = [start]
-        while frontier:
-            fresh = []
-            for i in frontier:
-                for c in conj:
-                    j = c[i]
-                    if not seen[j]:
-                        seen[j] = 1
-                        fresh.append(j)
-            cls += fresh
-            frontier = fresh
+        for i in cls:  # grows while it is walked
+            for c in conj:
+                j = c[i]
+                if not seen[j]:
+                    seen[j] = 1
+                    cls.append(j)
         classes.append(cls)
     group._classes = classes
     return classes
@@ -592,14 +568,14 @@ def normal_subgroups(group: PermGroup) -> list[PermGroup]:
     """
     group.budgets.check("max_normal_order", group.order, "normal subgroup lattice: |H|")
     classes = conjugacy_classes(group)
-    trivial = frozenset({group.identity.images})
+    trivial = frozenset({group.identity})
     found = {trivial: ()}
     queue = [trivial]
     while queue:
         base = queue.pop()
         gens = found[base]
         for cls in classes:
-            if cls[0].images in base:
+            if cls[0] in base:
                 continue
             grown = frozenset(_closure(gens + cls, limit=group.order, base=base))
             if grown not in found:
@@ -616,13 +592,12 @@ def _wrap_lattice(group: PermGroup, lattice: dict[frozenset[tuple[int, ...]], tu
     The whole group is returned as itself, so its cached classes serve the
     lattice; every other member carries group.budgets.
     """
-    element = dict(zip(group.image_tuples, group.elements)).__getitem__
+    element = dict(zip(group.elements, group.elements)).__getitem__  # tuple -> group's own object
     ordered = sorted(((len(s), sorted(s), gens) for s, gens in lattice.items()),
                      key=lambda t: t[:2])
     return [group if size == group.order else
-            PermGroup._closed(gens, images, map(element, images), group.degree,
-                              budgets=group.budgets)
-            for size, images, gens in ordered]
+            PermGroup._closed(gens, map(element, members), group.degree, budgets=group.budgets)
+            for size, members, gens in ordered]
 
 
 def minimal_block_partition(group: PermGroup, point: int) -> tuple[tuple[int, ...], ...]:
@@ -726,16 +701,16 @@ def _subgroup_class(group: PermGroup, sub: frozenset[tuple[int, ...]],
     outside the group generated so far, and none once that group has the
     order |H| / |class| of N_H(sub).
     """
-    images = group.image_tuples
-    ident = group.identity.images
+    elements = group.elements
+    ident = group.identity
     via = {sub: ident}
     cls = [(list(map(position.__getitem__, sub)), ident)]
     edges = []
     for member, t in cls:  # grows while walked
         for c, g in zip(conj, group.generators):
             moved = list(map(c.__getitem__, member))
-            conjugate = frozenset(map(images.__getitem__, moved))
-            gt = tuple(map(g.images.__getitem__, t))  # g * t
+            conjugate = frozenset(map(elements.__getitem__, moved))
+            gt = tuple(map(g.__getitem__, t))  # g * t
             u = via.get(conjugate)
             if u is None:
                 via[conjugate] = gt
@@ -743,14 +718,14 @@ def _subgroup_class(group: PermGroup, sub: frozenset[tuple[int, ...]],
             else:
                 edges.append((u, gt))
     if len(via) == 1:  # sub is normal: its Schreier generators are H's, and no closure sorts them
-        return list(via), [g for g in group.generators if g.images not in sub]
+        return list(via), [g for g in group.generators if g not in sub]
     order = group.order // len(via)
     normalizing: list[Permutation] = []
     normalizer, gens = set(sub), list(generators)
     for u, gt in edges:
         if len(normalizer) == order:
             break
-        n = tuple(map(Permutation._unsafe(u).inverse().images.__getitem__, gt))  # u^-1 * g * t
+        n = tuple(map(Permutation._unsafe(u).inverse().__getitem__, gt))  # u^-1 * g * t
         if n not in normalizer:
             normalizing.append(Permutation._unsafe(n))
             gens.append(normalizing[-1])
@@ -776,8 +751,8 @@ def subgroups(group: PermGroup) -> list[PermGroup]:
     closure; the representative of H's own class is H.
     """
     group.budgets.check("max_subgroup_order", group.order, "subgroup lattice: |H|")
-    images = group.image_tuples
-    position = dict(zip(images, range(len(images))))
+    elements = group.elements
+    position = dict(zip(elements, range(len(elements))))
     conj = _conjugations(group)
     seen: set[frozenset[tuple[int, ...]]] = set()  # every subgroup of a found class
 
@@ -785,7 +760,7 @@ def subgroups(group: PermGroup) -> list[PermGroup]:
         group.budgets.check("max_subgroup_count", len(seen) + 1, "subgroups found")
         seen.add(sub)
 
-    trivial = frozenset({group.identity.images})
+    trivial = frozenset({group.identity})
     reps = {trivial: ()}
     normalizing = {trivial: list(group.generators)}  # with R, they generate N_H(R)
     mark(trivial)
@@ -793,10 +768,10 @@ def subgroups(group: PermGroup) -> list[PermGroup]:
     while queue:
         sub = queue.pop()
         gens = reps[sub]
-        conjugators = [(n.images.__getitem__, n.inverse().images) for n in normalizing.pop(sub)]
+        conjugators = [(n.__getitem__, n.inverse()) for n in normalizing.pop(sub)]
         done = set(sub)  # a union of double cosets R*z*R, closed under N_H(R)-conjugation
-        for x, xi in zip(group.elements, images):
-            if xi in done:
+        for x in elements:
+            if x in done:
                 continue
             grown = frozenset(_closure(gens + (x,), limit=group.order, base=sub))
             if grown not in seen:
@@ -806,7 +781,7 @@ def subgroups(group: PermGroup) -> list[PermGroup]:
                                                           position)
                 for member in cls:
                     mark(member)
-            front = [xi]
+            front = [x]
             while front:  # the double cosets of the N_H(R)-conjugates of x
                 z = front.pop()
                 for si in sub:

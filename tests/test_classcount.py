@@ -63,7 +63,7 @@ def _orbit_reps_scan(group, k):
     so the digit at point i lands at position g(i).
     """
     n, order = group.degree, group.order
-    elems = [g.images for g in group.elements if not g.is_identity()]
+    elems = [g for g in group.elements if not g.is_identity()]
     reps = []
     for e in range(k ** n):
         digits = decode_coloring(e, k, n)
@@ -125,7 +125,7 @@ def test_numpy_orbit_walk_reps_are_orbit_minima():
     digits = codes[:, None] // weights % k
     fixes = np.zeros(len(codes), dtype=np.int64)
     for g in grp.elements:
-        images = digits @ weights[list(g.images)]  # digit i lands at position g(i)
+        images = digits @ weights[list(g)]  # digit i lands at position g(i)
         assert (images >= codes).all()
         fixes += images == codes
     assert [size for _, size in reps] == (order // fixes).tolist()

@@ -123,6 +123,17 @@ def test_parse_error_reports_column(run_cli):
     assert "column" in err
 
 
+@pytest.mark.parametrize("argv, point", [
+    (("--group", "gens:4,(1 2)(2 3)", "--k", "2"), 2),
+    (("--group", "gens:(1 1)", "--k", "2"), 1),
+    (("--group", "cyclic:3", "--x-gens", "(3 4)(4 5)"), 4),
+])
+def test_repeated_point_is_named_as_written(run_cli, argv, point):
+    code, out, err = run_cli("count", *argv)
+    assert (code, out) == (1, "")
+    assert err.endswith(f": point {point} appears twice\n")
+
+
 def test_budget_refusal_exits_two(run_cli):
     code, _, err = run_cli("count", "--group", "dihedral:40", "--k", "2")
     assert code == 2

@@ -54,9 +54,9 @@ from test_actions import transitive_groups
 
 def test_parse_permutation_images():
     p = parse_permutation("(1 2)(3 4)")
-    assert tuple(p.images) == (1, 0, 3, 2)
+    assert p == (1, 0, 3, 2)
     q = parse_permutation("(1 2)", degree=5)
-    assert tuple(q.images) == (1, 0, 2, 3, 4)
+    assert q == (1, 0, 2, 3, 4)
 
 
 def test_parse_identity():
@@ -77,11 +77,22 @@ def test_parse_error_reports_column():
     assert "column" in str(exc.value)
 
 
+def test_permutation_is_its_image_tuple():
+    p = Permutation((1, 0, 2))
+    assert p == (1, 0, 2) and hash(p) == hash((1, 0, 2))
+    rng = random.Random(3)
+    perms = [Permutation(rng.sample(range(4), 4)) for _ in range(20)]
+    assert list(map(tuple, sorted(perms))) == sorted(map(tuple, perms))
+    with pytest.raises(AttributeError):
+        p.degree = 4
+    assert not hasattr(PermGroup, "image_tuples")
+
+
 def test_compose_applies_right_factor_first():
     p = parse_permutation("(1 2)", 3)
     q = parse_permutation("(2 3)", 3)
     r = p * q
-    assert all(r.images[x] == p.images[q.images[x]] for x in range(3))
+    assert all(r[x] == p[q[x]] for x in range(3))
 
 
 def test_compose_inverse_roundtrip():
@@ -96,8 +107,7 @@ def test_compose_inverse_roundtrip():
         rng.shuffle(images2)
         q = Permutation(images2)
         assert ((p * q).inverse() * (p * q)).is_identity()
-        assert tuple((p * q).inverse().images) == tuple(
-            (q.inverse() * p.inverse()).images)
+        assert (p * q).inverse() == q.inverse() * p.inverse()
 
 
 def test_cycle_string_roundtrip():
@@ -167,8 +177,7 @@ def test_closure_matches_permutation_product_reference():
             images = list(range(6))
             rng.shuffle(images)
             gens.append(Permutation(images))
-        want = {p.images for p in _reference_closure(gens)}
-        assert _closure(gens, limit=DEFAULT.max_group_order) == want
+        assert _closure(gens, limit=DEFAULT.max_group_order) == _reference_closure(gens)
 
 
 @st.composite
@@ -186,10 +195,10 @@ def subgroups_with_extra_elements(draw):
 @given(case=subgroups_with_extra_elements(), data=st.data())
 def test_closure_from_a_base_matches_the_reference(case, data):
     base_gens, extra = case
-    base = frozenset(p.images for p in _reference_closure(base_gens))
+    base = frozenset(_reference_closure(base_gens))
     # the base's generators may sit anywhere among the generators
     gens = data.draw(st.permutations(base_gens + extra))
-    want = {p.images for p in _reference_closure(gens)}
+    want = _reference_closure(gens)
     assert _closure(gens, limit=DEFAULT.max_group_order, base=base) == want
     assert _closure(gens, limit=DEFAULT.max_group_order) == want
 
@@ -197,7 +206,7 @@ def test_closure_from_a_base_matches_the_reference(case, data):
 @pytest.mark.parametrize("spec", ["symmetric:4", "dihedral:6", "wreath-cyclic:2"])
 def test_closure_from_a_base_refuses_exactly_past_the_limit(spec):
     group = parse_group_spec(spec)
-    base = frozenset(p.images for p in _reference_closure(group.generators[:1]))
+    base = frozenset(_reference_closure(group.generators[:1]))
     assert len(base) < group.order
     gens = group.generators
     assert len(_closure(gens, limit=group.order, base=base)) == group.order
@@ -314,6 +323,14 @@ def test_coloring_stabilizers_match_the_reference(case):
     stabs = list(coloring_stabilizers(group, colorings))
     _assert_stabilizers_match(group, colorings, stabs)
     assert list(coloring_stabilizers(group, [])) == []
+
+
+def test_stabilizers_and_lattices_hold_the_groups_own_elements():
+    group = parse_group_spec("dihedral:4")
+    position = {x: i for i, x in enumerate(group.elements)}
+    stab = next(coloring_stabilizers(group, [(0, 1, 0, 1)]))
+    for sub in [stab, *subgroups(group), *normal_subgroups(group)]:
+        assert all(x is group.elements[position[x]] for x in sub.elements)
 
 
 @pytest.mark.parametrize("block", [1, 3])
