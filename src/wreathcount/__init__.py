@@ -79,7 +79,6 @@ from .errors import (
 from .permgroup import (
     NumericInvariants,
     PermGroup,
-    Permutation,
     StructureReport,
     class_count,
     coloring_stabilizer,
@@ -104,7 +103,7 @@ __all__ = [
     "BlockDecomposition", "BoundReport", "BudgetExceeded", "Budgets", "CountResult",
     "DEFAULT", "DegreeMismatch", "DivisibilityViolation", "Infeasible", "InvariantViolation",
     "NotSemiprimitive", "NumericInvariants", "OrbitStats", "ParseError", "PermGroup",
-    "Permutation", "ScanRow", "SemiprimitiveReport", "StructureReport", "UnknownFamily",
+    "ScanRow", "SemiprimitiveReport", "StructureReport", "UnknownFamily",
     "WreathGroup", "WreathcountError", "auto_count", "block_decomposition", "bounds_report",
     "brute_force_count", "build_wreath_group", "burnside_orbit_count", "class_count",
     "clifford_count", "closed_form", "coloring_orbit_reps",

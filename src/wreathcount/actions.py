@@ -27,18 +27,24 @@ from .errors import (
 )
 from .permgroup import (
     PermGroup,
-    Permutation,
     all_block_systems,
+    compose,
+    cycle_count,
+    cycles,
+    from_cycles,
+    inverse,
+    is_identity,
     is_primitive,
     is_transitive,
     orbits,
     parse_generators,
+    permutation,
 )
 
 
-def cycle_type(p: Permutation) -> tuple[int, ...]:
+def cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
     """Cycle lengths, fixed points as 1s, weakly decreasing: the partition of the class."""
-    return tuple(sorted(map(len, p.cycles(include_fixed=True)), reverse=True))
+    return tuple(sorted(map(len, cycles(p, include_fixed=True)), reverse=True))
 
 
 def cycle_type_class_size(parts: Sequence[int]) -> int:
@@ -60,7 +66,8 @@ def subset_rank(subset: Sequence[int]) -> int:
     return sum(math.comb(s, i + 1) for i, s in enumerate(sorted(subset)))
 
 
-def subsets_action_lift(p: Permutation, ell: int, budgets: Budgets = DEFAULT) -> Permutation:
+def subsets_action_lift(p: tuple[int, ...], ell: int,
+                        budgets: Budgets = DEFAULT) -> tuple[int, ...]:
     """Permutation induced by p on the ell-subsets of its domain."""
     m = len(p)
     if not 1 <= ell <= m:
@@ -69,7 +76,7 @@ def subsets_action_lift(p: Permutation, ell: int, budgets: Budgets = DEFAULT) ->
     rank = _colex_ranks(m, ell)
     p_of = p.__getitem__
     # rank lists the subsets in rank order, so position r holds the image of subset r
-    return Permutation._unsafe([rank[frozenset(map(p_of, s))] for s in rank])
+    return tuple([rank[frozenset(map(p_of, s))] for s in rank])
 
 
 @lru_cache(maxsize=8)
@@ -83,12 +90,12 @@ def _colex_ranks(m: int, ell: int) -> dict[frozenset[int], int]:
     return {frozenset(c): r for r, c in enumerate(ordered)}
 
 
-def sigma_prime(p: Permutation, ell: int, budgets: Budgets = DEFAULT) -> int:
+def sigma_prime(p: tuple[int, ...], ell: int, budgets: Budgets = DEFAULT) -> int:
     """Cycle count of the induced action of p on ell-subsets."""
-    return subsets_action_lift(p, ell, budgets).cycle_count()
+    return cycle_count(subsets_action_lift(p, ell, budgets))
 
 
-def fix_subsets_direct(p: Permutation, ell: int, budgets: Budgets = DEFAULT) -> int:
+def fix_subsets_direct(p: tuple[int, ...], ell: int, budgets: Budgets = DEFAULT) -> int:
     """Number of ell-subsets fixed setwise by p, by direct enumeration."""
     m = len(p)
     if not 0 <= ell <= m:
@@ -107,8 +114,8 @@ def fix_subsets_direct(p: Permutation, ell: int, budgets: Budgets = DEFAULT) -> 
 # Product action of S_m wr S_t on t-tuples of ell-subsets.
 
 
-def product_action_build(coords: Sequence[Permutation], top: Permutation,
-                         m: int, ell: int, budgets: Budgets = DEFAULT) -> Permutation:
+def product_action_build(coords: Sequence[tuple[int, ...]], top: tuple[int, ...],
+                         m: int, ell: int, budgets: Budgets = DEFAULT) -> tuple[int, ...]:
     """Permutation of the C(m,ell)^t tuples realized by (coords, top).
 
     A point is a t-tuple (w_1, ..., w_t) of subset ranks, encoded in mixed
@@ -116,16 +123,16 @@ def product_action_build(coords: Sequence[Permutation], top: Permutation,
     position j, coords[top^-1(j)] applied to w_{top^-1(j)}.
     """
     t = len(coords)
-    if top.degree != t:
+    if len(top) != t:
         raise DegreeMismatch("top degree must equal the number of coordinates")
     base = math.comb(m, ell)
     for c in coords:
-        if c.degree != base:
+        if len(c) != base:
             raise DegreeMismatch(
-                f"coordinate degree {c.degree} != C({m},{ell}) = {base}")
+                f"coordinate degree {len(c)} != C({m},{ell}) = {base}")
     degree = base ** t
     budgets.check("max_lift_degree", degree, f"product action degree C({m},{ell})**{t}")
-    topinv = top.inverse()
+    topinv = inverse(top)
     images = [0] * degree
     for point in range(degree):
         # decode tuple, most significant = coordinate 0
@@ -137,10 +144,10 @@ def product_action_build(coords: Sequence[Permutation], top: Permutation,
         w.reverse()
         img = 0
         for j in range(t):
-            src = topinv(j)
-            img = img * base + coords[src](w[src])
+            src = topinv[j]
+            img = img * base + coords[src][w[src]]
         images[point] = img
-    return Permutation._unsafe(images)
+    return tuple(images)
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +182,15 @@ class WreathGroup:
 
     def multiply(self, a, b):
         (v, h), (w, g) = a, b
-        hinv = h.inverse()
-        moved = tuple((v[i] + w[hinv(i)]) % self.k for i in range(self.n))
-        return (moved, h * g)
+        hinv = inverse(h)
+        moved = tuple((v[i] + w[hinv[i]]) % self.k for i in range(self.n))
+        return (moved, compose(h, g))
 
     def inverse(self, a):
         # (v,h)^-1 = (w, h^-1) with w_i = -v_{h(i)}: then v + h.w = 0
         v, h = a
-        w = tuple((-v[h(i)]) % self.k for i in range(self.n))
-        return (w, h.inverse())
+        w = tuple((-v[h[i]]) % self.k for i in range(self.n))
+        return (w, inverse(h))
 
     def _base_points(self) -> list[int]:
         # (0, h)(e_i, 1)(0, h)^-1 = (e_{h(i)}, 1): one e_i per orbit of H
@@ -224,9 +231,9 @@ class WreathGroup:
         # a unit step of digit j moves the code by steps[j]
         steps = [k ** (n - 1 - j) * order for j in range(n)]
         tops = self.top.generators
-        top_conj = [[index[g * h * g.inverse()] for h in elems] for g in tops]
+        top_conj = [[index[compose(compose(g, h), inverse(g))] for h in elems] for g in tops]
         # (g.v)_{g(j)} = v_j, so g.v has code sum_j v_j * steps[g(j)]
-        top_steps = [[steps[g(j)] for j in range(n)] for g in tops]
+        top_steps = [[steps[g[j]] for j in range(n)] for g in tops]
         base = self._base_points()
         h_on_base = [[h[i] for i in base] for h in elems]
         wrap = [(k - 1) * s for s in steps]
@@ -253,53 +260,53 @@ def build_wreath_group(k: int, top: PermGroup) -> WreathGroup:
 # Named families.
 
 
-def _cyclic_gen(n: int) -> Permutation:
-    return Permutation._unsafe(tuple((i + 1) % n for i in range(n)))
+def _cyclic_gen(n: int) -> tuple[int, ...]:
+    return tuple((i + 1) % n for i in range(n))
 
 
-def _symmetric_gens(n: int) -> list[Permutation]:
+def _symmetric_gens(n: int) -> list[tuple[int, ...]]:
     if n == 1:
-        return [Permutation.identity(1)]
-    gens = [Permutation.from_cycles([[0, 1]], n)]
+        return [(0,)]
+    gens = [from_cycles([[0, 1]], n)]
     if n > 2:
         gens.append(_cyclic_gen(n))
     return gens
 
 
-def _alternating_gens(n: int) -> list[Permutation]:
+def _alternating_gens(n: int) -> list[tuple[int, ...]]:
     if n < 3:
-        return [Permutation.identity(max(n, 1))]
-    three = Permutation.from_cycles([[0, 1, 2]], n)
+        return [tuple(range(max(n, 1)))]
+    three = from_cycles([[0, 1, 2]], n)
     if n == 3:
         return [three]
     if n % 2 == 1:
         return [three, _cyclic_gen(n)]
     # even n: the n-cycle is odd; use the (n-1)-cycle fixing 0 instead
-    return [three, Permutation.from_cycles([list(range(1, n))], n)]
+    return [three, from_cycles([list(range(1, n))], n)]
 
 
-def _dihedral_gens(n: int) -> list[Permutation]:
+def _dihedral_gens(n: int) -> list[tuple[int, ...]]:
     if n < 3:
         raise UnknownFamily("dihedral needs degree >= 3")
     rot = _cyclic_gen(n)
-    refl = Permutation._unsafe(tuple((n - i) % n for i in range(n)))
+    refl = tuple((n - i) % n for i in range(n))
     return [rot, refl]
 
 
-def _wreath_cyclic_gens(m: int) -> list[Permutation]:
+def _wreath_cyclic_gens(m: int) -> list[tuple[int, ...]]:
     # C2 wr C_m on 2m points: pair blocks {2i, 2i+1}, first-pair swap plus block rotation
     n = 2 * m
-    swap = Permutation.from_cycles([[0, 1]], n)
+    swap = from_cycles([[0, 1]], n)
     if m == 1:
         return [swap]
-    rot = Permutation._unsafe(tuple((i + 2) % n for i in range(n)))
+    rot = tuple((i + 2) % n for i in range(n))
     return [swap, rot]
 
 
 # regular quaternion group of order 8, indexed 1,-1,i,-i,j,-j,k,-k
 _QUATERNION_GENS = (
-    Permutation((2, 3, 1, 0, 6, 7, 5, 4)),   # left multiplication by i
-    Permutation((4, 5, 7, 6, 1, 0, 2, 3)),   # left multiplication by j
+    (2, 3, 1, 0, 6, 7, 5, 4),   # left multiplication by i
+    (4, 5, 7, 6, 1, 0, 2, 3),   # left multiplication by j
 )
 
 
@@ -319,7 +326,7 @@ def family(name: str, params: Sequence[str] = (), budgets: Budgets = DEFAULT) ->
         (n,) = _int_params(params, 1, name)
         if n < 1:
             raise UnknownFamily("cyclic needs n >= 1")
-        gens = [_cyclic_gen(n)] if n > 1 else [Permutation.identity(1)]
+        gens = [_cyclic_gen(n)]
     elif name == "symmetric":
         (n,) = _int_params(params, 1, name)
         if n < 1:
@@ -344,15 +351,15 @@ def family(name: str, params: Sequence[str] = (), budgets: Budgets = DEFAULT) ->
         if not (m >= 2 and 1 <= ell <= m - 1 and t >= 1):
             raise UnknownFamily(f"need m >= 2, 1 <= ell <= m-1, t >= 1, got {m},{ell},{t}")
         base = math.comb(m, ell)
-        ident = Permutation.identity(base)
-        top_ident = Permutation.identity(t)
+        ident = tuple(range(base))
+        top_ident = tuple(range(t))
         gens = []
         for g in _symmetric_gens(m):
             lifted = subsets_action_lift(g, ell, budgets)
             coords = [lifted] + [ident] * (t - 1)
             gens.append(product_action_build(coords, top_ident, m, ell, budgets))
         for tau in _symmetric_gens(t):
-            if tau.is_identity():
+            if is_identity(tau):
                 continue
             gens.append(product_action_build([ident] * t, tau, m, ell, budgets))
     elif name == "wreath-cyclic":
@@ -406,14 +413,14 @@ class BlockDecomposition:
     quotient: PermGroup
 
 
-def induced_block_permutation(h: Permutation, blocks: Sequence[Sequence[int]]) -> Permutation:
+def induced_block_permutation(h: tuple[int, ...], blocks: Sequence[Sequence[int]]
+                              ) -> tuple[int, ...]:
     """Permutation of block indices induced by h; blocks must be h-invariant as a system."""
     index = {}
     for bi, block in enumerate(blocks):
         for pt in block:
             index[pt] = bi
-    images = [index[h(block[0])] for block in blocks]
-    return Permutation(images)
+    return permutation(index[h[block[0]]] for block in blocks)
 
 
 def block_decomposition(group: PermGroup) -> BlockDecomposition | None:
@@ -439,9 +446,9 @@ def block_decomposition(group: PermGroup) -> BlockDecomposition | None:
 
     kernel_elems = []
     for h in group.elements:
-        if induced_block_permutation(h, blocks).is_identity():
+        if is_identity(induced_block_permutation(h, blocks)):
             kernel_elems.append(h)
-    kernel = PermGroup.from_elements(kernel_elems, degree=group.degree, budgets=group.budgets)
+    kernel = PermGroup.from_elements(kernel_elems, budgets=group.budgets)
     if kernel.order * quotient.order != group.order:
         raise InvariantViolation("kernel/quotient orders do not multiply to the group order")
     return BlockDecomposition(r=len(blocks), blocks=blocks, kernel=kernel, quotient=quotient)

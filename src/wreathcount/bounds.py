@@ -44,8 +44,8 @@ from .errors import (
 )
 from .permgroup import (
     PermGroup,
-    Permutation,
     class_count,
+    cycle_count,
     cycle_stats,
     is_semiregular,
     is_transitive,
@@ -262,8 +262,7 @@ def subset_orbit_count_exact(m: int, ell: int, k: int,
             start = len(images)
             images.extend(range(start + 1, start + length))
             images.append(start)
-        rep = Permutation._unsafe(images)
-        total += cycle_type_class_size(parts) * k ** sigma_prime(rep, ell, budgets)
+        total += cycle_type_class_size(parts) * k ** sigma_prime(tuple(images), ell, budgets)
     if total % fact:
         raise DivisibilityViolation("subset-action Burnside sum not divisible by m!")
     return total // fact
@@ -329,8 +328,8 @@ def _product_orbit_identity(m: int, ell: int, t: int, k: int, single: int,
             lifted = subsets_action_lift(g, ell, budgets)
             images = list(range(t * c))
             for w in range(c):
-                images[i * c + w] = i * c + lifted(w)
-            gens.append(Permutation(images))
+                images[i * c + w] = i * c + lifted[w]
+            gens.append(images)
     power_group = PermGroup(gens, budgets=budgets)
     lhs, rhs = burnside_orbit_count(power_group, k), single ** t
     inputs = {"m": m, "ell": ell, "t": t, "k": k}
@@ -462,7 +461,7 @@ def semiprimitive_report(group: PermGroup, k: int) -> SemiprimitiveReport:
     cycle_bound = True
     max_quot_sigma = 0
     for h, (sigma, _) in zip(group.elements, cycle_stats(group)):
-        induced_sigma = induced_block_permutation(h, decomp.blocks).cycle_count()
+        induced_sigma = cycle_count(induced_block_permutation(h, decomp.blocks))
         if sigma > per_block * induced_sigma:
             cycle_bound = False
         if h not in kernel_set:

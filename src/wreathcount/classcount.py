@@ -55,11 +55,13 @@ from .errors import (
 )
 from .permgroup import (
     PermGroup,
-    Permutation,
     UnionFind,
     class_count,
     coloring_stabilizers,
     conjugacy_classes,
+    cycle_count,
+    cycles,
+    is_identity,
     max_cycle_count,
 )
 
@@ -101,7 +103,7 @@ def _decoder(k: int, n: int):
     return lambda e: top[e // radix] + bottom[e % radix]
 
 
-def _generator_steps(gens: list[Permutation], k: int, n: int
+def _generator_steps(gens: list[tuple[int, ...]], k: int, n: int
                      ) -> tuple[int, list[tuple[list[int], list[int]]]]:
     """Split-radix tables that apply each generator to coloring codes.
 
@@ -123,10 +125,11 @@ def _generator_steps(gens: list[Permutation], k: int, n: int
                           for g in gens]
 
 
-def _orbit_reps_numpy(gens: list[Permutation], k: int, space: int) -> list[tuple[int, int]]:
+def _orbit_reps_numpy(gens: list[tuple[int, ...]], k: int, space: int
+                      ) -> list[tuple[int, int]]:
     import numpy as np
 
-    radix, steps = _generator_steps(gens, k, gens[0].degree)
+    radix, steps = _generator_steps(gens, k, len(gens[0]))
     tables = [np.add.outer(np.array(hi, dtype=np.int32), np.array(lo, dtype=np.int32)).ravel()
               for hi, lo in steps]
     del steps
@@ -177,7 +180,7 @@ def coloring_orbit_reps(group: PermGroup, k: int) -> list[tuple[int, int]]:
     n = group.degree
     space = _check_space(group, k)
 
-    gens = [g for g in group.generators if not g.is_identity()]
+    gens = [g for g in group.generators if not is_identity(g)]
     if not gens:
         return [(e, 1) for e in range(space)]
     if _NUMPY_MIN_SPACE <= space <= _NUMPY_MAX_SPACE:
@@ -207,11 +210,11 @@ def _prime_seeds(group: PermGroup, k: int) -> tuple[list[list[tuple[int, ...]]],
     seed_cycles = []
     bound = 0
     for cls in conjugacy_classes(group):
-        cycles = cls[0].cycles(include_fixed=True)
-        lengths = {len(c) for c in cycles} - {1}
+        cycs = cycles(cls[0], include_fixed=True)
+        lengths = {len(c) for c in cycs} - {1}
         if len(lengths) == 1 and combinatorics.is_prime(lengths.pop()):
-            seed_cycles.append(cycles)
-            bound += len(cls) * k ** len(cycles)
+            seed_cycles.append(cycs)
+            bound += len(cls) * k ** len(cycs)
     return seed_cycles, bound
 
 
@@ -219,12 +222,12 @@ def _seeded_walk(group: PermGroup, k: int, seed_cycles: list[list[tuple[int, ...
                  ) -> tuple[list[tuple[int, int]], int]:
     """nonregular_orbits by walking, on integer codes, the orbit of every seed coloring."""
     n = group.degree
-    radix, steps = _generator_steps([g for g in group.generators if not g.is_identity()], k, n)
+    radix, steps = _generator_steps([g for g in group.generators if not is_identity(g)], k, n)
     seen: set[int] = set()
     reps = []
-    for cycles in seed_cycles:
+    for cycs in seed_cycles:
         seeds = [0]
-        for cycle in cycles:
+        for cycle in cycs:
             w = sum(k ** (n - 1 - i) for i in cycle)
             seeds = [s + d * w for s in seeds for d in range(k)]
         for start in seeds:
@@ -297,7 +300,7 @@ def _census(group: PermGroup, k: int, stabilizers: bool = False) -> _Census:
         census = group._census[k] = _Census(reps, delta, regular)
     if not stabilizers or census.stabilizers is not None:
         return census
-    radix, steps = _generator_steps([g for g in group.generators if not g.is_identity()], k, n)
+    radix, steps = _generator_steps([g for g in group.generators if not is_identity(g)], k, n)
     for hi, lo in steps:
         for enc, size in census.reps:
             if size == 1 and hi[enc // radix] + lo[enc % radix] != enc:
@@ -359,7 +362,7 @@ def burnside_orbit_count(group: PermGroup, k: int) -> int:
         raise ValueError("k must be nonnegative")
     total = 0
     for cls in conjugacy_classes(group):
-        total += len(cls) * k ** cls[0].cycle_count()
+        total += len(cls) * k ** cycle_count(cls[0])
     order = group.order
     if total % order:
         raise DivisibilityViolation(
@@ -437,7 +440,7 @@ def closed_form(group: PermGroup, k: int) -> CountResult | None:
     """
     n = group.degree
     fam = group.family[0] if group.family else None
-    if all(g.is_identity() for g in group.generators):
+    if all(map(is_identity, group.generators)):
         value = k ** n  # trivial top group: G = X^n
     elif fam == "symmetric":
         value = combinatorics.tuples_of_partitions_count(k, n)

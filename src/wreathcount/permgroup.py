@@ -1,16 +1,18 @@
 """Desk-scale permutation groups with fully materialized element sets.
 
-Everything here works by explicit element enumeration. A Permutation is the
-tuple of its images, so a group holds one element table, and the inner walks
-build plain image tuples, which hash and compare as the Permutations they
-equal. Closures add one coset at a time (Dimino's algorithm), so the walk
-over the conjugacy classes of subgroups (one subgroup per class) and the
-normal-subgroup lattice extend each known subgroup from its own elements and
-return it with the generators that built it; conjugacy classes, of elements
-and of subgroups, are BFS over generator conjugations, orbits are
-union-find, block systems are found once and answer primitivity too, and an
-explicit element set gets a greedy generating set, each generator closed by
-the same coset extension from the group generated before it.
+Everything here works by explicit element enumeration. A permutation of
+{0, ..., n-1} is the plain tuple of its images, so p[i] is the image of i
+and len(p) its degree; the functions below compose, invert and read the
+cycles of such tuples. A group holds one sorted element table. Closures add
+one coset at a time (Dimino's algorithm), so the walk over the conjugacy
+classes of subgroups (one subgroup per class) and the normal-subgroup
+lattice extend each known subgroup from its own elements and return it with
+the generators that built it; conjugacy classes, of elements and of
+subgroups, are BFS over generator conjugations, orbits are union-find, block
+systems are the join-closure of the minimal ones and answer primitivity
+too, and an explicit element set gets a greedy generating set, each
+generator closed by the same coset extension from the group generated
+before it.
 Coloring stabilizers come in batches: one pass over a group's cached
 elements tests every element against a block of colorings at once, through
 bit masks with one bit per coloring. No stabilizer chains. That keeps results
@@ -37,113 +39,91 @@ _STAB_BLOCK = 1 << 10
 _BINARY = bytes.maketrans(b"\0\1", b"01")
 
 
-class Permutation(tuple):
-    """A permutation of {0, ..., degree-1} is its image tuple: ``p[i] == p(i)``.
-
-    Equality, hashing and ordering are the tuple's, so a Permutation equals
-    the plain tuple of its images, and sorting permutations sorts their
-    image tuples. Like any tuple it is immutable.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, images: Iterable[int]):
-        p = tuple.__new__(cls, images)
-        if sorted(p) != list(range(len(p))):
-            raise ValueError(f"not a permutation of 0..{len(p) - 1}: {tuple(p)}")
-        return p
-
-    # internal fast path: the caller guarantees images is a valid bijection
-    _unsafe = classmethod(tuple.__new__)
-
-    @property
-    def degree(self) -> int:
-        return len(self)
-
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls._unsafe(range(degree))
-
-    @classmethod
-    def from_cycles(cls, cycles: Sequence[Sequence[int]], degree: int) -> "Permutation":
-        """Build from 0-indexed cycles; points absent from all cycles are fixed."""
-        images = list(range(degree))
-        seen = set()
-        for cyc in cycles:
-            for pt in cyc:
-                if not 0 <= pt < degree:
-                    raise ValueError(f"point {pt} out of range for degree {degree}")
-                if pt in seen:
-                    raise ValueError(f"point {pt} appears twice")
-                seen.add(pt)
-            for i, pt in enumerate(cyc):
-                images[pt] = cyc[(i + 1) % len(cyc)]
-        return cls._unsafe(images)
-
-    __call__ = tuple.__getitem__
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        # (p * q)(i) = p(q(i)): q acts first
-        if len(self) != len(other):
-            raise DegreeMismatch(f"degree {len(self)} vs {len(other)}")
-        return Permutation._unsafe(map(self.__getitem__, other))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self)
-        for i, img in enumerate(self):
-            inv[img] = i
-        return Permutation._unsafe(inv)
-
-    def is_identity(self) -> bool:
-        return all(i == img for i, img in enumerate(self))
-
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
-        """Disjoint cycles, each rotated to start at its minimum, sorted by start."""
-        out = []
-        seen = [False] * len(self)
-        for start in range(len(self)):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            pt = self[start]
-            while pt != start:
-                seen[pt] = True
-                cyc.append(pt)
-                pt = self[pt]
-            if len(cyc) > 1 or include_fixed:
-                out.append(tuple(cyc))
-        return out
-
-    def cycle_count(self) -> int:
-        """Number of cycles on the full domain, fixed points included."""
-        n = 0
-        seen = [False] * len(self)
-        for start in range(len(self)):
-            if seen[start]:
-                continue
-            n += 1
-            pt = start
-            while not seen[pt]:
-                seen[pt] = True
-                pt = self[pt]
-        return n
-
-    def fixed_point_count(self) -> int:
-        return sum(1 for i, img in enumerate(self) if i == img)
-
-    def cycle_string(self) -> str:
-        """1-indexed disjoint cycle notation; identity prints as ``()``."""
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join("(" + " ".join(str(p + 1) for p in c) + ")" for c in cycs)
-
-    def __repr__(self) -> str:
-        return f"Permutation({self.cycle_string()!r}, degree={len(self)})"
+def permutation(images: Iterable[int]) -> tuple[int, ...]:
+    """The image tuple, checked to be a permutation of 0..len-1."""
+    p = tuple(images)
+    if sorted(p) != list(range(len(p))):
+        raise ValueError(f"not a permutation of 0..{len(p) - 1}: {p}")
+    return p
 
 
-def parse_permutation(text: str, degree: int | None = None) -> Permutation:
+def from_cycles(cycles: Sequence[Sequence[int]], degree: int) -> tuple[int, ...]:
+    """Build from 0-indexed cycles; points absent from all cycles are fixed."""
+    images = list(range(degree))
+    seen = set()
+    for cyc in cycles:
+        for pt in cyc:
+            if not 0 <= pt < degree:
+                raise ValueError(f"point {pt} out of range for degree {degree}")
+            if pt in seen:
+                raise ValueError(f"point {pt} appears twice")
+            seen.add(pt)
+        for i, pt in enumerate(cyc):
+            images[pt] = cyc[(i + 1) % len(cyc)]
+    return tuple(images)
+
+
+def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """The product p*q, with q acting first: compose(p, q)[i] == p[q[i]]."""
+    if len(p) != len(q):
+        raise DegreeMismatch(f"degree {len(p)} vs {len(q)}")
+    return tuple(map(p.__getitem__, q))
+
+
+def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for i, img in enumerate(p):
+        inv[img] = i
+    return tuple(inv)
+
+
+def is_identity(p: tuple[int, ...]) -> bool:
+    return all(i == img for i, img in enumerate(p))
+
+
+def cycles(p: tuple[int, ...], include_fixed: bool = False) -> list[tuple[int, ...]]:
+    """Disjoint cycles, each rotated to start at its minimum, sorted by start."""
+    out = []
+    seen = [False] * len(p)
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        pt = p[start]
+        while pt != start:
+            seen[pt] = True
+            cyc.append(pt)
+            pt = p[pt]
+        if len(cyc) > 1 or include_fixed:
+            out.append(tuple(cyc))
+    return out
+
+
+def cycle_count(p: tuple[int, ...]) -> int:
+    """Number of cycles on the full domain, fixed points included."""
+    n = 0
+    seen = [False] * len(p)
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        n += 1
+        pt = start
+        while not seen[pt]:
+            seen[pt] = True
+            pt = p[pt]
+    return n
+
+
+def cycle_string(p: tuple[int, ...]) -> str:
+    """1-indexed disjoint cycle notation; identity prints as ``()``."""
+    cycs = cycles(p)
+    if not cycs:
+        return "()"
+    return "".join("(" + " ".join(str(pt + 1) for pt in c) + ")" for c in cycs)
+
+
+def parse_permutation(text: str, degree: int | None = None) -> tuple[int, ...]:
     """Parse 1-indexed cycle notation like ``(1 2 3)(4 5)``.
 
     Points within a cycle are whitespace-separated. Fixed points may be
@@ -204,10 +184,10 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
         if pt in seen:  # named as written, 1-indexed
             raise ParseError(f"point {pt} appears twice")
         seen.add(pt)
-    return Permutation.from_cycles([[p - 1 for p in c] for c in cycles], degree)
+    return from_cycles([[p - 1 for p in c] for c in cycles], degree)
 
 
-def parse_generators(text: str, degree: int | None = None) -> list[Permutation]:
+def parse_generators(text: str, degree: int | None = None) -> list[tuple[int, ...]]:
     """Parse a comma-separated list of cycle-notation permutations.
 
     All permutations share one degree: the explicit one, or the largest point
@@ -228,7 +208,7 @@ def parse_generators(text: str, degree: int | None = None) -> list[Permutation]:
     return [parse_permutation(part, degree) for part in parts]
 
 
-def _closure(generators: Sequence[Permutation], limit: int,
+def _closure(generators: Sequence[tuple[int, ...]], limit: int,
              base: Iterable[tuple[int, ...]] | None = None) -> set[tuple[int, ...]]:
     """Image tuples of the group the generators generate; always holds the identity.
 
@@ -281,55 +261,55 @@ class PermGroup:
     e.g. ("cyclic", (5,)); counting code uses it to dispatch closed forms.
     """
 
-    def __init__(self, generators: Sequence[Permutation], degree: int | None = None,
+    def __init__(self, generators: Iterable[Sequence[int]], degree: int | None = None,
                  family: tuple[str, tuple] | None = None,
                  budgets: Budgets = DEFAULT):
-        generators = tuple(generators)
+        generators = tuple(map(permutation, generators))
         if not generators:
             if degree is None:
                 raise ValueError("need generators or an explicit degree")
-            generators = (Permutation.identity(degree),)
-        degrees = {g.degree for g in generators}
+            generators = (tuple(range(degree)),)
+        degrees = set(map(len, generators))
         if len(degrees) != 1:
             raise DegreeMismatch(f"mixed generator degrees {sorted(degrees)}")
-        if degree is not None and degree != generators[0].degree:
-            raise DegreeMismatch(f"degree {degree} vs generator degree {generators[0].degree}")
+        if degree is not None and degree != len(generators[0]):
+            raise DegreeMismatch(f"degree {degree} vs generator degree {len(generators[0])}")
         self.generators = generators
-        self.degree = generators[0].degree
+        self.degree = len(generators[0])
         self.family = family
         self.budgets = budgets
-        self._elements: tuple[Permutation, ...] | None = None
+        self._elements: tuple[tuple[int, ...], ...] | None = None
         self._classes: list[list[int]] | None = None
         self._cycle_stats: tuple[tuple[int, int], ...] | None = None
         # k -> the checked non-regular coloring census (classcount._census)
         self._census: dict = {}
 
     @classmethod
-    def from_elements(cls, elements: Iterable[Permutation], degree: int | None = None,
+    def from_elements(cls, elements: Iterable[tuple[int, ...]],
                       budgets: Budgets = DEFAULT) -> "PermGroup":
         """Wrap an explicit, already-closed element set; finds a small generating set.
 
         The greedy walk takes the smallest element, by image tuple, not yet
         generated, so the generating set (and everything derived from it) is
-        deterministic. Each new generator is closed by _closure from the group
-        generated so far, with the element count as its limit: a closed set
-        never outgrows itself and an open one always does. Raises ValueError
-        when the set is not closed under products.
+        deterministic. Each new generator is checked to be a permutation and
+        closed by _closure from the group generated so far, with the element
+        count as its limit: a closed set never outgrows itself and an open
+        one always does. Every other element is a product of generators, so
+        a non-permutation in the set is always picked and refused. Raises
+        ValueError when the set is not closed under products.
         """
         table = sorted(set(elements))
         if not table:
             raise ValueError("empty element set")
-        if degree is None:
-            degree = len(table[0])
+        degree = len(table[0])
         if any(len(x) != degree for x in table):
-            raise DegreeMismatch(
-                f"element degrees {sorted(set(map(len, table)))} vs degree {degree}")
-        gens: list[Permutation] = []
+            raise DegreeMismatch(f"mixed element degrees {sorted(set(map(len, table)))}")
+        gens: list[tuple[int, ...]] = []
         known = {tuple(range(degree))}
         for x in table:
             if x in known:
                 continue
-            gens.append(x)
+            gens.append(permutation(x))
             try:
                 known = _closure(gens, limit=len(table), base=known)
             except BudgetExceeded:
@@ -337,22 +317,20 @@ class PermGroup:
         return cls._closed(gens, table, degree, budgets)
 
     @classmethod
-    def _closed(cls, generators: Sequence[Permutation], elements: Iterable[Permutation],
-                degree: int, budgets: Budgets = DEFAULT) -> "PermGroup":
+    def _closed(cls, generators: Sequence[tuple[int, ...]],
+                elements: Iterable[tuple[int, ...]], degree: int,
+                budgets: Budgets = DEFAULT) -> "PermGroup":
         """The group the generators close to: these sorted elements, unchecked."""
-        grp = cls(generators or [Permutation.identity(degree)], degree=degree, budgets=budgets)
+        grp = cls(generators, degree=degree, budgets=budgets)
         grp._elements = tuple(elements)
         return grp
 
     @property
-    def elements(self) -> tuple[Permutation, ...]:
+    def elements(self) -> tuple[tuple[int, ...], ...]:
         """Every element, sorted (by image tuple); closed on first use."""
         if self._elements is None:
-            table = sorted(_closure(self.generators, limit=self.budgets.max_group_order))
-            unsafe = Permutation._unsafe
-            for i, x in enumerate(table):  # in place: the closure's tuples go as they are wrapped
-                table[i] = unsafe(x)
-            self._elements = tuple(table)
+            self._elements = tuple(sorted(
+                _closure(self.generators, limit=self.budgets.max_group_order)))
         return self._elements
 
     @property
@@ -360,12 +338,13 @@ class PermGroup:
         return len(self.elements)
 
     @property
-    def identity(self) -> Permutation:
-        return Permutation.identity(self.degree)
+    def identity(self) -> tuple[int, ...]:
+        return tuple(range(self.degree))
 
     def is_abelian(self) -> bool:
         gens = self.generators
-        return all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1:])
+        return all(compose(a, b) == compose(b, a)
+                   for i, a in enumerate(gens) for b in gens[i + 1:])
 
     def spec_string(self) -> str:
         """Stable textual form; family spec if tagged, else explicit generators."""
@@ -374,7 +353,7 @@ class PermGroup:
             if params:
                 return f"{name}:{','.join(str(p) for p in params)}"
             return name
-        gens = ",".join(g.cycle_string() for g in self.generators)
+        gens = ",".join(map(cycle_string, self.generators))
         return f"gens:{self.degree},{gens}"
 
     def __repr__(self) -> str:
@@ -437,7 +416,8 @@ def is_semiregular(group: PermGroup) -> bool:
 def cycle_stats(group: PermGroup) -> tuple[tuple[int, int], ...]:
     """(cycle count, fixed points) of each element, in element order; kept on the group."""
     if group._cycle_stats is None:
-        group._cycle_stats = tuple((g.cycle_count(), g.fixed_point_count())
+        points = range(group.degree)
+        group._cycle_stats = tuple((cycle_count(g), sum(map(eq, g, points)))
                                    for g in group.elements)
     return group._cycle_stats
 
@@ -493,7 +473,7 @@ def coloring_stabilizers(group: PermGroup, colorings: Iterable[Sequence[int]]
             stab = shared.get(positions)
             if stab is None:
                 stab = shared[positions] = PermGroup.from_elements(
-                    map(elements.__getitem__, positions), degree=degree, budgets=group.budgets)
+                    map(elements.__getitem__, positions), budgets=group.budgets)
             yield stab
 
 
@@ -508,7 +488,7 @@ def _conjugations(group: PermGroup) -> list[list[int]]:
     position = dict(zip(elements, range(len(elements))))
     maps = []
     for g in group.generators:
-        g_of, g_inv = g.__getitem__, g.inverse()
+        g_of, g_inv = g.__getitem__, inverse(g)
         maps.append([position[tuple(map(g_of, map(x.__getitem__, g_inv)))] for x in elements])
     return maps
 
@@ -542,7 +522,7 @@ def _class_indices(group: PermGroup) -> list[list[int]]:
     return classes
 
 
-def conjugacy_classes(group: PermGroup) -> list[tuple[Permutation, ...]]:
+def conjugacy_classes(group: PermGroup) -> list[tuple[tuple[int, ...], ...]]:
     """Conjugacy classes as sorted element tuples, ordered by smallest member."""
     element = group.elements.__getitem__
     return [tuple(map(element, sorted(cls))) for cls in _class_indices(group)]
@@ -612,7 +592,7 @@ def minimal_block_partition(group: PermGroup, point: int) -> tuple[tuple[int, ..
     while queue:
         a, b = queue.pop()
         for g in group.generators:
-            x, y = g(a), g(b)
+            x, y = g[a], g[b]
             if uf.union(x, y):
                 queue.append((x, y))
     return uf.partition()
@@ -689,9 +669,9 @@ def structure_classify(group: PermGroup) -> StructureReport:
 
 
 def _subgroup_class(group: PermGroup, sub: frozenset[tuple[int, ...]],
-                    generators: tuple[Permutation, ...], conj: list[list[int]],
+                    generators: tuple[tuple[int, ...], ...], conj: list[list[int]],
                     position: dict[tuple[int, ...], int]
-                    ) -> tuple[list[frozenset[tuple[int, ...]]], list[Permutation]]:
+                    ) -> tuple[list[frozenset[tuple[int, ...]]], list[tuple[int, ...]]]:
     """The conjugacy class of sub = <generators>, and elements that with sub generate N_H(sub).
 
     BFS under the generator conjugations, recording for each conjugate an
@@ -720,15 +700,15 @@ def _subgroup_class(group: PermGroup, sub: frozenset[tuple[int, ...]],
     if len(via) == 1:  # sub is normal: its Schreier generators are H's, and no closure sorts them
         return list(via), [g for g in group.generators if g not in sub]
     order = group.order // len(via)
-    normalizing: list[Permutation] = []
+    normalizing: list[tuple[int, ...]] = []
     normalizer, gens = set(sub), list(generators)
     for u, gt in edges:
         if len(normalizer) == order:
             break
-        n = tuple(map(Permutation._unsafe(u).inverse().__getitem__, gt))  # u^-1 * g * t
+        n = tuple(map(inverse(u).__getitem__, gt))  # u^-1 * g * t
         if n not in normalizer:
-            normalizing.append(Permutation._unsafe(n))
-            gens.append(normalizing[-1])
+            normalizing.append(n)
+            gens.append(n)
             normalizer = _closure(gens, limit=group.order, base=normalizer)
     return list(via), normalizing
 
@@ -768,7 +748,7 @@ def subgroups(group: PermGroup) -> list[PermGroup]:
     while queue:
         sub = queue.pop()
         gens = reps[sub]
-        conjugators = [(n.__getitem__, n.inverse()) for n in normalizing.pop(sub)]
+        conjugators = [(n.__getitem__, inverse(n)) for n in normalizing.pop(sub)]
         done = set(sub)  # a union of double cosets R*z*R, closed under N_H(R)-conjugation
         for x in elements:
             if x in done:
@@ -814,11 +794,11 @@ def _min_base_size(group: PermGroup) -> int:
     elems = list(group.elements)
     d = group.degree
 
-    def dfs(stab: list[Permutation], start: int, depth: int) -> bool:
+    def dfs(stab: list[tuple[int, ...]], start: int, depth: int) -> bool:
         if depth == 0:
             return False
         for x in range(start, d):
-            sub = [g for g in stab if g(x) == x]
+            sub = [g for g in stab if g[x] == x]
             if len(sub) == 1:
                 return True
             if len(sub) < len(stab) and dfs(sub, x + 1, depth - 1):

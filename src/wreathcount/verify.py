@@ -28,7 +28,7 @@ from .actions import (cycle_type, cycle_type_class_size, fix_subsets_direct,
                       parse_group_spec, sigma_prime)
 from .budgets import Budgets
 from .errors import NotSemiprimitive
-from .permgroup import Permutation, class_count, coloring_stabilizers
+from .permgroup import class_count, coloring_stabilizers, cycle_string
 
 # the shared small-group matrix: every (k, H) with k**n * |H| <= 10**6
 ORACLE_SPECS = ("cyclic:2", "cyclic:3", "cyclic:4", "gens:4,(1 2)(3 4),(1 3)(2 4)",
@@ -79,18 +79,18 @@ def _compositions(budgets: Budgets, n: int, k: int):
 # formulas
 
 
-def _fix_formula_matches(p: Permutation, ells, budgets: Budgets, label: str):
+def _fix_formula_matches(p: tuple[int, ...], ells, budgets: Budgets, label: str):
     ct = cycle_type(p)
     for ell in ells:
         f = combinatorics.fix_subsets_formula(ct, ell)
         d = fix_subsets_direct(p, ell, budgets)
-        if f != d:  # not _expect: p.cycle_string() runs only on failure
-            raise AssertionError(f"{label} ell={ell} pi={p.cycle_string()}: {f} != {d}")
+        if f != d:  # not _expect: cycle_string(p) runs only on failure
+            raise AssertionError(f"{label} ell={ell} pi={cycle_string(p)}: {f} != {d}")
 
 
 def _fix_exhaustive(budgets: Budgets, m: int):
-    for images in permutations(range(m)):
-        _fix_formula_matches(Permutation._unsafe(images), range(m + 1), budgets, f"m={m}")
+    for p in permutations(range(m)):
+        _fix_formula_matches(p, range(m + 1), budgets, f"m={m}")
 
 
 def _fix_sampled(budgets: Budgets, seed: int):
@@ -98,7 +98,7 @@ def _fix_sampled(budgets: Budgets, seed: int):
     for _ in range(50):
         images = list(range(12))
         rng.shuffle(images)
-        _fix_formula_matches(Permutation(images), range(1, 6), budgets, "random m=12")
+        _fix_formula_matches(tuple(images), range(1, 6), budgets, "random m=12")
 
 
 def _stirling_rows(budgets: Budgets):
@@ -175,15 +175,14 @@ def _inertia_identity(budgets: Budgets, spec: str, k: int):
 
 def _lifted_half_bound(budgets: Budgets):
     for m in range(2, 7):
-        for images in permutations(range(m)):
-            p = Permutation._unsafe(images)
+        for p in permutations(range(m)):
             for ell in range(1, m):
                 sp = sigma_prime(p, ell, budgets)
                 fx = fix_subsets_direct(p, ell, budgets)
                 c = math.comb(m, ell)
-                if 2 * sp - fx > c:  # not _expect: p.cycle_string() runs only on failure
+                if 2 * sp - fx > c:  # not _expect: cycle_string(p) runs only on failure
                     raise AssertionError(
-                        f"m={m} ell={ell} pi={p.cycle_string()}: 2*{sp}-{fx} > {c}")
+                        f"m={m} ell={ell} pi={cycle_string(p)}: 2*{sp}-{fx} > {c}")
 
 
 def _product_identity(budgets: Budgets):

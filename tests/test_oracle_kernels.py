@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from wreathcount import (
     PermGroup,
-    Permutation,
     build_wreath_group,
     burnside_orbit_count,
     clifford_count,
@@ -31,7 +30,7 @@ from wreathcount.combinatorics import _partition_table, fixed_subset_polynomial
 def small_groups(draw):
     degree = draw(st.integers(1, 5))
     gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
-    return PermGroup([Permutation(g) for g in gens])
+    return PermGroup(gens)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

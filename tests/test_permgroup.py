@@ -1,6 +1,7 @@
 """Permutation arithmetic, closure, and structure classification."""
 
 import dataclasses
+import gc
 import inspect
 import math
 import random
@@ -17,7 +18,6 @@ from wreathcount import (
     DegreeMismatch,
     ParseError,
     PermGroup,
-    Permutation,
     auto_count,
     block_decomposition,
     bounds_report,
@@ -47,7 +47,16 @@ from wreathcount import (
     subsets_action_lift,
 )
 from wreathcount import classcount, permgroup
-from wreathcount.permgroup import UnionFind, _closure
+from wreathcount.permgroup import (
+    UnionFind,
+    _closure,
+    compose,
+    cycle_count,
+    cycle_string,
+    inverse,
+    is_identity,
+    permutation,
+)
 
 from test_actions import transitive_groups
 
@@ -61,8 +70,8 @@ def test_parse_permutation_images():
 
 def test_parse_identity():
     p = parse_permutation("()", degree=3)
-    assert p.is_identity()
-    assert p.degree == 3
+    assert is_identity(p)
+    assert len(p) == 3
 
 
 @pytest.mark.parametrize("text", ["(1 2", "(1 1)", "(0 2)", "(1 x)"])
@@ -78,21 +87,43 @@ def test_parse_error_reports_column():
 
 
 def test_permutation_is_its_image_tuple():
-    p = Permutation((1, 0, 2))
-    assert p == (1, 0, 2) and hash(p) == hash((1, 0, 2))
-    rng = random.Random(3)
-    perms = [Permutation(rng.sample(range(4), 4)) for _ in range(20)]
-    assert list(map(tuple, sorted(perms))) == sorted(map(tuple, perms))
-    with pytest.raises(AttributeError):
-        p.degree = 4
+    p = permutation([1, 0, 2])
+    assert type(p) is tuple and p == (1, 0, 2)
+    assert permutation(p) is p
+    assert type(parse_permutation("(1 2)", 3)) is tuple
+    with pytest.raises(ValueError, match=r"^not a permutation of 0\.\.2: \(0, 0, 1\)$"):
+        permutation([0, 0, 1])
+    assert not hasattr(wreathcount, "Permutation")
     assert not hasattr(PermGroup, "image_tuples")
+
+
+def test_groups_take_plain_tuples_and_refuse_non_permutations():
+    assert PermGroup.from_elements([(0, 1), (1, 0)]).order == 2
+    assert PermGroup([[1, 2, 0]]).generators == ((1, 2, 0),)
+    with pytest.raises(ValueError, match="not a permutation"):
+        PermGroup([(0, 0, 1)])
+    with pytest.raises(ValueError, match="not a permutation"):
+        PermGroup.from_elements([(0, 1), (0, 0)])
+
+
+def test_group_elements_are_plain_tuples_untracked_by_the_gc():
+    group = parse_group_spec("alternating:6")
+    stab = coloring_stabilizer(group, (0, 0, 1, 1, 2, 2))
+    sub = subgroups(parse_group_spec("dihedral:4"))[3]
+    for grp in (group, stab, sub):
+        assert grp.order > 1
+        assert all(type(x) is tuple for x in grp.elements + grp.generators)
+    gc.collect()
+    assert not gc.is_tracked(group.elements[1])
 
 
 def test_compose_applies_right_factor_first():
     p = parse_permutation("(1 2)", 3)
     q = parse_permutation("(2 3)", 3)
-    r = p * q
+    r = compose(p, q)
     assert all(r[x] == p[q[x]] for x in range(3))
+    with pytest.raises(DegreeMismatch):
+        compose(p, (0, 1))
 
 
 def test_compose_inverse_roundtrip():
@@ -100,14 +131,14 @@ def test_compose_inverse_roundtrip():
     for _ in range(50):
         images = list(range(8))
         rng.shuffle(images)
-        p = Permutation(images)
-        assert (p * p.inverse()).is_identity()
-        assert (p.inverse() * p).is_identity()
+        p = permutation(images)
+        assert is_identity(compose(p, inverse(p)))
+        assert is_identity(compose(inverse(p), p))
         images2 = list(range(8))
         rng.shuffle(images2)
-        q = Permutation(images2)
-        assert ((p * q).inverse() * (p * q)).is_identity()
-        assert (p * q).inverse() == q.inverse() * p.inverse()
+        q = permutation(images2)
+        assert is_identity(compose(inverse(compose(p, q)), compose(p, q)))
+        assert inverse(compose(p, q)) == compose(inverse(q), inverse(p))
 
 
 def test_cycle_string_roundtrip():
@@ -115,14 +146,14 @@ def test_cycle_string_roundtrip():
     for _ in range(30):
         images = list(range(7))
         rng.shuffle(images)
-        p = Permutation(images)
-        assert parse_permutation(p.cycle_string(), degree=7) == p
+        p = permutation(images)
+        assert parse_permutation(cycle_string(p), degree=7) == p
 
 
 def test_cycle_and_point_counts():
     p = parse_permutation("(1 2)(3 4)", 5)
-    assert p.cycle_count() == 3
-    assert p.fixed_point_count() == 1
+    assert cycle_count(p) == 3
+    assert permgroup.cycle_stats(PermGroup([p])) == ((5, 5), (3, 1))
 
 
 def test_closure_orders():
@@ -148,20 +179,20 @@ def test_closure_order_divides_symmetric_order():
         b = list(range(6))
         rng.shuffle(a)
         rng.shuffle(b)
-        grp = PermGroup([Permutation(a), Permutation(b)])
+        grp = PermGroup([a, b])
         assert math.factorial(6) % grp.order == 0
 
 
 def _reference_closure(generators):
-    """Plain BFS over Permutation products: the reference for the image-tuple kernel."""
-    ident = Permutation.identity(generators[0].degree)
+    """Plain BFS over compose products: the reference for Dimino's coset extension."""
+    ident = tuple(range(len(generators[0])))
     seen = {ident}
     frontier = [ident]
     while frontier:
         fresh = []
         for b in frontier:
             for g in generators:
-                c = g * b
+                c = compose(g, b)
                 if c not in seen:
                     seen.add(c)
                     fresh.append(c)
@@ -176,7 +207,7 @@ def test_closure_matches_permutation_product_reference():
         for _ in range(2):
             images = list(range(6))
             rng.shuffle(images)
-            gens.append(Permutation(images))
+            gens.append(tuple(images))
         assert _closure(gens, limit=DEFAULT.max_group_order) == _reference_closure(gens)
 
 
@@ -184,8 +215,8 @@ def test_closure_matches_permutation_product_reference():
 def subgroups_with_extra_elements(draw):
     """A random subgroup of a group of degree <= 6, its generators, and a few more elements."""
     degree = draw(st.integers(1, 6))
-    group = PermGroup([Permutation(g) for g in draw(
-        st.lists(st.permutations(range(degree)), min_size=1, max_size=3))])
+    group = PermGroup(draw(
+        st.lists(st.permutations(range(degree)), min_size=1, max_size=3)))
     base_gens = draw(st.lists(st.sampled_from(group.elements), min_size=1, max_size=2))
     extra = draw(st.lists(st.sampled_from(group.elements), max_size=3))
     return base_gens, extra
@@ -217,30 +248,30 @@ def test_closure_from_a_base_refuses_exactly_past_the_limit(spec):
 
 
 def _reference_from_elements(elements, degree):
-    """Greedy walk re-closing over Permutation products at every new generator.
+    """Greedy walk re-closing over compose products at every new generator.
 
     Returns (generators, elements) as the wrapped group would hold them.
     """
     elems = sorted(set(elements))
     gens = []
-    known = {Permutation.identity(degree)}
+    known = {tuple(range(degree))}
     for x in elems:
         if x not in known:
             gens.append(x)
             known = _reference_closure(gens)
             if len(known) > len(elems):
                 raise ValueError("element set is not closed under products")
-    return tuple(gens) or (Permutation.identity(degree),), tuple(elems)
+    return tuple(gens) or (tuple(range(degree)),), tuple(elems)
 
 
 def _reference_conjugacy_classes(group):
-    """Union-find over x ~ g*x*g^-1 for each generator g, on Permutation products."""
+    """Union-find over x ~ g*x*g^-1 for each generator g, on compose products."""
     elems = group.elements
     index = {g: i for i, g in enumerate(elems)}
     uf = UnionFind(len(elems))
     for i, x in enumerate(elems):
         for g in group.generators:
-            uf.union(i, index[g * x * g.inverse()])
+            uf.union(i, index[compose(compose(g, x), inverse(g))])
     buckets = {}
     for i, x in enumerate(elems):
         buckets.setdefault(uf.find(i), []).append(x)
@@ -249,7 +280,7 @@ def _reference_conjugacy_classes(group):
 
 def _reference_coloring_stabilizer(group, coloring):
     keep = [g for g in group.elements
-            if all(coloring[g(i)] == coloring[i] for i in range(group.degree))]
+            if all(coloring[g[i]] == coloring[i] for i in range(group.degree))]
     return _reference_from_elements(keep, group.degree)
 
 
@@ -259,7 +290,7 @@ def groups_with_coloring(draw):
     gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
     k = draw(st.integers(1, 3))
     coloring = draw(st.lists(st.integers(0, k - 1), min_size=degree, max_size=degree))
-    return PermGroup([Permutation(g) for g in gens]), tuple(coloring)
+    return PermGroup(gens), tuple(coloring)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -301,7 +332,7 @@ def groups_with_colorings(draw):
     if colorings:
         colorings += draw(st.lists(st.sampled_from(colorings), max_size=5))  # duplicates
     colorings.append((palette[-1],) * degree)  # fixed by every element
-    return PermGroup([Permutation(g) for g in gens]), draw(st.permutations(colorings))
+    return PermGroup(gens), draw(st.permutations(colorings))
 
 
 def _assert_stabilizers_match(group, colorings, stabs):
@@ -399,7 +430,7 @@ def test_no_group_function_takes_budgets():
 
 
 def test_from_elements_rejects_non_closed_set():
-    elems = [Permutation.identity(3), parse_permutation("(1 2 3)")]
+    elems = [(0, 1, 2), parse_permutation("(1 2 3)")]
     with pytest.raises(ValueError, match="element set is not closed under products"):
         PermGroup.from_elements(elems)
     with pytest.raises(ValueError, match="element set is not closed under products"):
@@ -428,9 +459,7 @@ def test_from_elements_closes_once_per_generator(spec, spy):
 
 def test_from_elements_rejects_mixed_degrees():
     with pytest.raises(DegreeMismatch):
-        PermGroup.from_elements([Permutation.identity(3), Permutation.identity(4)])
-    with pytest.raises(DegreeMismatch):
-        PermGroup.from_elements([Permutation.identity(3)], degree=4)
+        PermGroup.from_elements([(0, 1, 2), (0, 1, 2, 3)])
 
 
 def test_orbits():
@@ -475,11 +504,11 @@ def test_classes_closed_under_conjugation():
         members = set(cls)
         for g in s4.generators:
             for x in cls:
-                assert g.inverse() * x * g in members
+                assert compose(compose(inverse(g), x), g) in members
 
 
 def _centralizer_order(group, x):
-    return sum(1 for g in group.elements if g * x == x * g)
+    return sum(1 for g in group.elements if compose(g, x) == compose(x, g))
 
 
 def test_centralizer_class_size_product():
@@ -509,7 +538,7 @@ def test_subgroups_of_klein():
 
 
 def _reference_subgroups(group):
-    """Every subgroup, closing over Permutation products.
+    """Every subgroup, closing over compose products.
 
     The walk extends each subgroup by every element outside it, skipping
     only the rest of the right coset sub*x, which generates the same group.
@@ -528,16 +557,17 @@ def _reference_subgroups(group):
             if grown not in seen:
                 seen[grown] = gens
                 queue.append(grown)
-            done.update(s * x for s in sub)
+            done.update(compose(s, x) for s in sub)
     return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
 
 def _reference_classes(group, lattice):
-    """The conjugacy classes of a list of subgroups, each a set of frozensets of Permutations."""
+    """The conjugacy classes of a list of subgroups, each a set of frozensets of permutations."""
     classes = []
     for sub in lattice:
         if not any(sub in cls for cls in classes):
-            classes.append({frozenset(h * s * h.inverse() for s in sub) for h in group.elements})
+            classes.append({frozenset(compose(compose(h, s), inverse(h)) for s in sub)
+                            for h in group.elements})
     return classes
 
 
@@ -569,7 +599,8 @@ def test_subgroups_match_naive_lattice_walk(spec, count):
 
 def _reference_e(lattice):
     """e(H) over every subgroup, with k(K) = #{commuting pairs of K} / |K| (Gustafson)."""
-    return max(sum(a * b == b * a for a in sub for b in sub) // len(sub) for sub in lattice)
+    return max(sum(compose(a, b) == compose(b, a) for a in sub for b in sub) // len(sub)
+               for sub in lattice)
 
 
 def _assert_matches_the_full_lattice(group):
@@ -665,12 +696,12 @@ _REFUSALS = {
                 "max_group_order"),
     "wreath": (lambda b: build_wreath_group(2, parse_group_spec("symmetric:3", b)),
                "max_group_order"),
-    "subsets_lift": (lambda b: subsets_action_lift(Permutation.identity(6), 3, b),
+    "subsets_lift": (lambda b: subsets_action_lift(tuple(range(6)), 3, b),
                      "max_lift_degree"),
-    "fix_subsets_direct": (lambda b: fix_subsets_direct(Permutation.identity(6), 3, b),
+    "fix_subsets_direct": (lambda b: fix_subsets_direct(tuple(range(6)), 3, b),
                            "max_lift_degree"),
     "product_action": (lambda b: product_action_build(
-        [Permutation.identity(3)] * 3, Permutation.identity(3), 3, 1, b), "max_lift_degree"),
+        [(0, 1, 2)] * 3, (0, 1, 2), 3, 1, b), "max_lift_degree"),
     "subset_orbit_count": (lambda b: subset_orbit_count_exact(6, 3, 2, b), "max_lift_degree"),
     "product_identity_lift": (lambda b: product_orbit_identity(3, 1, 4, 2, b),
                               "max_lift_degree"),
