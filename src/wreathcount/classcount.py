@@ -26,8 +26,10 @@ kept deliberately separate so they can cross-check each other:
 
 coloring_orbit_reps is the full census of every orbit, behind
 nonregular_orbits' census, direct_orbit_count and the verify suites: for
-2**15 to 2**22 colorings numpy labels every coloring with its orbit minimum
-through the same tables, and other sizes walk the orbits in pure Python.
+2**15 to 2**22 colorings numpy labels every coloring with its orbit minimum,
+then with its orbit's rank, in one int32 array (4 bytes a coloring), taking
+the generators' images block by block from the same tables; other sizes walk
+the orbits in pure Python.
 
 burnside_orbit_count, (1/|H|) sum of k**sigma(h), gives the orbit count
 alone, which lower-bounds the class count. auto_count is the one dispatch:
@@ -65,13 +67,15 @@ from .permgroup import (
     max_cycle_count,
 )
 
-# coloring spaces in this range are labelled by whole-array numpy work, which
-# only pays once numpy is imported (about 0.03 s): the table walk costs about
-# 0.15 us a coloring over the whole space and 0.5 us a coloring of Delta
-# (2-core AMD EPYC, Python 3.11), and `verify burnside` imports numpy anyway
+# coloring spaces in this range are labelled by numpy in one int32 array of 4
+# bytes a coloring, which only pays once numpy is imported (about 0.03 s): the
+# numpy census costs 0.10-0.19 us a coloring over the whole space and the
+# seeded walk 0.65-0.92 us a coloring of Delta (2-core Xeon, Python 3.11,
+# numpy 2.4), and `verify burnside` imports numpy anyway
 _NUMPY_MIN_SPACE = 1 << 15
 _NUMPY_MAX_SPACE = 1 << 22
-# entries per numpy labelling step: int32 blocks small enough to stay in cache
+# colorings per numpy block: the generator images and gathered labels of one
+# block are int32 buffers small enough to stay in cache
 _SWEEP_BLOCK = 1 << 16
 
 
@@ -130,35 +134,54 @@ def _orbit_reps_numpy(gens: list[tuple[int, ...]], k: int, space: int
     import numpy as np
 
     radix, steps = _generator_steps(gens, k, len(gens[0]))
-    tables = [np.add.outer(np.array(hi, dtype=np.int32), np.array(lo, dtype=np.int32)).ravel()
-              for hi, lo in steps]
-    del steps
-
-    # min-label propagation in place, one block at a time through one buffer:
-    # label[x] = min(label[x], label[idx[x]]); label[x] stays in x's orbit and <= x
+    steps = [(np.array(hi, dtype=np.int32)[:, None], np.array(lo, dtype=np.int32))
+             for hi, lo in steps]
+    # the one whole-space array; every other buffer holds one block of whole
+    # q-rows (a single row when radix > _SWEEP_BLOCK)
     label = np.arange(space, dtype=np.int32)
-    buf = np.empty(min(space, _SWEEP_BLOCK), dtype=np.int32)
+    height, rows = space // radix, max(1, _SWEEP_BLOCK // radix)
+    spans = [(q * radix, min(q + rows, height) * radix) for q in range(0, height, rows)]
+    images = np.empty((min(rows, height), radix), dtype=np.int32)
+    buf = np.empty(images.size, dtype=np.int32)
 
-    def sweep(idx):
-        for lo in range(0, space, _SWEEP_BLOCK):
-            hi = min(lo + _SWEEP_BLOCK, space)
-            out = buf[:hi - lo]
-            np.take(label, idx[lo:hi], out=out)
-            np.minimum(label[lo:hi], out, out=label[lo:hi])
+    def relax(a, b, idx):
+        # label[x] = min(label[x], label[idx[x]]); label[x] stays in x's orbit and <= x
+        out = buf[:b - a]
+        np.take(label, idx, out=out)
+        np.minimum(label[a:b], out, out=label[a:b])
 
     while True:
         before = label.sum(dtype=np.int64)
-        for t in tables:
-            sweep(t)
+        for hi, lo in steps:
+            for a, b in spans:
+                block = images[:(b - a) // radix]
+                np.add(hi[a // radix:b // radix], lo, out=block)  # g(x) = hi[q] + lo[r]
+                relax(a, b, block.ravel())
         if label.sum(dtype=np.int64) == before:
             break
-        sweep(label)  # pointer jump
+        for a, b in spans:  # pointer jump
+            relax(a, b, label[a:b])
     # no generator lowers a label, so label[x] <= label[g(x)] around every finite
     # cycle of g: label is constant on each orbit, hence the orbit minimum
-    del tables  # before bincount allocates its whole-space int64 counts
-    sizes = np.bincount(label)
-    reps = np.flatnonzero(sizes)
-    return list(zip(reps.tolist(), sizes[reps].tolist()))
+
+    # label[x] becomes the rank of its orbit, block by block in increasing
+    # order: x's minimum label[x] <= x is ranked in an earlier block, or in
+    # this one just before the non-representatives read it
+    reps, ranked = [], 0
+    for a, b in spans:
+        seg = label[a:b]
+        own = seg == np.arange(a, b, dtype=np.int32)
+        first = np.flatnonzero(own)
+        seg[first] = np.arange(ranked, ranked + first.size, dtype=np.int32)
+        np.copyto(seg, label.take(seg), where=~own)
+        reps.append(first + a)
+        ranked += first.size
+    # add.at, not bincount: a block's ranks can span all of 0..ranked, and
+    # one bincount per block would cost the blocks times the orbit count
+    sizes = np.zeros(ranked, dtype=np.int64)
+    for a, b in spans:
+        np.add.at(sizes, label[a:b], 1)
+    return list(zip(np.concatenate(reps).tolist(), sizes.tolist()))
 
 
 def _check_space(group: PermGroup, k: int) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import islice, repeat
-from operator import and_, eq, getitem
+from operator import and_, eq, getitem, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .budgets import DEFAULT, Budgets
@@ -213,12 +213,13 @@ def _closure(generators: Sequence[tuple[int, ...]], limit: int,
     """Image tuples of the group the generators generate; always holds the identity.
 
     Dimino's coset extension (Butler, Fundamental Algorithms for Permutation
-    Groups, LNCS 559): each generator g not yet in the running group sub
-    extends it. Coset representatives, starting from the identity, are
-    multiplied on the left by every generator of <sub, g>; a product y
-    outside the group so far opens the new coset y*sub, filled with one
-    product per element of sub. So each element is made once, and only the
-    representatives meet every generator.
+    Groups, LNCS 559), mirrored to right cosets: each generator g not yet in
+    the running group sub extends it. Coset representatives, starting from
+    the identity, are multiplied on the right by every generator of
+    <sub, g>; a product y outside the group so far opens the new coset
+    sub*y, filled with one product per element of sub. So each element is
+    made once, and only the representatives meet every generator. Every
+    product is one itemgetter call, which builds its tuple at exact size.
 
     ``base``, when given, is the closed subgroup (as image tuples) generated
     by those of ``generators`` that lie in it, and the walk starts from it
@@ -230,24 +231,26 @@ def _closure(generators: Sequence[tuple[int, ...]], limit: int,
         raise DegreeMismatch(f"mixed generator degrees {sorted(set(map(len, generators)))}")
     ident = tuple(range(degree))
     group = {ident} if base is None else set(base)
-    # getters of generators of the running group; those in base generate it
-    multipliers = [g.__getitem__ for g in generators if g in group]
+    if degree == 1:  # the trivial group; itemgetter of one index returns an int
+        return group
+    # right multipliers r -> r * s for the generators of the running group;
+    # those in base generate it
+    multipliers = [itemgetter(*g) for g in generators if g in group]
     for g in generators:
         if g in group:
             continue
-        multipliers.append(g.__getitem__)
+        multipliers.append(itemgetter(*g))
         sub = list(group)
         reps = [ident]
         for r in reps:  # grows while it is walked
             for s in multipliers:
-                y = tuple(map(s, r))  # s * r
+                y = s(r)  # r * s
                 if y not in group:
                     if len(group) + len(sub) > limit:
                         raise BudgetExceeded(
                             f"closure order = {len(group) + len(sub)} exceeds the "
                             f"max_group_order budget {limit}")
-                    y_of = y.__getitem__
-                    group.update([tuple(map(y_of, h)) for h in sub])  # y * h
+                    group.update(map(itemgetter(*y), sub))  # h * y
                     reps.append(y)
     return group
 

@@ -131,6 +131,20 @@ def test_numpy_orbit_walk_reps_are_orbit_minima():
     assert [size for _, size in reps] == (order // fixes).tolist()
 
 
+def test_numpy_census_keeps_one_int32_array_per_coloring():
+    import tracemalloc
+
+    grp = parse_group_spec("subsets:7,2")  # 2**21 colorings: an 8 MiB int32 label array
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        reps = coloring_orbit_reps(grp, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reps) == burnside_orbit_count(grp, 2)
+    assert peak < 12 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
+
+
 def test_orbit_reps_are_orbit_minima():
     grp = parse_group_spec("dihedral:4")
     reps = coloring_orbit_reps(grp, 2)

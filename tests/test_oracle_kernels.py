@@ -22,7 +22,7 @@ from wreathcount import (
     partition_enum,
     tuples_of_partitions_count,
 )
-from wreathcount.classcount import route_values
+from wreathcount.classcount import decode_coloring, encode_coloring, route_values
 from wreathcount.combinatorics import _partition_table, fixed_subset_polynomial
 
 
@@ -39,6 +39,62 @@ def test_routes_agree_on_random_generator_sets(group, k):
     ran = route_values(group, k)  # raises when two routes disagree
     assert {"clifford", "brute"} <= set(ran), ran
     assert burnside_orbit_count(group, k) == direct_orbit_count(group, k)
+
+
+def _census_and_walk(group, k):
+    """The numpy census in blocks of 8 colorings, and the pure-Python walk."""
+    from wreathcount import classcount
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classcount, "_NUMPY_MIN_SPACE", k ** group.degree + 1)
+        walk = coloring_orbit_reps(group, k)
+        mp.setattr(classcount, "_NUMPY_MIN_SPACE", 1)
+        mp.setattr(classcount, "_SWEEP_BLOCK", 8)
+        return coloring_orbit_reps(group, k), walk
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(group=small_groups(), k=st.integers(1, 4))
+def test_numpy_census_in_tiny_blocks_matches_the_walk(group, k):
+    census, walk = _census_and_walk(group, k)
+    assert census == walk
+
+
+def _block_layout(group, k):
+    """What the census meets in blocks of 8: the kinds of block, and where orbits lie."""
+    n = group.degree
+    radix = k ** (n - n // 2)
+    width = max(1, 8 // radix) * radix  # whole q-rows, or one row wider than 8
+    found = {"single rows"} if radix > 8 else set()
+    if k ** n % width:
+        found.add("partial last block")
+    for code, _ in coloring_orbit_reps(group, k):
+        coloring = decode_coloring(code, k, n)
+        others = set()
+        for g in group.elements:
+            image = [0] * n
+            for i, digit in enumerate(coloring):
+                image[g[i]] = digit
+            others.add(encode_coloring(image, k))
+        others.discard(code)
+        blocks = {x // width for x in others}
+        if code // width in blocks:
+            found.add("rep in its orbit's block")
+        if blocks - {code // width}:
+            found.add("ranks read across blocks")
+    return found
+
+
+@pytest.mark.parametrize("spec, k, layout", [
+    ("symmetric:2", 3, {"partial last block", "rep in its orbit's block",
+                        "ranks read across blocks"}),
+    ("dihedral:5", 3, {"single rows", "rep in its orbit's block", "ranks read across blocks"}),
+])
+def test_numpy_census_across_block_boundaries_matches_the_walk(spec, k, layout):
+    group = parse_group_spec(spec)
+    assert _block_layout(group, k) == layout
+    census, walk = _census_and_walk(group, k)
+    assert census == walk
 
 
 def test_routes_agree_across_many_stabilizer_blocks():
