@@ -27,7 +27,8 @@ from .errors import BudgetExceeded
 class Budgets:
     # order of a closed group: element closure, the brute-force wreath group
     max_group_order: int = 1_000_000
-    # size of the coloring space k**n a census or visited table may span
+    # size of the coloring space k**n a census or walk may span; the numpy
+    # census holds 4 bytes a coloring, 512 MiB at the default 2**27
     max_coloring_space: int = 1 << 27
     # degree of a lifted action (subsets, product action, the subset Burnside sum)
     max_lift_degree: int = 100_000

@@ -14,9 +14,9 @@ kept deliberately separate so they can cross-check each other:
   constant on the cycles of one prime-order element per conjugacy class
   and walks each seed's orbit on integer codes through split-radix
   generator tables, so its cost follows |Delta| rather than k**n. It takes
-  the full census instead when the seeds' bound U on |Delta| reaches k**n,
-  or passes 2**15 with k**n in numpy's range. Nothing in a walk decodes a
-  coloring. The census and its stabilizers stay on the group per k, where
+  the full census instead when k**n is at most a measured multiple of the
+  seeds' bound U on |Delta|. Nothing in a walk decodes a coloring. The
+  census and its stabilizers stay on the group per k, where
   nonregular_orbit_stats and bounds.semiprimitive_report read them too.
 * brute_force_count: union-find over conjugation by the generators of
   Z_k wr H, walking every element by its integer code without storing the
@@ -25,11 +25,11 @@ kept deliberately separate so they can cross-check each other:
   cyclic top groups; None for every other group.
 
 coloring_orbit_reps is the full census of every orbit, behind
-nonregular_orbits' census, direct_orbit_count and the verify suites: for
-2**15 to 2**22 colorings numpy labels every coloring with its orbit minimum,
-then with its orbit's rank, in one int32 array (4 bytes a coloring), taking
-the generators' images block by block from the same tables; other sizes walk
-the orbits in pure Python.
+nonregular_orbits' census, direct_orbit_count and the verify suites: from
+2**15 colorings up to 2**31 (int32's range) numpy labels every coloring with
+its orbit minimum, then with its orbit's rank, in one int32 array (4 bytes a
+coloring), taking the generators' images block by block from the same
+tables; smaller spaces go through the seeded walk, started at every code.
 
 burnside_orbit_count, (1/|H|) sum of k**sigma(h), gives the orbit count
 alone, which lower-bounds the class count. auto_count is the one dispatch:
@@ -41,6 +41,7 @@ one route, or route_values' agreed value.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -67,13 +68,15 @@ from .permgroup import (
     max_cycle_count,
 )
 
-# coloring spaces in this range are labelled by numpy in one int32 array of 4
-# bytes a coloring, which only pays once numpy is imported (about 0.03 s): the
-# numpy census costs 0.10-0.19 us a coloring over the whole space and the
-# seeded walk 0.65-0.92 us a coloring of Delta (2-core Xeon, Python 3.11,
-# numpy 2.4), and `verify burnside` imports numpy anyway
+# full censuses of at least this many colorings are labelled by numpy in one
+# int32 array of 4 bytes a coloring, which only pays once numpy is imported
+# (about 0.03 s); `verify burnside` imports numpy anyway
 _NUMPY_MIN_SPACE = 1 << 15
-_NUMPY_MAX_SPACE = 1 << 22
+# the seeded walk's cost per coloring it visits over the numpy census's cost per
+# coloring of the whole space: 0.65-0.92 us against 0.10-0.19 us (2-core Xeon,
+# Python 3.11, numpy 2.4), so nonregular_orbits takes the census once the space
+# is at most this many times the seeds' bound U on |Delta|
+_WALK_COST_RATIO = 5
 # colorings per numpy block: the generator images and gathered labels of one
 # block are int32 buffers small enough to stay in cache
 _SWEEP_BLOCK = 1 << 16
@@ -107,15 +110,16 @@ def _decoder(k: int, n: int):
     return lambda e: top[e // radix] + bottom[e % radix]
 
 
-def _generator_steps(gens: list[tuple[int, ...]], k: int, n: int
+def _generator_steps(group: PermGroup, k: int
                      ) -> tuple[int, list[tuple[list[int], list[int]]]]:
-    """Split-radix tables that apply each generator to coloring codes.
+    """Split-radix tables that apply each non-identity generator to coloring codes.
 
     (g.c)(j) = c(g^-1(j)): the digit at point i lands at position g(i), so
     g(x) = sum d_i * k**(n-1-g(i)) is linear in the digits of x. Writing
     x = q * radix + r, with q the digits of the first n//2 points, gives
     g(x) = hi[q] + lo[r]. Returns radix and one (hi, lo) pair per generator.
     """
+    n = group.degree
     h = n // 2
 
     def half(images, points):
@@ -126,14 +130,16 @@ def _generator_steps(gens: list[tuple[int, ...]], k: int, n: int
         return part
 
     return k ** (n - h), [(half(g, range(h)), half(g, range(h, n)))
-                          for g in gens]
+                          for g in group.generators if not is_identity(g)]
 
 
-def _orbit_reps_numpy(gens: list[tuple[int, ...]], k: int, space: int
-                      ) -> list[tuple[int, int]]:
+def _orbit_reps_numpy(group: PermGroup, k: int, space: int) -> list[tuple[int, int]]:
+    if space >= 1 << 31:  # numpy wraps int32 silently
+        raise BudgetExceeded(f"coloring space k**n = {space} exceeds the numpy census's "
+                             "int32 label limit 2**31 - 1")
     import numpy as np
 
-    radix, steps = _generator_steps(gens, k, len(gens[0]))
+    radix, steps = _generator_steps(group, k)
     steps = [(np.array(hi, dtype=np.int32)[:, None], np.array(lo, dtype=np.int32))
              for hi, lo in steps]
     # the one whole-space array; every other buffer holds one block of whole
@@ -196,40 +202,23 @@ def coloring_orbit_reps(group: PermGroup, k: int) -> list[tuple[int, int]]:
 
     Returns (encoding, orbit size) pairs in increasing encoding order; each
     representative is the lex-smallest coloring of its orbit. Every coloring
-    is visited: numpy labels each with its orbit minimum by array passes when
-    k**n lies in [_NUMPY_MIN_SPACE, 2**22], and otherwise each orbit is walked
-    in pure Python over a visited bitmap of the whole space.
+    is visited: from _NUMPY_MIN_SPACE colorings on, numpy labels each with
+    its orbit minimum by array passes (refusing 2**31 colorings and more, past
+    its int32 labels); below it, _seeded_walk walks the orbit of every code.
+    """
+    space = _check_space(group, k)
+    if space < _NUMPY_MIN_SPACE:
+        return _seeded_walk(group, k, range(space))[0]
+    return _orbit_reps_numpy(group, k, space)
+
+
+def _prime_seeds(group: PermGroup, k: int) -> tuple[Iterator[int], int]:
+    """The seed codes and U = sum of |class| * k**sigma(r), over one r per prime-order class.
+
+    The seeds are the codes of the colorings constant on the cycles of each r,
+    generated lazily: U counts them, and it can pass k**n by far.
     """
     n = group.degree
-    space = _check_space(group, k)
-
-    gens = [g for g in group.generators if not is_identity(g)]
-    if not gens:
-        return [(e, 1) for e in range(space)]
-    if _NUMPY_MIN_SPACE <= space <= _NUMPY_MAX_SPACE:
-        return _orbit_reps_numpy(gens, k, space)
-
-    radix, steps = _generator_steps(gens, k, n)
-    visited = bytearray(space)
-    reps: list[tuple[int, int]] = []
-    for start in range(space):
-        if visited[start]:
-            continue
-        visited[start] = 1
-        orbit = [start]
-        for x in orbit:  # grows while it is read: a breadth-first walk
-            q, r = divmod(x, radix)
-            for hi, lo in steps:
-                y = hi[q] + lo[r]
-                if not visited[y]:
-                    visited[y] = 1
-                    orbit.append(y)
-        reps.append((start, len(orbit)))
-    return reps
-
-
-def _prime_seeds(group: PermGroup, k: int) -> tuple[list[list[tuple[int, ...]]], int]:
-    """The cycles of one element r per prime-order class, and U = sum of |class| * k**sigma(r)."""
     seed_cycles = []
     bound = 0
     for cls in conjugacy_classes(group):
@@ -238,34 +227,41 @@ def _prime_seeds(group: PermGroup, k: int) -> tuple[list[list[tuple[int, ...]]],
         if len(lengths) == 1 and combinatorics.is_prime(lengths.pop()):
             seed_cycles.append(cycs)
             bound += len(cls) * k ** len(cycs)
-    return seed_cycles, bound
+
+    def codes():
+        for cycs in seed_cycles:
+            seeds = [0]
+            for cycle in cycs:
+                w = sum(k ** (n - 1 - i) for i in cycle)
+                seeds = [s + d * w for s in seeds for d in range(k)]
+            yield from seeds
+
+    return codes(), bound
 
 
-def _seeded_walk(group: PermGroup, k: int, seed_cycles: list[list[tuple[int, ...]]]
+def _seeded_walk(group: PermGroup, k: int, starts: Iterable[int]
                  ) -> tuple[list[tuple[int, int]], int]:
-    """nonregular_orbits by walking, on integer codes, the orbit of every seed coloring."""
-    n = group.degree
-    radix, steps = _generator_steps([g for g in group.generators if not is_identity(g)], k, n)
+    """The orbits through the start codes, walked on integer codes: (minimum, size) pairs, |seen|.
+
+    The pairs come in increasing order, and |seen| is the number of colorings
+    in those orbits.
+    """
+    radix, steps = _generator_steps(group, k)
     seen: set[int] = set()
     reps = []
-    for cycs in seed_cycles:
-        seeds = [0]
-        for cycle in cycs:
-            w = sum(k ** (n - 1 - i) for i in cycle)
-            seeds = [s + d * w for s in seeds for d in range(k)]
-        for start in seeds:
-            if start in seen:
-                continue
-            seen.add(start)
-            orbit = [start]
-            for x in orbit:
-                q, r = divmod(x, radix)
-                for hi, lo in steps:
-                    y = hi[q] + lo[r]
-                    if y not in seen:
-                        seen.add(y)
-                        orbit.append(y)
-            reps.append((min(orbit), len(orbit)))
+    for start in starts:
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit = [start]
+        for x in orbit:  # grows while it is read: a breadth-first walk
+            q, r = divmod(x, radix)
+            for hi, lo in steps:
+                y = hi[q] + lo[r]
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        reps.append((min(orbit), len(orbit)))
     reps.sort()
     return reps, len(seen)
 
@@ -283,16 +279,16 @@ def nonregular_orbits(group: PermGroup, k: int) -> tuple[list[tuple[int, int]], 
     U = sum of |class| * k**sigma(r) over those classes bounds |Delta|. The
     seeded walk follows the orbit of each of those colorings, at a cost that
     follows |Delta| rather than k**n. The full census, filtered, serves
-    instead when the seeds would outnumber the space (U >= k**n), and when
-    U passes _NUMPY_MIN_SPACE while k**n is in numpy's range.
+    instead when k**n <= _WALK_COST_RATIO * U, the walk's cost per coloring
+    over the census's.
     """
     space = _check_space(group, k)  # before anything closes the group
-    seed_cycles, bound = _prime_seeds(group, k)
-    if bound >= space or (bound > _NUMPY_MIN_SPACE and space <= _NUMPY_MAX_SPACE):
+    seeds, bound = _prime_seeds(group, k)
+    if space <= _WALK_COST_RATIO * bound:
         order = group.order
         reps = [(e, size) for e, size in coloring_orbit_reps(group, k) if size < order]
         return reps, sum(size for _, size in reps)
-    return _seeded_walk(group, k, seed_cycles)
+    return _seeded_walk(group, k, seeds)
 
 
 @dataclass
@@ -323,7 +319,7 @@ def _census(group: PermGroup, k: int, stabilizers: bool = False) -> _Census:
         census = group._census[k] = _Census(reps, delta, regular)
     if not stabilizers or census.stabilizers is not None:
         return census
-    radix, steps = _generator_steps([g for g in group.generators if not is_identity(g)], k, n)
+    radix, steps = _generator_steps(group, k)
     for hi, lo in steps:
         for enc, size in census.reps:
             if size == 1 and hi[enc // radix] + lo[enc % radix] != enc:

@@ -186,31 +186,70 @@ def test_nonregular_orbits_match_full_census(spec, k):
 
 
 @pytest.mark.parametrize("spec, k", [("dihedral:6", 2), ("subsets:5,2", 2)])
-def test_nonregular_orbits_numpy_fallback_matches_walk(spec, k, monkeypatch):
+def test_nonregular_orbits_numpy_fallback_matches_walk(spec, k, monkeypatch, spy):
     from wreathcount import classcount
 
     grp = parse_group_spec(spec)
     want = _nonregular_census(grp, k)
-    monkeypatch.setattr(classcount, "_NUMPY_MIN_SPACE", 1)  # U and k**n both pass it
+    monkeypatch.setattr(classcount, "_NUMPY_MIN_SPACE", 1)  # every census takes numpy
+    kernel = []
+    spy(classcount, "_orbit_reps_numpy", kernel)
     assert nonregular_orbits(grp, k) == _seeded_walk(grp, k) == want
+    assert kernel == [grp]  # k**n <= 5 * U: the filtered census
+
+
+def _census_calls(monkeypatch, spec, k):
+    """nonregular_orbits(spec, k), and the coloring_orbit_reps calls it made."""
+    from wreathcount import classcount
+
+    calls = []
+    monkeypatch.setattr(classcount, "coloring_orbit_reps",
+                        lambda *args: calls.append(args) or coloring_orbit_reps(*args))
+    return nonregular_orbits(parse_group_spec(spec), k), calls
 
 
 @pytest.mark.parametrize("spec, k, census", [
     ("alternating:8", 2, True),    # U = 84752 seeds for k**n = 256 colorings
     ("wreath-cyclic:7", 2, True),  # U = 265088 seeds for k**n = 16384 colorings
-    ("quaternion", 5, False),      # U = 625 < 5**8
-    ("dihedral:12", 3, False),     # U < 2**15 < k**n = 3**12
+    ("subsets:6,3", 2, True),      # k**n = 2**20 is 2.2 U
+    ("dihedral:6", 4, True),       # k**n = 4096 is 3.9 U
+    ("dihedral:15", 2, False),     # k**n = 2**15 is 8.3 U
+    ("dihedral:24", 2, False),     # k**n = 2**24 is 110 U
+    ("quaternion", 5, False),      # k**n = 5**8 is 625 U
+    ("dihedral:12", 3, False),     # k**n = 3**12 is 28.9 U
 ])
 def test_nonregular_orbits_census_rule(spec, k, census, monkeypatch):
+    got, calls = _census_calls(monkeypatch, spec, k)
+    assert len(calls) == census
+    assert got == _seeded_walk(parse_group_spec(spec), k)
+
+
+@pytest.mark.parametrize("spec, k, census", [("dihedral:6", 4, True), ("dihedral:12", 3, False)])
+@pytest.mark.parametrize("numpy_min", [1, 1 << 40], ids=["numpy-every-census", "numpy-none"])
+def test_nonregular_orbits_census_rule_reads_no_numpy_constant(spec, k, census, numpy_min,
+                                                               monkeypatch):
     from wreathcount import classcount
 
-    grp = parse_group_spec(spec)
-    calls = []
-    monkeypatch.setattr(classcount, "coloring_orbit_reps",
-                        lambda *args: calls.append(args) or coloring_orbit_reps(*args))
-    got = nonregular_orbits(grp, k)
+    monkeypatch.setattr(classcount, "_NUMPY_MIN_SPACE", numpy_min)
+    _, calls = _census_calls(monkeypatch, spec, k)
     assert len(calls) == census
-    assert got == _seeded_walk(grp, k)
+
+
+def test_numpy_census_past_2_pow_22(spy):
+    from wreathcount import classcount
+
+    grp = parse_group_spec("cyclic:23")  # 2**23 colorings
+    kernel = []
+    spy(classcount, "_orbit_reps_numpy", kernel)
+    reps = coloring_orbit_reps(grp, 2)
+    assert kernel == [grp]
+    assert len(reps) == burnside_orbit_count(grp, 2) == 364724
+
+
+def test_numpy_census_refuses_past_int32_labels():
+    grp = parse_group_spec("cyclic:31", Budgets(max_coloring_space=1 << 40))
+    with pytest.raises(BudgetExceeded, match="int32 label limit"):
+        coloring_orbit_reps(grp, 2)  # 2**31 colorings: the labels would wrap
 
 
 @st.composite

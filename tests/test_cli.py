@@ -335,8 +335,8 @@ def test_bounds_computes_each_fact_once(run_cli, spy, spec):
 
     base_dfs, census, streams, normals = [], [], [], []
     spy(permgroup, "_min_base_size", base_dfs)
-    spy(classcount, "_seeded_walk", census)  # the two census routes
-    spy(classcount, "coloring_orbit_reps", census)
+    spy(classcount, "_seeded_walk", census)  # the one walk and the numpy kernel
+    spy(classcount, "_orbit_reps_numpy", census)
     spy(permgroup, "coloring_stabilizers", streams)
     spy(permgroup, "normal_subgroups", normals)
     code, _, _ = run_cli("bounds", "--group", spec, "--k", "2", "--output", "json")
@@ -355,8 +355,8 @@ def test_bounds_large_base_rows_count_once(spy, spec, built):
     group = parse_group_spec(spec)
     families, census, singles = [], [], []
     spy(actions, "family", families)
-    spy(classcount, "_seeded_walk", census)  # the two census routes
-    spy(classcount, "coloring_orbit_reps", census)
+    spy(classcount, "_seeded_walk", census)  # the one walk and the numpy kernel
+    spy(classcount, "_orbit_reps_numpy", census)
     spy(bounds, "subset_orbit_count_exact", singles)
     reports, _ = bounds.bounds_report(group, 2)
     rows = {r.name: r for r in reports}
