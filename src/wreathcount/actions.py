@@ -264,7 +264,8 @@ def _cyclic_gen(n: int) -> tuple[int, ...]:
     return tuple((i + 1) % n for i in range(n))
 
 
-def _symmetric_gens(n: int) -> list[tuple[int, ...]]:
+def symmetric_gens(n: int) -> list[tuple[int, ...]]:
+    """(0 1) and, for n > 2, the n-cycle: generators of S_n (the identity for n = 1)."""
     if n == 1:
         return [(0,)]
     gens = [from_cycles([[0, 1]], n)]
@@ -331,7 +332,7 @@ def family(name: str, params: Sequence[str] = (), budgets: Budgets = DEFAULT) ->
         (n,) = _int_params(params, 1, name)
         if n < 1:
             raise UnknownFamily("symmetric needs n >= 1")
-        gens = _symmetric_gens(n)
+        gens = symmetric_gens(n)
     elif name == "alternating":
         (n,) = _int_params(params, 1, name)
         if n < 1:
@@ -344,7 +345,7 @@ def family(name: str, params: Sequence[str] = (), budgets: Budgets = DEFAULT) ->
         m, ell = _int_params(params, 2, name)
         if not (m >= 2 and 1 <= ell <= m - 1):
             raise UnknownFamily(f"need m >= 2 and 1 <= ell <= m-1, got {m},{ell}")
-        base = _symmetric_gens(m) if name == "subsets" else _alternating_gens(m)
+        base = symmetric_gens(m) if name == "subsets" else _alternating_gens(m)
         gens = [subsets_action_lift(g, ell, budgets) for g in base]
     elif name == "product":
         m, ell, t = _int_params(params, 3, name)
@@ -354,11 +355,11 @@ def family(name: str, params: Sequence[str] = (), budgets: Budgets = DEFAULT) ->
         ident = tuple(range(base))
         top_ident = tuple(range(t))
         gens = []
-        for g in _symmetric_gens(m):
+        for g in symmetric_gens(m):
             lifted = subsets_action_lift(g, ell, budgets)
             coords = [lifted] + [ident] * (t - 1)
             gens.append(product_action_build(coords, top_ident, m, ell, budgets))
-        for tau in _symmetric_gens(t):
+        for tau in symmetric_gens(t):
             if is_identity(tau):
                 continue
             gens.append(product_action_build([ident] * t, tau, m, ell, budgets))

@@ -18,20 +18,20 @@ from typing import Sequence
 
 from . import combinatorics
 from .actions import (
-    _symmetric_gens,
     block_decomposition,
     cycle_type_class_size,
     family,
     induced_block_permutation,
     sigma_prime,
     subsets_action_lift,
+    symmetric_gens,
 )
 from .budgets import DEFAULT, Budgets
 from .classcount import (
-    _census,
     auto_count,
     burnside_orbit_count,
     clifford_count,
+    coloring_census,
     count_upper_fraction,
     nonregular_orbit_stats,
 )
@@ -47,12 +47,13 @@ from .permgroup import (
     class_count,
     cycle_count,
     cycle_stats,
+    is_semiprimitive,
     is_semiregular,
     is_transitive,
     max_cycle_count,
     max_subgroup_class_count,
+    normal_subgroups,
     numeric_invariants,
-    structure_classify,
 )
 
 _TOL = Fraction(1, 10 ** 9)
@@ -276,13 +277,13 @@ def subset_orbit_bound(m: int, ell: int, k: int, budgets: Budgets = DEFAULT) -> 
     """
     if not (1 <= ell and 2 * ell < m):
         raise ValueError("need 1 <= ell < m/2")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     c = math.comb(m, ell)
-    log2_rhs_a = 0.875 * c * math.log2(k) if k > 1 else 0.0
-    log2_rhs_b = c * math.log2(k) - 0.58 * math.log2(math.factorial(m)) if k > 1 else None
-    if k == 1:
-        rhs = 2.0
-    else:
-        best = max(log2_rhs_a, log2_rhs_b)
+    rhs = 2.0  # k = 1: the larger term is k**(7/8 * C) = 1
+    if k > 1:
+        log2_k = math.log2(k)
+        best = max(0.875 * c * log2_k, c * log2_k - 0.58 * math.log2(math.factorial(m)))
         rhs = math.inf if best > 1020 else 2.0 * 2.0 ** best
     inputs = {"m": m, "ell": ell, "k": k, "subset_count": c}
     try:
@@ -324,7 +325,7 @@ def _product_orbit_identity(m: int, ell: int, t: int, k: int, single: int,
 
     gens = []
     for i in range(t):
-        for g in _symmetric_gens(m):
+        for g in symmetric_gens(m):
             lifted = subsets_action_lift(g, ell, budgets)
             images = list(range(t * c))
             for w in range(c):
@@ -438,17 +439,13 @@ def semiprimitive_report(group: PermGroup, k: int) -> SemiprimitiveReport:
         n(H, X-colorings) < n(H/K, blocks) + k**n/|H| + n*k**(n/2)/|H|
     holds with exact rational arithmetic (k**(n/2) exact iff n is even).
     """
-    report = structure_classify(group)
-    if not report.transitive:
+    if not is_transitive(group):
         raise NotSemiprimitive("group is not transitive")
-    if not report.semiprimitive:
+    if not is_semiprimitive(group, normal_subgroups(group)):
         raise NotSemiprimitive("group is not semiprimitive")
-    if report.primitive:
-        raise NotSemiprimitive("group is primitive; no proper block system to decompose")
-
-    decomp = block_decomposition(group)
+    decomp = block_decomposition(group)  # the one walk over H's block systems
     if decomp is None:
-        raise InvariantViolation("transitive imprimitive group has no block decomposition")
+        raise NotSemiprimitive("group is primitive; no proper block system to decompose")
     n = group.degree
     r = decomp.r
     kernel = decomp.kernel
@@ -484,14 +481,14 @@ def semiprimitive_report(group: PermGroup, k: int) -> SemiprimitiveReport:
         chain_holds = _tolerant_less(lhs, chain_rhs)
 
     # e_K: largest class count among coloring stabilizers meeting K trivially,
-    # over the stabilizers clifford_count counts; H fixes the constant colorings
+    # over the inertia groups clifford_count counts
     e_k: int | None = None
     note = ""
     try:
-        census = _census(group, k, stabilizers=True)
+        census = coloring_census(group, k)
         if census.regular:
             e_k = 1  # a regular orbit's stabilizer is trivial
-        for stab in dict.fromkeys([group] + census.stabilizers):  # equal ones are one object
+        for stab in dict.fromkeys(census.inertia):  # equal ones are one object
             if len(kernel_set.intersection(stab.elements)) == 1:
                 e_k = max(e_k or 1, class_count(stab))
     except BudgetExceeded as exc:

@@ -6,18 +6,17 @@ gated by H.budgets, given where H was built. Three independent routes are
 kept deliberately separate so they can cross-check each other:
 
 * clifford_count: (k**n - |Delta|)/|H| regular orbits, which contribute 1
-  each, plus k(I_H(c)) for each non-regular orbit representative c, I the
-  coloring stabilizer (H itself for a fixed coloring, so k(H) is counted
-  once). The other stabilizers come from one coloring_stabilizers stream,
-  and each distinct one is class-counted once. nonregular_orbits finds the
-  non-regular orbits and |Delta|, their union: it seeds from the colorings
-  constant on the cycles of one prime-order element per conjugacy class
-  and walks each seed's orbit on integer codes through split-radix
-  generator tables, so its cost follows |Delta| rather than k**n. It takes
-  the full census instead when k**n is at most a measured multiple of the
-  seeds' bound U on |Delta|. Nothing in a walk decodes a coloring. The
-  census and its stabilizers stay on the group per k, where
-  nonregular_orbit_stats and bounds.semiprimitive_report read them too.
+  each, plus k(I) for each inertia group I of coloring_census, one per
+  non-regular orbit: H itself for a fixed coloring, else the coloring
+  stabilizer from one coloring_stabilizers stream. Each distinct inertia
+  group is class-counted once. nonregular_orbits finds the non-regular
+  orbits and |Delta|, their union: it seeds from the colorings constant on
+  the cycles of one prime-order element per conjugacy class and walks each
+  seed's orbit on integer codes through split-radix generator tables, so its
+  cost follows |Delta| rather than k**n. It takes the full census instead
+  when k**n is at most a measured multiple of the seeds' bound U on |Delta|.
+  Nothing in a walk decodes a coloring. The census stays on the group per k,
+  where nonregular_orbit_stats and bounds.semiprimitive_report read it too.
 * brute_force_count: union-find over conjugation by the generators of
   Z_k wr H, walking every element by its integer code without storing the
   group.
@@ -292,48 +291,51 @@ def nonregular_orbits(group: PermGroup, k: int) -> tuple[list[tuple[int, int]], 
 
 
 @dataclass
-class _Census:
-    reps: list[tuple[int, int]]      # nonregular_orbits(group, k), checked by _census
+class Census:
+    reps: list[tuple[int, int]]      # nonregular_orbits(group, k)
     delta: int
     regular: int                     # (k**n - |Delta|)/|H| regular orbits
-    stabilizers: list[PermGroup] | None = None  # of the reps of size > 1, in order
+    inertia: list[PermGroup]         # I_H(c) of each rep, in order: H for a fixed coloring
 
 
-def _census(group: PermGroup, k: int, stabilizers: bool = False) -> _Census:
-    """The census of (group, k), kept on the group like its class BFS; budget checked first.
+def coloring_census(group: PermGroup, k: int) -> Census:
+    """The census of (group, k), built once and kept on the group like its class BFS.
 
-    stabilizers=True fills in, once, the stabilizers of the reps of size > 1
-    from one coloring_stabilizers stream. Checks: |H| divides k**n - |Delta|,
-    each generator fixes each rep of size 1, and |I_H(c)| * |orbit| = |H|.
+    Refuses k < 1, then the coloring space over the budget, before anything
+    closes the group. The inertia groups of the moved reps come from one
+    coloring_stabilizers stream, so equal ones are one object. Checks: |H|
+    divides k**n - |Delta|, each generator fixes each rep of size 1, and
+    |I_H(c)| * |orbit| = |H|.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     n = group.degree
-    space = _check_space(group, k)  # before group.order closes the group
+    space = _check_space(group, k)
     census = group._census.get(k)
-    order = group.order
-    if census is None:
-        reps, delta = nonregular_orbits(group, k)
-        regular, rem = divmod(space - delta, order)
-        if rem:
-            raise InvariantViolation(
-                f"regular part k**n - |Delta| = {space} - {delta} not divisible by |H| = {order}")
-        census = group._census[k] = _Census(reps, delta, regular)
-    if not stabilizers or census.stabilizers is not None:
+    if census is not None:
         return census
+    order = group.order
+    reps, delta = nonregular_orbits(group, k)
+    regular, rem = divmod(space - delta, order)
+    if rem:
+        raise InvariantViolation(
+            f"regular part k**n - |Delta| = {space} - {delta} not divisible by |H| = {order}")
     radix, steps = _generator_steps(group, k)
     for hi, lo in steps:
-        for enc, size in census.reps:
+        for enc, size in reps:
             if size == 1 and hi[enc // radix] + lo[enc % radix] != enc:
                 raise InvariantViolation(
                     f"coloring {decode_coloring(enc, k, n)} has orbit size 1 but is moved")
-    moved = [(enc, size) for enc, size in census.reps if size != 1]
+    moved = [enc for enc, size in reps if size != 1]
     decode = _decoder(k, n) if moved else None  # n >= 2 whenever a coloring moves
-    stabs = list(coloring_stabilizers(group, (decode(enc) for enc, _ in moved)))
-    for (enc, size), stab in zip(moved, stabs):
+    stabs = coloring_stabilizers(group, map(decode, moved))
+    inertia = [group if size == 1 else next(stabs) for _, size in reps]
+    for (enc, size), stab in zip(reps, inertia):
         if stab.order * size != order:
             raise InvariantViolation(
                 f"orbit-stabilizer: |I_H(c)| * |orbit| = {stab.order} * {size} != |H| = "
                 f"{order} for coloring {decode_coloring(enc, k, n)}")
-    census.stabilizers = stabs
+    census = group._census[k] = Census(reps, delta, regular, inertia)
     return census
 
 
@@ -393,20 +395,15 @@ def clifford_count(group: PermGroup, k: int) -> CountResult:
     """k(X wr H) = (k**n - |Delta|)/|H| + sum of k(I_H(c)) over the non-regular orbits.
 
     Regular orbits have trivial stabilizer and contribute 1 each. The
-    non-regular orbits and their stabilizers come from _census; a fixed
-    coloring has stabilizer H, and class_count runs once per distinct
-    stabilizer, since equal stabilizers are one object.
+    non-regular orbits and their inertia groups come from coloring_census,
+    and class_count runs once per distinct inertia group, since equal ones
+    are one object.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    space = k ** group.degree
-    census = _census(group, k, stabilizers=True)
-    fixed = sum(size == 1 for _, size in census.reps)  # their stabilizer is H
-    value = census.regular + fixed * class_count(group)
-    # keyed by identity: equal stabilizers are one object
-    counts = {stab: class_count(stab) for stab in dict.fromkeys(census.stabilizers)}
-    value += sum(map(counts.__getitem__, census.stabilizers))
-    order = group.order
+    census = coloring_census(group, k)
+    # keyed by identity: equal inertia groups are one object
+    counts = {stab: class_count(stab) for stab in dict.fromkeys(census.inertia)}
+    value = census.regular + sum(map(counts.__getitem__, census.inertia))
+    space, order = k ** group.degree, group.order
     if value * order < space:
         raise InvariantViolation(
             f"class count {value} below the orbit-count lower bound k**n/|H| = {space}/{order}")
@@ -502,7 +499,7 @@ def nonregular_orbit_stats(group: PermGroup, k: int) -> OrbitStats:
     |Delta| <= (|H| - 1) * k**max_sigma. Violations mean a bug, so they raise;
     the result carries both bounds. The census is clifford_count's.
     """
-    census = _census(group, k)
+    census = coloring_census(group, k)
     nonregular, delta = len(census.reps), census.delta
     order = group.order
     orbit_bound = delta_bound = None

@@ -9,10 +9,11 @@ classes of subgroups (one subgroup per class) and the normal-subgroup
 lattice extend each known subgroup from its own elements and return it with
 the generators that built it; conjugacy classes, of elements and of
 subgroups, are BFS over generator conjugations, orbits are union-find, block
-systems are the join-closure of the minimal ones and answer primitivity
-too, and an explicit element set gets a greedy generating set, each
-generator closed by the same coset extension from the group generated
-before it.
+systems are the join-closure of the minimal ones (a transitive group with
+none is primitive; actions.block_decomposition reads the same walk), one
+test over the normal-subgroup lattice decides semiprimitivity, and an
+explicit element set gets a greedy generating set, each generator closed by
+the same coset extension from the group generated before it.
 Coloring stabilizers come in batches: one pass over a group's cached
 elements tests every element against a block of colorings at once, through
 bit masks with one bit per coloring. No stabilizer chains. That keeps results
@@ -227,8 +228,6 @@ def _closure(generators: Sequence[tuple[int, ...]], limit: int,
     ``limit``.
     """
     degree = len(generators[0])
-    if any(len(g) != degree for g in generators):
-        raise DegreeMismatch(f"mixed generator degrees {sorted(set(map(len, generators)))}")
     ident = tuple(range(degree))
     group = {ident} if base is None else set(base)
     if degree == 1:  # the trivial group; itemgetter of one index returns an int
@@ -284,7 +283,7 @@ class PermGroup:
         self._elements: tuple[tuple[int, ...], ...] | None = None
         self._classes: list[list[int]] | None = None
         self._cycle_stats: tuple[tuple[int, int], ...] | None = None
-        # k -> the checked non-regular coloring census (classcount._census)
+        # k -> the checked coloring census (classcount.coloring_census)
         self._census: dict = {}
 
     @classmethod
@@ -657,18 +656,19 @@ def structure_classify(group: PermGroup) -> StructureReport:
     semiregular. Uses the full normal subgroup lattice, so it inherits that
     enumeration's budget.
     """
-    transitive = is_transitive(group)
-    semiregular = is_semiregular(group)
-    primitive = is_primitive(group)
     normals = normal_subgroups(group)
-    semiprimitive = transitive and all(is_transitive(n) or is_semiregular(n) for n in normals)
     return StructureReport(
-        transitive=transitive,
-        semiregular=semiregular,
-        primitive=primitive,
-        semiprimitive=semiprimitive,
+        transitive=is_transitive(group),
+        semiregular=is_semiregular(group),
+        primitive=is_primitive(group),
+        semiprimitive=is_semiprimitive(group, normals),
         normal_subgroup_count=len(normals),
     )
+
+
+def is_semiprimitive(group: PermGroup, normals: Iterable[PermGroup]) -> bool:
+    """Transitive, with each of normals (its normal subgroups) transitive or semiregular."""
+    return is_transitive(group) and all(is_transitive(n) or is_semiregular(n) for n in normals)
 
 
 def _subgroup_class(group: PermGroup, sub: frozenset[tuple[int, ...]],

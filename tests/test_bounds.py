@@ -2,8 +2,10 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
 from wreathcount import (
     DEFAULT,
@@ -11,13 +13,16 @@ from wreathcount import (
     Budgets,
     NotSemiprimitive,
     auto_count,
+    block_decomposition,
     bounds_report,
     burnside_orbit_count,
     count_upper_bound,
     counterexample_scan,
     fixed_subset_fraction_probe,
+    is_semiregular,
     large_base_count_bound,
     large_base_match,
+    nonregular_orbit_stats,
     parse_group_spec,
     predicates,
     product_orbit_identity,
@@ -25,6 +30,9 @@ from wreathcount import (
     subset_orbit_bound,
     subset_orbit_count_exact,
 )
+from wreathcount.permgroup import compose, inverse
+
+from test_actions import transitive_groups
 
 
 def test_count_upper_bound_exact_lattice():
@@ -253,6 +261,59 @@ def test_semiprimitive_report_quaternion():
     assert rep.alpha_bound_holds and rep.chain_holds
     assert rep.e_k == 1
     assert rep.e_k_five_eighths_holds is True
+
+
+def _reference_e_k(group, blocks, k):
+    """e_K from every coloring: the largest class count of a stabilizer meeting K trivially.
+
+    K fixes every block setwise, a stabilizer is {h : c[h[i]] == c[i] for all i},
+    and classes are counted by conjugating each element by the whole stabilizer.
+    """
+    elements = group.elements
+    kernel = {h for h in elements if all(h[b[0]] in b for b in blocks)}
+    counts = {}
+    best = None
+    for c in product(range(k), repeat=group.degree):
+        stab = frozenset(h for h in elements if tuple(map(c.__getitem__, h)) == c)
+        if len(stab & kernel) == 1:
+            if stab not in counts:
+                counts[stab] = len({frozenset(compose(compose(g, x), inverse(g)) for g in stab)
+                                    for x in stab})
+            best = max(best or 0, counts[stab])
+    return best
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("spec", ["cyclic:4", "cyclic:6", "cyclic:8", "quaternion"])
+def test_semiprimitive_e_k_matches_every_coloring(spec, k):
+    group = parse_group_spec(spec)
+    rep = semiprimitive_report(group, k)
+    assert rep.e_k == _reference_e_k(group, rep.blocks, k)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(group=transitive_groups())
+def test_semiprimitive_e_k_matches_every_coloring_on_random_groups(group):
+    decomp = block_decomposition(group)
+    # the block kernel is an intransitive normal subgroup: semiregular in a semiprimitive group
+    if decomp is None or not is_semiregular(decomp.kernel):
+        return
+    for k in (2, 3):
+        try:
+            rep = semiprimitive_report(group, k)
+        except NotSemiprimitive:
+            return
+        assert rep.e_k == _reference_e_k(group, rep.blocks, k)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: nonregular_orbit_stats(parse_group_spec("cyclic:3"), 0),
+    lambda: subset_orbit_bound(5, 2, 0),
+    lambda: semiprimitive_report(parse_group_spec("cyclic:4"), 0),
+], ids=["nonregular_orbit_stats", "subset_orbit_bound", "semiprimitive_report"])
+def test_k_below_one_is_refused(call):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        call()
 
 
 def test_semiprimitive_rejections():

@@ -391,16 +391,16 @@ def test_cached_census_is_still_refused_under_a_tighter_budget():
     stats = nonregular_orbit_stats(grp, 2)
     assert (stats.nonregular_orbits, stats.delta_size) == (3, 4)
     assert (stats.orbit_bound, stats.delta_bound) == (8, 12)  # max_sigma = 2
-    census = classcount._census(grp, 2)
-    assert classcount._census(grp, 2) is census  # kept on the group object
+    census = classcount.coloring_census(grp, 2)
+    assert classcount.coloring_census(grp, 2) is census  # kept on the group object
     tight = parse_group_spec("cyclic:4", Budgets(max_coloring_space=8))
-    for call in (lambda: classcount._census(tight, 2),
+    for call in (lambda: classcount.coloring_census(tight, 2),
                  lambda: nonregular_orbit_stats(tight, 2),
                  lambda: clifford_count(tight, 2)):
         with pytest.raises(BudgetExceeded,
                            match=r"k\*\*n = 16 exceeds the max_coloring_space budget 8"):
             call()
-    assert classcount._census(grp, 2) is census and grp._census == {2: census}
+    assert classcount.coloring_census(grp, 2) is census and grp._census == {2: census}
     assert nonregular_orbit_stats(grp, 2) == stats
 
 

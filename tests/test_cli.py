@@ -299,13 +299,11 @@ def test_bounds_table_includes_semiprimitive_section(run_cli):
 
 
 @pytest.mark.parametrize("spec, section", [("cyclic:4", True), ("alternating:5", False)])
-def test_bounds_classifies_the_group_once(run_cli, monkeypatch, spec, section):
+def test_bounds_classifies_the_group_once(run_cli, spy, spec, section):
     from wreathcount import permgroup
 
-    original = permgroup.normal_subgroups
     calls = []
-    monkeypatch.setattr(permgroup, "normal_subgroups",
-                        lambda group: calls.append(group) or original(group))
+    spy(permgroup, "normal_subgroups", calls)
     code, out, _ = run_cli("bounds", "--group", spec, "--k", "2")
     assert code == 0
     assert len(calls) == 1
@@ -331,20 +329,30 @@ def test_bounds_budget_refusal_notes(run_cli):
 def test_bounds_computes_each_fact_once(run_cli, spy, spec):
     from collections import Counter
 
-    from wreathcount import classcount, permgroup
+    from wreathcount import bounds, classcount, permgroup
 
     base_dfs, census, streams, normals = [], [], [], []
+    reports, block_walks, classified, primitive = [], [], [], []
     spy(permgroup, "_min_base_size", base_dfs)
     spy(classcount, "_seeded_walk", census)  # the one walk and the numpy kernel
     spy(classcount, "_orbit_reps_numpy", census)
     spy(permgroup, "coloring_stabilizers", streams)
     spy(permgroup, "normal_subgroups", normals)
+    spy(bounds, "semiprimitive_report", reports)
+    spy(permgroup, "all_block_systems", block_walks)
+    spy(permgroup, "structure_classify", classified)
+    spy(permgroup, "is_primitive", primitive)
     code, _, _ = run_cli("bounds", "--group", spec, "--k", "2", "--output", "json")
     assert code == 0
     assert len(base_dfs) == 1
     assert census and max(Counter(census).values()) == 1  # per group object
     assert streams and max(Counter(streams).values()) == 1
     assert len(normals) == 1
+    (group,) = reports
+    # the report walks H's block systems once, in block_decomposition; it stops
+    # at semiprimitivity before the walk where H is not semiprimitive
+    assert block_walks.count(group) == (spec != "wreath-cyclic:4")
+    assert classified == [] and group not in primitive
 
 
 @pytest.mark.parametrize("spec, built", [("subsets:5,2", []), ("product:5,2,1", []),

@@ -411,7 +411,7 @@ def test_stabilizers_inherit_the_group_budgets():
 def test_derived_groups_inherit_the_group_budgets():
     d4 = parse_group_spec("dihedral:4", DEFAULT.with_overrides(max_group_order=500))
     decomp = block_decomposition(d4)
-    stabs = classcount._census(d4, 2, stabilizers=True).stabilizers
+    stabs = classcount.coloring_census(d4, 2).inertia
     derived = [*subgroups(d4), *normal_subgroups(d4), decomp.kernel, decomp.quotient, *stabs]
     assert len(derived) > 18 and stabs
     assert all(sub.budgets is d4.budgets for sub in derived)
@@ -712,7 +712,7 @@ _REFUSALS = {
                            "max_partition_size"),
     "subset_orbit_count_partitions": (lambda b: subset_orbit_count_exact(12, 1, 2, b),
                                       "max_partition_size"),
-    "coloring_space": (lambda b: classcount._census(parse_group_spec("cyclic:4", b), 2),
+    "coloring_space": (lambda b: classcount.coloring_census(parse_group_spec("cyclic:4", b), 2),
                        "max_coloring_space"),
 }
 
