@@ -1,11 +1,13 @@
 """Derived actions and group constructors.
 
 Covers cycle types, the induced action on ell-subsets, the product action
-on tuples of subsets, explicit wreath product groups, the named group family
-constructors used by the CLI, and block decompositions of imprimitive
-groups. A cycle type is the weakly decreasing tuple of cycle lengths (fixed
-points as 1s), the same part tuple combinatorics.partition_enum yields for
-its class.
+on tuples of subsets, explicit wreath product groups, the named group
+families the CLI parses, and block decompositions of imprimitive groups. A
+cycle type is the weakly decreasing tuple of cycle lengths (fixed points as
+1s), the same part tuple combinatorics.partition_enum yields for its class.
+The named families are one table, _FAMILIES, of parameter names, least
+values and generator builders: family parses and checks a spec's integers
+once, and the group's family tag holds them. gens alone takes cycle notation.
 """
 
 from __future__ import annotations
@@ -287,8 +289,6 @@ def _alternating_gens(n: int) -> list[tuple[int, ...]]:
 
 
 def _dihedral_gens(n: int) -> list[tuple[int, ...]]:
-    if n < 3:
-        raise UnknownFamily("dihedral needs degree >= 3")
     rot = _cyclic_gen(n)
     refl = tuple((n - i) % n for i in range(n))
     return [rot, refl]
@@ -304,80 +304,55 @@ def _wreath_cyclic_gens(m: int) -> list[tuple[int, ...]]:
     return [swap, rot]
 
 
+def _product_gens(m: int, ell: int, t: int, budgets: Budgets) -> list[tuple[int, ...]]:
+    # S_m wr S_t: S_m on the first coordinate, and S_t permuting the coordinates
+    ident, top_ident = tuple(range(math.comb(m, ell))), tuple(range(t))
+    gens = []
+    for g in symmetric_gens(m):
+        coords = [subsets_action_lift(g, ell, budgets)] + [ident] * (t - 1)
+        gens.append(product_action_build(coords, top_ident, m, ell, budgets))
+    return gens + [product_action_build([ident] * t, tau, m, ell, budgets)
+                   for tau in symmetric_gens(t) if not is_identity(tau)]
+
+
 # regular quaternion group of order 8, indexed 1,-1,i,-i,j,-j,k,-k
 _QUATERNION_GENS = (
     (2, 3, 1, 0, 6, 7, 5, 4),   # left multiplication by i
     (4, 5, 7, 6, 1, 0, 2, 3),   # left multiplication by j
 )
 
+# name -> (parameter names, least value of each, generators from (*params, budgets)).
+# A builder looks its functions up when it runs, so a wrapped or patched
+# module function (subsets_action_lift above all) is the one called.
+_FAMILIES = {
+    "cyclic": (("n",), (1,), lambda n, budgets: [_cyclic_gen(n)]),
+    "symmetric": (("n",), (1,), lambda n, budgets: symmetric_gens(n)),
+    "alternating": (("n",), (1,), lambda n, budgets: _alternating_gens(n)),
+    "dihedral": (("n",), (3,), lambda n, budgets: _dihedral_gens(n)),
+    "wreath-cyclic": (("m",), (1,), lambda m, budgets: _wreath_cyclic_gens(m)),
+    "quaternion": ((), (), lambda budgets: _QUATERNION_GENS),
+    "subsets": (("m", "ell"), (2, 1), lambda m, ell, budgets: [
+        subsets_action_lift(g, ell, budgets) for g in symmetric_gens(m)]),
+    "subsets-alt": (("m", "ell"), (2, 1), lambda m, ell, budgets: [
+        subsets_action_lift(g, ell, budgets) for g in _alternating_gens(m)]),
+    "product": (("m", "ell", "t"), (2, 1, 1), _product_gens),
+}
 
-def _int_params(params: Sequence[str], count: int, name: str) -> list[int]:
-    if len(params) != count:
-        raise UnknownFamily(f"{name} takes {count} parameter(s), got {len(params)}")
-    try:
-        return [int(p) for p in params]
-    except ValueError:
-        raise UnknownFamily(f"{name} parameters must be integers: {params}")
 
+def family(name: str, params: Sequence = (), budgets: Budgets = DEFAULT) -> PermGroup:
+    """Construct a named group family; see the CLI help for the grammar.
 
-def family(name: str, params: Sequence[str] = (), budgets: Budgets = DEFAULT) -> PermGroup:
-    """Construct a named group family; see the CLI help for the grammar."""
-    params = tuple(str(p) for p in params)
-    if name == "cyclic":
-        (n,) = _int_params(params, 1, name)
-        if n < 1:
-            raise UnknownFamily("cyclic needs n >= 1")
-        gens = [_cyclic_gen(n)]
-    elif name == "symmetric":
-        (n,) = _int_params(params, 1, name)
-        if n < 1:
-            raise UnknownFamily("symmetric needs n >= 1")
-        gens = symmetric_gens(n)
-    elif name == "alternating":
-        (n,) = _int_params(params, 1, name)
-        if n < 1:
-            raise UnknownFamily("alternating needs n >= 1")
-        gens = _alternating_gens(n)
-    elif name == "dihedral":
-        (n,) = _int_params(params, 1, name)
-        gens = _dihedral_gens(n)
-    elif name == "subsets" or name == "subsets-alt":
-        m, ell = _int_params(params, 2, name)
-        if not (m >= 2 and 1 <= ell <= m - 1):
-            raise UnknownFamily(f"need m >= 2 and 1 <= ell <= m-1, got {m},{ell}")
-        base = symmetric_gens(m) if name == "subsets" else _alternating_gens(m)
-        gens = [subsets_action_lift(g, ell, budgets) for g in base]
-    elif name == "product":
-        m, ell, t = _int_params(params, 3, name)
-        if not (m >= 2 and 1 <= ell <= m - 1 and t >= 1):
-            raise UnknownFamily(f"need m >= 2, 1 <= ell <= m-1, t >= 1, got {m},{ell},{t}")
-        base = math.comb(m, ell)
-        ident = tuple(range(base))
-        top_ident = tuple(range(t))
-        gens = []
-        for g in symmetric_gens(m):
-            lifted = subsets_action_lift(g, ell, budgets)
-            coords = [lifted] + [ident] * (t - 1)
-            gens.append(product_action_build(coords, top_ident, m, ell, budgets))
-        for tau in symmetric_gens(t):
-            if is_identity(tau):
-                continue
-            gens.append(product_action_build([ident] * t, tau, m, ell, budgets))
-    elif name == "wreath-cyclic":
-        (m,) = _int_params(params, 1, name)
-        if m < 1:
-            raise UnknownFamily("wreath-cyclic needs m >= 1")
-        gens = _wreath_cyclic_gens(m)
-    elif name == "quaternion":
-        if params:
-            raise UnknownFamily("quaternion takes no parameters")
-        gens = _QUATERNION_GENS
-    elif name == "gens":
+    Parameters are ints or their strings, checked against _FAMILIES (and
+    ell < m); the family tag holds the ints. gens takes cycle notation, and
+    its tag holds the stripped parameter strings.
+    """
+    params = tuple(map(str, params))
+    if name == "gens":
         if not params:
             raise UnknownFamily("gens needs at least one permutation")
-        rest = list(params)
+        rest = list(params)  # as typed, so a parse column counts in the list
         degree = None
-        if rest[0].strip().isdigit():
+        if rest[0].strip().isdecimal():
             degree = int(rest.pop(0))
             if not rest:
                 raise UnknownFamily("gens needs at least one permutation after the degree")
@@ -385,19 +360,38 @@ def family(name: str, params: Sequence[str] = (), budgets: Budgets = DEFAULT) ->
             gens = parse_generators(",".join(rest), degree)
         except ParseError as exc:
             raise UnknownFamily(f"bad generator list: {exc}") from exc
-    else:
+        return PermGroup(gens, family=(name, tuple(map(str.strip, params))), budgets=budgets)
+    if name not in _FAMILIES:
         raise UnknownFamily(f"unknown family {name!r}")
-    return PermGroup(gens, family=(name, params), budgets=budgets)
+    names, least, build = _FAMILIES[name]
+    params = tuple(map(str.strip, params))
+    if len(params) != len(names):
+        raise UnknownFamily(f"{name} takes {len(names)} parameter(s), got {len(params)}")
+    try:
+        values = tuple(map(int, params))
+    except ValueError:
+        raise UnknownFamily(f"{name} parameters must be integers: {params}")
+    needs = [f"{p} >= {lo}" for p, lo in zip(names, least)]
+    fits = all(v >= lo for v, lo in zip(values, least))
+    if "ell" in names:  # the subset actions, parameters (m, ell, ...)
+        needs.append("ell < m")
+        fits = fits and values[1] < values[0]
+    if not fits:
+        raise UnknownFamily(f"{name} needs {', '.join(needs)}, got {','.join(map(str, values))}")
+    return PermGroup(build(*values, budgets), family=(name, values), budgets=budgets)
 
 
 def parse_group_spec(spec: str, budgets: Budgets = DEFAULT) -> PermGroup:
-    """Parse ``name`` or ``name:p1,p2,...`` into a group."""
+    """Parse ``name`` or ``name:p1,p2,...`` into a group.
+
+    family gets the parameters as typed between the commas, so a generator
+    parse error names its column in the list as typed.
+    """
     spec = spec.strip()
     if not spec:
         raise UnknownFamily("empty group spec")
     name, _, raw = spec.partition(":")
-    params = [p for p in raw.split(",")] if raw else []
-    return family(name.strip(), [p.strip() for p in params], budgets)
+    return family(name.strip(), raw.split(",") if raw else [], budgets)
 
 
 # ---------------------------------------------------------------------------

@@ -365,7 +365,7 @@ def _large_base_count_bound(group: PermGroup | None, m: int, ell: int, t: int, k
         mode = "float"
     try:
         if group is None:
-            group = family("product", (str(m), str(ell), str(t)), budgets)
+            group = family("product", (m, ell, t), budgets)
         lhs = auto_count(group, k).value
     except (BudgetExceeded, Infeasible) as exc:
         return BoundReport("large-base-count-bound", None, rhs, "indeterminate", mode,
@@ -380,24 +380,16 @@ def large_base_match(group: PermGroup) -> tuple[int, int, int] | None:
 
     Matching is by construction metadata only: subsets:m,ell and
     subsets-alt:m,ell (t = 1) or product:m,ell,t, requiring m >= 5 and
-    1 <= ell < m/2.
+    ell < m/2 (family already holds ell >= 1 and t >= 1).
     """
-    if group.family is None:
+    name, params = group.family or (None, ())
+    if name in ("subsets", "subsets-alt"):
+        (m, ell), t = params, 1
+    elif name == "product":
+        m, ell, t = params
+    else:
         return None
-    name, params = group.family
-    try:
-        if name in ("subsets", "subsets-alt"):
-            m, ell = int(params[0]), int(params[1])
-            t = 1
-        elif name == "product":
-            m, ell, t = int(params[0]), int(params[1]), int(params[2])
-        else:
-            return None
-    except (IndexError, ValueError):
-        return None
-    if m >= 5 and 1 <= ell and 2 * ell < m and t >= 1:
-        return (m, ell, t)
-    return None
+    return (m, ell, t) if m >= 5 and 2 * ell < m else None
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +505,12 @@ def semiprimitive_report(group: PermGroup, k: int) -> SemiprimitiveReport:
 # Every report for one (H, k).
 
 
+def _refused(name: str, inputs: dict, note: str, asymptotic: bool = False) -> BoundReport:
+    """The indeterminate report that stands for one the budgets refused."""
+    return BoundReport(name, None, None, "indeterminate", "exact", inputs,
+                       asymptotic=asymptotic, note=note)
+
+
 def bounds_report(group: PermGroup, k: int
                   ) -> tuple[list[BoundReport], SemiprimitiveReport | None]:
     """The bound reports for (H, k), and the semiprimitive report or None.
@@ -526,8 +524,8 @@ def bounds_report(group: PermGroup, k: int
     try:
         stats = nonregular_orbit_stats(group, k)
     except BudgetExceeded as exc:
-        reports.append(BoundReport("nonregular-orbit-count", None, None, "indeterminate",
-                                   "exact", {"k": k}, note=f"orbit census skipped: {exc}"))
+        reports.append(_refused("nonregular-orbit-count", {"k": k},
+                                f"orbit census skipped: {exc}"))
     else:  # nonregular_orbit_stats raises on a violation, so both bounds hold
         base = {"k": k, "n": group.degree, "order": group.order,
                 "max_sigma": max_cycle_count(group)}
@@ -541,15 +539,20 @@ def bounds_report(group: PermGroup, k: int
         budgets = group.budgets  # the large-base checks take no group
         subset = subset_orbit_bound(m, ell, k, budgets)  # lhs: n(S_m, B), the op's one count
         reports.append(subset)
-        try:  # the identity refuses the lift whenever the subset count does
-            if subset.lhs is not None:
+        inputs = {"m": m, "ell": ell, "t": t, "k": k}
+        if subset.lhs is None:  # both rows below start from n(S_m, B)
+            note = f"n(S_m, B) not computed: {subset.note}"
+            reports.append(_refused("product-orbit-identity", inputs, note))
+            reports.append(_refused("large-base-count-bound", dict(inputs), note, asymptotic=True))
+        else:
+            try:
                 reports.append(_product_orbit_identity(m, ell, t, k, subset.lhs, budgets))
-                # the bound is about the S_m family, which every match but subsets-alt is
-                counted = None if group.family[0] == "subsets-alt" else group
-                reports.append(_large_base_count_bound(counted, m, ell, t, k, subset.lhs,
-                                                       budgets))
-        except BudgetExceeded:
-            pass
+            except BudgetExceeded as exc:
+                reports.append(_refused("product-orbit-identity", inputs,
+                                        f"power group not built: {exc}"))
+            # the bound is about the S_m family, which every match but subsets-alt is
+            counted = None if group.family[0] == "subsets-alt" else group
+            reports.append(_large_base_count_bound(counted, m, ell, t, k, subset.lhs, budgets))
     try:
         semi = semiprimitive_report(group, k)
     except (BudgetExceeded, NotSemiprimitive):
@@ -583,7 +586,7 @@ def counterexample_scan(m_values: Sequence[int], k: int = 2,
     """
     rows = []
     for m in m_values:
-        grp = family("wreath-cyclic", (str(m),), budgets)
+        grp = family("wreath-cyclic", (m,), budgets)
         n = 2 * m
         order = (2 ** m) * m  # known for this family, avoids materializing it
         param = f"wreath-cyclic:{m}"

@@ -124,89 +124,83 @@ def cycle_string(p: tuple[int, ...]) -> str:
     return "".join("(" + " ".join(str(pt + 1) for pt in c) + ")" for c in cycs)
 
 
-def parse_permutation(text: str, degree: int | None = None) -> tuple[int, ...]:
-    """Parse 1-indexed cycle notation like ``(1 2 3)(4 5)``.
+def _parse_cycles(text: str, offset: int = 0) -> list[list[int]]:
+    """The 1-indexed cycles written in text, empty cycles dropped; checks syntax only.
 
-    Points within a cycle are whitespace-separated. Fixed points may be
-    omitted; ``()`` is the identity. When degree is None it is inferred as
-    the largest point mentioned (so an identity needs an explicit degree).
+    A syntax error names its column counted from offset + 1, so a part of a
+    longer list that starts offset characters in reports the column in the list.
     """
     cycles: list[list[int]] = []
     cur: list[int] | None = None
-    num: str = ""
-    max_pt = 0
-
-    def flush_number(col: int):
-        nonlocal num
-        if not num:
-            return
-        if cur is None:
-            raise ParseError("number outside of a cycle", col)
-        cur.append(int(num))
-        num = ""
-
-    for i, ch in enumerate(text):
-        col = i + 1
-        if ch.isdigit():
+    num = ""
+    for col, ch in enumerate(text, offset + 1):
+        if ch.isdecimal():  # isdigit would also take "²", which int() refuses
             if cur is None:
                 raise ParseError("number outside of a cycle", col)
             num += ch
-        elif ch == "(":
+            continue
+        if num:  # a digit run only starts inside a cycle
+            cur.append(int(num))
+            num = ""
+        if ch == "(":
             if cur is not None:
                 raise ParseError("nested '('", col)
             cur = []
         elif ch == ")":
-            flush_number(col)
             if cur is None:
                 raise ParseError("unmatched ')'", col)
             if cur:
                 cycles.append(cur)
             cur = None
-        elif ch.isspace():
-            flush_number(col)
-        else:
+        elif not ch.isspace():
             raise ParseError(f"unexpected character {ch!r}", col)
     if cur is not None:
-        raise ParseError("unclosed '('", len(text))
-
-    for cyc in cycles:
-        for pt in cyc:
-            if pt < 1:
-                raise ParseError(f"points are 1-indexed, got {pt}")
-            max_pt = max(max_pt, pt)
-    if degree is None:
-        if max_pt == 0:
-            raise ParseError("cannot infer degree of an identity; pass degree explicitly")
-        degree = max_pt
-    elif max_pt > degree:
-        raise ParseError(f"point {max_pt} exceeds degree {degree}")
-    seen = set()
-    for pt in (pt for cyc in cycles for pt in cyc):
-        if pt in seen:  # named as written, 1-indexed
-            raise ParseError(f"point {pt} appears twice")
-        seen.add(pt)
-    return from_cycles([[p - 1 for p in c] for c in cycles], degree)
+        raise ParseError("unclosed '('", offset + len(text))
+    return cycles
 
 
 def parse_generators(text: str, degree: int | None = None) -> list[tuple[int, ...]]:
-    """Parse a comma-separated list of cycle-notation permutations.
+    """Parse a comma-separated list of 1-indexed cycle-notation permutations.
 
-    All permutations share one degree: the explicit one, or the largest point
-    seen anywhere in the list.
+    Points within a cycle are whitespace-separated; fixed points may be
+    omitted, and ``()`` or an empty part is the identity. All permutations
+    share one degree: the explicit one, or the largest point in the list. A
+    syntax error names its column, counted from the start of text.
     """
-    parts = [p.strip() for p in text.split(",")]
-    if not any(parts):
+    if not text.replace(",", "").strip():
         raise ParseError("empty generator list")
+    parts, offset = [], 0
+    for part in text.split(","):
+        parts.append(_parse_cycles(part, offset))
+        offset += len(part) + 1
     if degree is None:
-        degree = 0
-        for part in parts:
-            for tok in part.replace("(", " ").replace(")", " ").split():
-                if not tok.isdigit():
-                    raise ParseError(f"unexpected token {tok!r} in {part!r}")
-                degree = max(degree, int(tok))
+        degree = max((pt for cycles in parts for cyc in cycles for pt in cyc), default=0)
         if degree == 0:
             raise ParseError("cannot infer degree; no points mentioned")
-    return [parse_permutation(part, degree) for part in parts]
+    perms = []
+    for cycles in parts:
+        points = [pt for cyc in cycles for pt in cyc]
+        if 0 in points:
+            raise ParseError("points are 1-indexed, got 0")
+        if max(points, default=0) > degree:
+            raise ParseError(f"point {max(points)} exceeds degree {degree}")
+        seen = set()
+        for pt in points:
+            if pt in seen:  # named as written, 1-indexed
+                raise ParseError(f"point {pt} appears twice")
+            seen.add(pt)
+        perms.append(from_cycles([[pt - 1 for pt in cyc] for cyc in cycles], degree))
+    return perms
+
+
+def parse_permutation(text: str, degree: int | None = None) -> tuple[int, ...]:
+    """Parse one permutation in cycle notation, like ``(1 2 3)(4 5)``.
+
+    parse_generators on a list of one, so an identity needs an explicit degree.
+    """
+    if "," in text:
+        raise ParseError("unexpected character ','", text.index(",") + 1)
+    return parse_generators(text, degree)[0]
 
 
 def _closure(generators: Sequence[tuple[int, ...]], limit: int,
@@ -281,6 +275,7 @@ class PermGroup:
         self.family = family
         self.budgets = budgets
         self._elements: tuple[tuple[int, ...], ...] | None = None
+        self._refusal: str | None = None  # why the budget refused the closure
         self._classes: list[list[int]] | None = None
         self._cycle_stats: tuple[tuple[int, int], ...] | None = None
         # k -> the checked coloring census (classcount.coloring_census)
@@ -329,10 +324,16 @@ class PermGroup:
 
     @property
     def elements(self) -> tuple[tuple[int, ...], ...]:
-        """Every element, sorted (by image tuple); closed on first use."""
+        """Every element, sorted (by image tuple); closed on first use, not after a refusal."""
         if self._elements is None:
-            self._elements = tuple(sorted(
-                _closure(self.generators, limit=self.budgets.max_group_order)))
+            if self._refusal is not None:
+                raise BudgetExceeded(self._refusal)
+            try:
+                self._elements = tuple(sorted(
+                    _closure(self.generators, limit=self.budgets.max_group_order)))
+            except BudgetExceeded as exc:
+                self._refusal = str(exc)
+                raise
         return self._elements
 
     @property

@@ -217,15 +217,30 @@ def test_family_orders_and_degrees():
         assert grp.degree == degree, spec
         assert grp.order == order, spec
         assert grp.spec_string() == spec
+        assert all(type(p) is int for p in grp.family[1]), spec
+    assert parse_group_spec("cyclic:05").spec_string() == "cyclic:5"
+    assert parse_group_spec("product: 3,01 ,2").family == ("product", (3, 1, 2))
 
 
 def test_family_rejects_bad_parameters():
     with pytest.raises(UnknownFamily):
         family("nosuch", ("3",))
-    with pytest.raises(UnknownFamily):
-        parse_group_spec("subsets:5,0")
-    with pytest.raises((UnknownFamily, ValueError)):
-        parse_group_spec("cyclic:0")
+    # every refusal names its family, and the bad values where there are some
+    for spec, message in [
+            ("subsets:5,0", "subsets needs m >= 2, ell >= 1, ell < m, got 5,0"),
+            ("subsets-alt:5,5", "subsets-alt needs m >= 2, ell >= 1, ell < m, got 5,5"),
+            ("product:5,1,0", "product needs m >= 2, ell >= 1, t >= 1, ell < m, got 5,1,0"),
+            ("cyclic:0", "cyclic needs n >= 1, got 0"),
+            ("dihedral:2", "dihedral needs n >= 3, got 2"),
+            ("wreath-cyclic:-1", "wreath-cyclic needs m >= 1, got -1"),
+            ("symmetric:x", "symmetric parameters must be integers: ('x',)"),
+            ("alternating:3,4", "alternating takes 1 parameter(s), got 2"),
+            ("quaternion:1", "quaternion takes 0 parameter(s), got 1"),
+            ("gens:4", "gens needs at least one permutation after the degree")]:
+        with pytest.raises(UnknownFamily) as exc:
+            parse_group_spec(spec)
+        assert str(exc.value) == message
+        assert str(exc.value).startswith(spec.partition(":")[0] + " "), spec
 
 
 def test_gens_spec_parses_degree():

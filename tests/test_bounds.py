@@ -354,6 +354,25 @@ def test_fixed_subset_fraction_probe_clean_small_range():
     assert all(witness is None for _, witness in results)
 
 
+@pytest.mark.parametrize("spec, budgets, identity_refusal, bound_refusal", [
+    # the power group S_7 is refused, and so is the product family it counts
+    ("subsets-alt:7,2", Budgets(max_group_order=3000),
+     "power group not built: power group order (7!)**1 = 5040 exceeds",
+     "count not computed: closure order = 3002 exceeds"),
+    # n(S_5, B) is refused, and both rows start from it
+    ("subsets:5,2", Budgets(max_partition_size=3),
+     "n(S_m, B) not computed: partition size n = 5 exceeds", None),
+])
+def test_refused_large_base_rows_read_indeterminate(spec, budgets, identity_refusal,
+                                                    bound_refusal):
+    reports, _ = bounds_report(parse_group_spec(spec, budgets), 2)
+    rows = {r.name: r for r in reports}
+    identity, bound = rows["product-orbit-identity"], rows["large-base-count-bound"]
+    assert (identity.lhs, identity.holds) == (bound.lhs, bound.holds) == (None, "indeterminate")
+    assert identity.note.startswith(identity_refusal)
+    assert bound.note.startswith(bound_refusal or identity_refusal)
+
+
 def test_large_base_bound_on_matched_family():
     # end to end: match a family spec, then check the bound it names
     spec = "subsets:6,1"

@@ -384,6 +384,18 @@ def test_nonregular_orbit_stats():
     assert (stats.total_orbits, stats.nonregular_orbits, stats.delta_size) == (4, 0, 0)
 
 
+def test_a_refused_closure_is_not_retried(spy):
+    from wreathcount import permgroup
+
+    closures = []
+    spy(permgroup, "_closure", closures)
+    group = parse_group_spec("alternating:6", Budgets(max_group_order=10))
+    with pytest.raises(BudgetExceeded) as exc:
+        count_by_method(group, 2, "all")  # clifford, brute, then auto_count's bracket
+    assert str(exc.value) == "closure order = 12 exceeds the max_group_order budget 10"
+    assert len(closures) == 1
+
+
 def test_cached_census_is_still_refused_under_a_tighter_budget():
     from wreathcount import classcount
 

@@ -121,6 +121,11 @@ def test_parse_error_reports_column(run_cli):
     code, _, err = run_cli("count", "--group", "gens:4,(1 2", "--k", "2")
     assert code == 1
     assert "column" in err
+    # counted in the generator list as typed, with or without a degree
+    for spec, column in [("gens:(1 2),(3 y", 10), ("gens:4, (1 2),(3 y", 11)]:
+        code, _, err = run_cli("count", "--group", spec, "--k", "2")
+        assert (code, err) == (1, "error: bad generator list: unexpected character 'y' "
+                                  f"(column {column})\n")
 
 
 @pytest.mark.parametrize("argv, point", [

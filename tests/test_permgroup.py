@@ -74,16 +74,22 @@ def test_parse_identity():
     assert len(p) == 3
 
 
-@pytest.mark.parametrize("text", ["(1 2", "(1 1)", "(0 2)", "(1 x)"])
+@pytest.mark.parametrize("text", ["(1 2", "(1 1)", "(0 2)", "(1 x)", "(1 ²)", "(1 2),(3 4)", "()"])
 def test_parse_rejects_malformed(text):
     with pytest.raises(ParseError):
         parse_permutation(text)
 
 
 def test_parse_error_reports_column():
-    with pytest.raises(ParseError) as exc:
-        parse_generators("(1 2)(3 4), (5 6")
-    assert "column" in str(exc.value)
+    # a column counts in the whole list, whether the degree is inferred or given
+    for text, message in [("(1 2)(3 4), (5 6", "unclosed '(' (column 16)"),
+                          ("(1 x)", "unexpected character 'x' (column 4)"),
+                          ("(1 2),(3 y", "unexpected character 'y' (column 10)"),
+                          ("(1 2),(3 4", "unclosed '(' (column 10)")]:
+        for degree in (None, 6):
+            with pytest.raises(ParseError) as exc:
+                parse_generators(text, degree)
+            assert str(exc.value) == message, (text, degree)
 
 
 def test_permutation_is_its_image_tuple():
