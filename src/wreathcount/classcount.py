@@ -452,8 +452,10 @@ def closed_form(group: PermGroup, k: int) -> CountResult | None:
     Covers the trivial top group (k**n), the full symmetric group (k-tuples
     of partitions with total size n) and cyclic groups of prime degree.
     Reads only the generators and the family tag: symmetric:40 must not
-    enumerate 40! permutations.
+    enumerate 40! permutations. Refuses k < 1 like every other route.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     n = group.degree
     fam = group.family[0] if group.family else None
     if all(map(is_identity, group.generators)):

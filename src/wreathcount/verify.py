@@ -6,14 +6,19 @@ run_suite prints one PASS or FAIL line per case, in table order, then a
 summary line. The suites re-check the exact identities the counts rest on:
 
 * oracles: every exact route agrees (route_values, which count --method all
-  also runs), clifford and brute both ran, and three frozen goldens.
+  also runs), clifford and brute both ran, and the agreed value equals its
+  frozen golden in TRIANGULATION_GOLDENS on all 16 cells; three golden cases
+  also check clifford alone.
 * burnside: the Burnside orbit count equals direct orbit enumeration, and
   equals C(n+k-1, k-1) for the symmetric group.
 * formulas: the fixed-subset formula, Stirling rows, tuples of partitions
-  and the cyclic closed form against direct enumeration and clifford.
+  (clifford on S_n, n 1..7, k 1..3) and the cyclic closed form (exact on
+  prime n, upper bound on n 2..8, k 1..4) against direct enumeration and
+  clifford.
 * bounds: the unconditional predicates, the class-count upper bound, the
   orbit census, the inertia sum and the subset and product orbit identities.
-* semiprimitive: block decomposition reports and their rejections.
+* semiprimitive: block decomposition reports, with their exact (r, |K|)
+  and exact orbit-count chain, and their rejections.
 """
 
 from __future__ import annotations
@@ -34,6 +39,27 @@ from .permgroup import class_count, coloring_stabilizers, cycle_string
 ORACLE_SPECS = ("cyclic:2", "cyclic:3", "cyclic:4", "gens:4,(1 2)(3 4),(1 3)(2 4)",
                 "symmetric:3", "dihedral:4", "wreath-cyclic:2", "cyclic:5")
 
+# k(X wr H) on each ORACLE_SPECS cell at k = 2, 3, frozen after clifford and
+# brute agreed
+TRIANGULATION_GOLDENS = {
+    ("cyclic:2", 2): 5,
+    ("cyclic:2", 3): 9,
+    ("cyclic:3", 2): 8,
+    ("cyclic:3", 3): 17,
+    ("cyclic:4", 2): 13,
+    ("cyclic:4", 3): 36,
+    ("gens:4,(1 2)(3 4),(1 3)(2 4)", 2): 16,
+    ("gens:4,(1 2)(3 4),(1 3)(2 4)", 3): 45,
+    ("symmetric:3", 2): 10,
+    ("symmetric:3", 3): 22,
+    ("dihedral:4", 2): 20,
+    ("dihedral:4", 3): 54,
+    ("wreath-cyclic:2", 2): 20,
+    ("wreath-cyclic:2", 3): 54,
+    ("cyclic:5", 2): 16,
+    ("cyclic:5", 3): 63,
+}
+
 # stands for the run's seed in a case's args
 _SEED = object()
 
@@ -51,6 +77,8 @@ def _routes_agree(budgets: Budgets, spec: str, k: int):
     ran = classcount.route_values(parse_group_spec(spec, budgets), k)
     refused = [route for route in ("clifford", "brute") if route not in ran]
     _expect(not refused, f"{' and '.join(refused)} refused by the budgets; ran {sorted(ran)}")
+    want = TRIANGULATION_GOLDENS[(spec, k)]
+    _expect(ran["clifford"] == want, f"routes agree on {ran['clifford']}, golden {want}")
 
 
 def _golden(budgets: Budgets, spec: str, k: int, want: int):
@@ -119,8 +147,8 @@ def _tuples_of_partitions(budgets: Budgets):
         _expect(combinatorics.tuples_of_partitions_count(1, n)
                 == combinatorics.partition_count(n), f"k=1 mismatch at n={n}")
     _expect(combinatorics.tuples_of_partitions_count(2, 3) == 10, "tuples(2,3) != 10")
-    for n in range(1, 6):
-        for k in (2, 3):
+    for n in range(1, 8):
+        for k in (1, 2, 3):
             got = classcount.clifford_count(parse_group_spec(f"symmetric:{n}", budgets), k).value
             want = combinatorics.tuples_of_partitions_count(k, n)
             _expect(got == want, f"clifford S_{n} k={k}: {got} != tuples {want}")
@@ -131,7 +159,7 @@ def _schmid(budgets: Budgets):
         for k in range(1, 5):
             exact, upper = classcount.schmid_cyclic(k, n)  # exact is None unless n is prime
             got = classcount.clifford_count(parse_group_spec(f"cyclic:{n}", budgets), k).value
-            _expect(exact is None or got == exact,
+            _expect(exact == (got if combinatorics.is_prime(n) else None),
                     f"cyclic:{n} k={k}: clifford {got} != formula {exact}")
             _expect(got <= upper, f"cyclic:{n} k={k}: clifford {got} > upper {upper}")
 
@@ -202,6 +230,10 @@ def _subset_exact(budgets: Budgets):
 # ---------------------------------------------------------------------------
 # semiprimitive
 
+# (r, |K|) of each decomposed group: its block count and kernel order
+_DECOMPOSITION_SHAPES = {"cyclic:4": (2, 2), "cyclic:6": (2, 3), "cyclic:8": (2, 4),
+                         "quaternion": (2, 4)}
+
 
 def _decomposition_checks(budgets: Budgets, spec: str, k: int):
     rep = bounds_mod.semiprimitive_report(parse_group_spec(spec, budgets), k)
@@ -210,6 +242,10 @@ def _decomposition_checks(budgets: Budgets, spec: str, k: int):
     _expect(rep.alpha_bound_holds, "alpha bound failed")
     _expect(rep.chain_holds is True,
             f"chain {rep.orbit_count} < {rep.chain_rhs} failed ({rep.chain_mode})")
+    _expect(rep.chain_mode == "exact", f"chain mode {rep.chain_mode}, not exact")
+    shape = (rep.r, rep.kernel_order)
+    _expect(shape == _DECOMPOSITION_SHAPES[spec],
+            f"expected (r, |K|) = {_DECOMPOSITION_SHAPES[spec]}, got {shape}")
 
 
 def _rejects_wreath_cyclic(budgets: Budgets):
@@ -268,7 +304,7 @@ SUITES = {
     ],
     "semiprimitive": [
         *[(f"decomposition checks {spec} k={k}", _decomposition_checks, (spec, k))
-          for spec in ("cyclic:4", "cyclic:6", "cyclic:8", "quaternion") for k in (2, 3)],
+          for spec in _DECOMPOSITION_SHAPES for k in (2, 3)],
         ("wreath-cyclic:2 rejected", _rejects_wreath_cyclic, ()),
         ("decomposition shapes", _decomposition_shapes, ()),
     ],

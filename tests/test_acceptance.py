@@ -1,9 +1,11 @@
 """Acceptance gate: nine end-to-end criteria with one pass/fail line each.
 
 Each test prints "ACCEPTANCE <n>: PASS|FAIL <summary>" (visible with -s, or
-in the -v test listing as one line per criterion). Criteria 1 and 4 record
-their wall time for the performance criterion 9; when criterion 9 runs on
-its own it re-times them.
+in the -v test listing as one line per criterion). Criteria 1, 2, 3, 5 and 6
+run the `wreathcount verify` suites, which own those cross-checks; criterion
+3 also runs wider cells through the burnside suite's checks. Criteria 1 and
+4 record their wall time for the performance criterion 9; when criterion 9
+runs on its own it re-times them.
 """
 
 import itertools
@@ -16,58 +18,20 @@ import sys
 import time
 from fractions import Fraction
 
-import pytest
-
 from wreathcount import (
+    DEFAULT,
     auto_count,
-    brute_force_count,
-    burnside_orbit_count,
-    class_count,
-    clifford_count,
-    coloring_orbit_reps,
-    coloring_stabilizer,
     counterexample_scan,
-    count_upper_bound,
     cycle_type,
-    decode_coloring,
-    direct_orbit_count,
     fix_subsets_direct,
     fix_subsets_formula,
-    nonregular_orbit_stats,
-    numeric_invariants,
     parse_group_spec,
-    product_orbit_identity,
-    schmid_cyclic,
-    semiprimitive_report,
-    sigma_prime,
     tuples_of_partitions_count,
-    weak_composition_count,
-    NotSemiprimitive,
 )
+from wreathcount import verify
 from wreathcount.actions import cycle_type_class_size
-from wreathcount.permgroup import compose, cycle_count, inverse, permutation
-from wreathcount.verify import ORACLE_SPECS
-
-# clifford == brute on every cell of this matrix; values frozen after the
-# two independent routes agreed (test_classcount.py reads it too)
-TRIANGULATION_GOLDENS = {
-    ("cyclic:2", 2): 5,
-    ("cyclic:2", 3): 9,
-    ("cyclic:3", 2): 8,
-    ("cyclic:3", 3): 17,
-    ("cyclic:4", 2): 13,
-    ("cyclic:4", 3): 36,
-    ("gens:4,(1 2)(3 4),(1 3)(2 4)", 2): 16,
-    ("gens:4,(1 2)(3 4),(1 3)(2 4)", 3): 45,
-    ("symmetric:3", 2): 10,
-    ("symmetric:3", 3): 22,
-    ("dihedral:4", 2): 20,
-    ("dihedral:4", 3): 54,
-    ("wreath-cyclic:2", 2): 20,
-    ("wreath-cyclic:2", 3): 54,
-    ("cyclic:5", 2): 16,
-    ("cyclic:5", 3): 63,
-}
+from wreathcount.permgroup import compose, inverse, permutation
+from wreathcount.verify import ORACLE_SPECS, SUITES, TRIANGULATION_GOLDENS, run_suite
 
 _DURATIONS: dict[int, float] = {}
 
@@ -78,18 +42,23 @@ def _report(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num} failed: {detail}"
 
 
-def _run_triangulation() -> float:
+def _run_suite(capsys, suite: str) -> int:
+    """Run SUITES[suite] as `wreathcount verify` does; return its case count.
+
+    Fails unless the exit code is 0 and the summary line reports every case
+    passed; the FAIL lines are the assertion message.
+    """
+    code = run_suite(suite, DEFAULT, seed=0)
+    lines = capsys.readouterr().out.splitlines()
+    total = len(SUITES[suite])
+    fails = [line for line in lines if line.startswith("FAIL")]
+    assert (code, lines[-1]) == (0, f"{suite}: {total}/{total} passed"), "\n".join(fails)
+    return total
+
+
+def _run_triangulation(capsys) -> float:
     t0 = time.perf_counter()
-    for spec in ORACLE_SPECS:
-        grp = parse_group_spec(spec)
-        for k in (2, 3):
-            assert k ** grp.degree * grp.order <= 10 ** 6, (
-                f"{spec} k={k}: k**n * |H| = {k ** grp.degree * grp.order} is past the "
-                f"brute-force budget 10**6, so the cell cannot be triangulated")
-            cl = clifford_count(grp, k).value
-            br = brute_force_count(grp, k).value
-            assert cl == br, (spec, k, cl, br)
-            assert cl == TRIANGULATION_GOLDENS[(spec, k)], (spec, k)
+    _run_suite(capsys, "oracles")
     return time.perf_counter() - t0
 
 
@@ -97,65 +66,38 @@ def test_triangulation_goldens_pin_the_oracle_matrix():
     assert set(TRIANGULATION_GOLDENS) == {(s, k) for s in ORACLE_SPECS for k in (2, 3)}
 
 
-def test_criterion_1_oracle_triangulation():
-    elapsed = _run_triangulation()
+def test_criterion_1_oracle_triangulation(capsys):
+    elapsed = _run_triangulation(capsys)
     _DURATIONS[1] = elapsed
     _report(1, elapsed < 60.0,
-            f"clifford == brute on {len(TRIANGULATION_GOLDENS)} cells, "
-            f"goldens 5/8/9 hit, {elapsed:.1f}s")
+            f"clifford == brute == golden on {len(TRIANGULATION_GOLDENS)} cells, "
+            f"{elapsed:.1f}s")
 
 
-def test_criterion_2_closed_form_agreement():
-    for n in range(2, 8):
-        grp = parse_group_spec(f"symmetric:{n}")
-        for k in (1, 2, 3):
-            want = tuples_of_partitions_count(k, n)
-            assert clifford_count(grp, k).value == want, (n, k)
-    for p in (2, 3, 5):
-        grp = parse_group_spec(f"cyclic:{p}")
-        for k in range(1, 5):
-            exact, _ = schmid_cyclic(k, p)
-            assert clifford_count(grp, k).value == exact, (p, k)
-    violations = []
-    for n in range(2, 9):
-        grp = parse_group_spec(f"cyclic:{n}")
-        for k in range(1, 5):
-            _, upper = schmid_cyclic(k, n)
-            if clifford_count(grp, k).value > upper:
-                violations.append((n, k))
-    assert not violations
-    _report(2, True, "S_n matches partition tuples (n<=7), C_p matches the "
-                     "prime closed form (k<=4), cyclic upper bound clean on "
-                     "n<=8 k<=4")
+def test_criterion_2_closed_form_agreement(capsys, monkeypatch):
+    closed_forms = [case for case in SUITES["formulas"]
+                    if case[1] in (verify._tuples_of_partitions, verify._schmid)]
+    monkeypatch.setitem(SUITES, "formulas", closed_forms)
+    _report(2, _run_suite(capsys, "formulas") == 2,
+            "S_n matches partition tuples (n<=7, k<=3), C_p matches the "
+            "prime closed form (k<=4), cyclic upper bound clean on "
+            "n<=8 k<=4")
 
 
-def test_criterion_3_burnside_consistency():
-    checked = 0
-    for spec in ORACLE_SPECS:
-        grp = parse_group_spec(spec)
-        for k in (2, 3):
-            assert burnside_orbit_count(grp, k) == direct_orbit_count(grp, k)
-            checked += 1
+def test_criterion_3_burnside_consistency(capsys, monkeypatch):
     # S_m on ell-subsets, C(m,ell) <= 30; direct enumeration needs the
     # coloring table, so cells with k**C(m,ell) > 2**22 are left out
     # (the default space budget already refuses (8,2) at k = 2)
-    subset_cells = []
-    for m in range(2, 9):
-        for ell in range(1, m):
-            dom = math.comb(m, ell)
-            if dom <= 30:
-                for k in (2, 3):
-                    if k ** dom <= 2 ** 22:
-                        subset_cells.append((m, ell, k))
-    for m, ell, k in subset_cells:
-        grp = parse_group_spec(f"subsets:{m},{ell}")
-        assert burnside_orbit_count(grp, k) == direct_orbit_count(grp, k), (m, ell, k)
-        checked += 1
-    for n in range(2, 8):
-        grp = parse_group_spec(f"symmetric:{n}")
-        for k in range(1, 5):
-            assert burnside_orbit_count(grp, k) == weak_composition_count(n, k)
-            checked += 1
+    cells = [(verify._burnside_direct, (f"subsets:{m},{ell}", k))
+             for m in range(2, 9) for ell in range(1, m) for k in (2, 3)
+             if math.comb(m, ell) <= 30 and k ** math.comb(m, ell) <= 2 ** 22]
+    cells += [(verify._compositions, (n, k)) for n in range(2, 8) for k in range(1, 5)]
+    suite = SUITES["burnside"]
+    ran = {(check, args) for _, check, args in suite}
+    monkeypatch.setitem(SUITES, "burnside", suite + [
+        (f"{check.__name__} {args}", check, args) for check, args in cells
+        if (check, args) not in ran])
+    checked = _run_suite(capsys, "burnside")
     _report(3, True, f"burnside == direct orbit enumeration on {checked} "
                      f"instances incl. subset actions and weak compositions")
 
@@ -238,71 +180,18 @@ def test_criterion_4_fixed_subset_formula():
                    f"{elapsed:.1f}s")
 
 
-def test_criterion_5_unconditional_inequalities():
-    for spec in ORACLE_SPECS:
-        grp = parse_group_spec(spec)
-        n, order = grp.degree, grp.order
-        inv = numeric_invariants(grp)
-        # cycle-count half bound, elementwise
-        for h in grp.elements:
-            assert 2 * cycle_count(h) - sum(x == i for i, x in enumerate(h)) <= n, spec
-        # fixed point ratio inequality and minimal degree * base size
-        assert 2 ** n <= order ** inv.mu, spec
-        assert inv.mu * inv.b >= n, spec
-        for k in (2, 3):
-            stats = nonregular_orbit_stats(grp, k)
-            assert stats.nonregular_orbits < 2 * k ** inv.max_sigma, (spec, k)
-            assert stats.delta_size <= (order - 1) * k ** inv.max_sigma, (spec, k)
-            rep = count_upper_bound(grp, k)
-            assert rep.holds is True, (spec, k)
-            # class-count identity through inertia subgroups, from scratch
-            delta = 0
-            inertia_total = 0
-            for code, size in coloring_orbit_reps(grp, k):
-                if size == order:
-                    continue
-                delta += size
-                stab = coloring_stabilizer(grp, decode_coloring(code, k, n))
-                inertia_total += class_count(stab)
-            regular, rem = divmod(k ** n - delta, order)
-            assert rem == 0
-            assert regular + inertia_total == clifford_count(grp, k).value
-    # lifted cycle-count bound on subset actions
-    for m in range(2, 7):
-        for ell in range(1, m):
-            dom = math.comb(m, ell)
-            for p in itertools.permutations(range(m)):
-                assert 2 * sigma_prime(p, ell) - fix_subsets_direct(p, ell) <= dom
-    # product-action orbit identity, exact equality
-    for m in (2, 3, 4):
-        for t in (1, 2):
-            for k in (1, 2):
-                rep = product_orbit_identity(m, 1, t, k)
-                assert rep.lhs == rep.rhs and rep.holds is True, (m, t, k)
+def test_criterion_5_unconditional_inequalities(capsys):
+    _run_suite(capsys, "bounds")
     _report(5, True, "half-bound, fpr, mu*b, orbit-count and union bounds, "
                      "exact-e upper bound, inertia identity, and the "
                      "product-orbit identity all hold exactly")
 
 
-def test_criterion_6_semiprimitive_decomposition():
-    shapes = {}
-    for spec in ("cyclic:4", "cyclic:6", "cyclic:8", "quaternion"):
-        grp = parse_group_spec(spec)
-        for k in (2, 3):
-            rep = semiprimitive_report(grp, k)
-            assert rep.kernel_semiregular, (spec, k)
-            assert rep.cycle_bound_holds, (spec, k)
-            assert rep.alpha_bound_holds, (spec, k)
-            assert rep.chain_holds, (spec, k)
-            assert rep.chain_mode == "exact", (spec, k)
-        shapes[spec] = (rep.r, rep.kernel_order)
-    assert shapes == {"cyclic:4": (2, 2), "cyclic:6": (2, 3),
-                      "cyclic:8": (2, 4), "quaternion": (2, 4)}
-    with pytest.raises(NotSemiprimitive):
-        semiprimitive_report(parse_group_spec("wreath-cyclic:2"), 2)
-    _report(6, True, "kernel semiregularity, cycle bound, alpha bound, and "
-                     "the exact orbit-count chain verified on C4/C6/C8/"
-                     "quaternion; C2 wr C2 correctly rejected")
+def test_criterion_6_semiprimitive_decomposition(capsys):
+    _run_suite(capsys, "semiprimitive")
+    _report(6, True, "kernel semiregularity, cycle bound, alpha bound, exact "
+                     "(r, |K|) and the exact orbit-count chain verified on "
+                     "C4/C6/C8/quaternion; C2 wr C2 correctly rejected")
 
 
 def test_criterion_7_counterexample_scan():
@@ -351,10 +240,10 @@ def test_criterion_8_determinism_and_serialization():
                      f"{big} (> 2**64) round-trips the JSON decimal string")
 
 
-def test_criterion_9_performance_envelope():
+def test_criterion_9_performance_envelope(capsys):
     t1 = _DURATIONS.get(1)
     if t1 is None:
-        t1 = _run_triangulation()
+        t1 = _run_triangulation(capsys)
     t4 = _DURATIONS.get(4)
     if t4 is None:
         t4, _ = _run_fix_subset_sweep()

@@ -18,6 +18,20 @@ def _subprocess_run(argv, hashseed="0", env_extra=None):
     return subprocess.run(CLI + argv, capture_output=True, env=env)
 
 
+def _off_by_one(monkeypatch, route):
+    """Make classcount's ROUTE (say "brute_force_count") return one more than the count."""
+    from wreathcount import classcount
+
+    real = getattr(classcount, route)
+
+    def off_by_one(group, k):
+        res = real(group, k)
+        res.value += 1
+        return res
+
+    monkeypatch.setattr(classcount, route, off_by_one)
+
+
 def test_count_closed_form_json(run_cli):
     code, out, err = run_cli("count", "--group", "cyclic:3", "--k", "2",
                              "--output", "json")
@@ -57,16 +71,7 @@ def test_count_method_all_asserts_agreement(run_cli):
 
 
 def test_count_method_all_disagreement_exits_one(run_cli, monkeypatch):
-    from wreathcount import classcount
-
-    real = classcount.brute_force_count
-
-    def off_by_one(group, k):
-        res = real(group, k)
-        res.value += 1
-        return res
-
-    monkeypatch.setattr(classcount, "brute_force_count", off_by_one)
+    _off_by_one(monkeypatch, "brute_force_count")
     code, out, err = run_cli("count", "--group", "cyclic:2", "--k", "2",
                              "--method", "all")
     assert code == 1 and out == ""
@@ -440,18 +445,6 @@ def test_bounds_json_integral_rationals_print_as_integers(run_cli):
     assert doc["semiprimitive"]["chain_rhs"] == "18"
 
 
-@pytest.mark.parametrize("suite", ["oracles", "burnside", "formulas",
-                                   "bounds", "semiprimitive"])
-def test_verify_suites_pass(run_cli, suite):
-    code, out, _ = run_cli("verify", suite)
-    assert code == 0
-    summary = out.strip().splitlines()[-1]
-    assert summary.startswith(f"{suite}:")
-    assert "FAIL" not in out
-    total = summary.split()[-2].split("/")
-    assert total[0] == total[1]
-
-
 def test_verify_formulas_stdout(run_cli):
     code, out, _ = run_cli("verify", "formulas")
     assert code == 0
@@ -489,6 +482,33 @@ def test_verify_failure_lines_name_the_permutation(run_cli, monkeypatch):
                         "AssertionError: m=2 ell=1 pi=(1 2): 2*99--1 > 2")
     assert fails[1] == ("FAIL fix-subsets formula=direct S_2 exhaustive: "
                         "AssertionError: m=2 ell=1 pi=(1 2): 0 != -1")
+
+
+@pytest.mark.parametrize("suite, summary", [("oracles", "0/19"), ("formulas", "8/10"),
+                                            ("bounds", "51/67")])
+def test_verify_suites_catch_an_off_by_one_clifford_route(run_cli, monkeypatch, suite, summary):
+    _off_by_one(monkeypatch, "clifford_count")
+    code, out, _ = run_cli("verify", suite)
+    assert (code, out.splitlines()[-1]) == (1, f"{suite}: {summary} passed")
+
+
+def test_verify_oracles_pins_the_value_both_routes_agree_on(run_cli, monkeypatch):
+    _off_by_one(monkeypatch, "clifford_count")
+    _off_by_one(monkeypatch, "brute_force_count")
+    code, out, _ = run_cli("verify", "oracles")
+    assert code == 1
+    assert "FAIL clifford=brute cyclic:4 k=2: AssertionError: routes agree on 14, golden 13\n" in out
+
+
+def test_verify_semiprimitive_pins_each_decomposition_shape(run_cli, monkeypatch):
+    from wreathcount import verify
+
+    monkeypatch.setitem(verify._DECOMPOSITION_SHAPES, "cyclic:6", (3, 2))
+    code, out, _ = run_cli("verify", "semiprimitive")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        f"FAIL decomposition checks cyclic:6 k={k}: AssertionError: "
+        f"expected (r, |K|) = (3, 2), got (2, 3)" for k in (2, 3)]
 
 
 def test_verify_oracles_reports_a_refused_brute_route(run_cli):
