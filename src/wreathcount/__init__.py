@@ -28,6 +28,7 @@ from .bounds import (
     ScanRow,
     SemiprimitiveReport,
     bounds_report,
+    census_rows,
     count_upper_bound,
     counterexample_scan,
     fixed_subset_fraction_probe,
@@ -42,7 +43,6 @@ from .bounds import (
 from .budgets import DEFAULT, Budgets
 from .classcount import (
     CountResult,
-    OrbitStats,
     auto_count,
     brute_force_count,
     burnside_orbit_count,
@@ -51,9 +51,6 @@ from .classcount import (
     coloring_orbit_reps,
     count_by_method,
     decode_coloring,
-    direct_orbit_count,
-    encode_coloring,
-    nonregular_orbit_stats,
     nonregular_orbits,
     schmid_cyclic,
 )
@@ -63,7 +60,6 @@ from .combinatorics import (
     partition_enum,
     stirling_first,
     tuples_of_partitions_count,
-    weak_composition_count,
 )
 from .errors import (
     BudgetExceeded,
@@ -102,23 +98,23 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockDecomposition", "BoundReport", "BudgetExceeded", "Budgets", "CountResult",
     "DEFAULT", "DegreeMismatch", "DivisibilityViolation", "Infeasible", "InvariantViolation",
-    "NotSemiprimitive", "NumericInvariants", "OrbitStats", "ParseError", "PermGroup",
+    "NotSemiprimitive", "NumericInvariants", "ParseError", "PermGroup",
     "ScanRow", "SemiprimitiveReport", "StructureReport", "UnknownFamily",
     "WreathGroup", "WreathcountError", "auto_count", "block_decomposition", "bounds_report",
-    "brute_force_count", "build_wreath_group", "burnside_orbit_count", "class_count",
-    "clifford_count", "closed_form", "coloring_orbit_reps",
+    "brute_force_count", "build_wreath_group", "burnside_orbit_count", "census_rows",
+    "class_count", "clifford_count", "closed_form", "coloring_orbit_reps",
     "coloring_stabilizer", "coloring_stabilizers", "conjugacy_classes",
     "count_by_method", "count_upper_bound", "counterexample_scan", "cycle_type",
-    "decode_coloring", "direct_orbit_count", "encode_coloring", "family",
+    "decode_coloring", "family",
     "fix_subsets_direct", "fix_subsets_formula", "fixed_subset_fraction_probe",
     "is_primitive", "is_semiregular", "is_transitive",
     "large_base_count_bound", "large_base_match", "max_subgroup_class_count",
-    "nonregular_orbit_stats", "nonregular_orbits", "normal_subgroups", "numeric_invariants",
+    "nonregular_orbits", "normal_subgroups", "numeric_invariants",
     "orbits", "parse_generators",
     "parse_group_spec", "parse_permutation", "partition_count", "partition_enum",
     "predicates", "product_action_build", "product_orbit_identity",
     "schmid_cyclic", "semiprimitive_report", "sigma_prime",
     "stirling_first", "structure_classify", "subgroups", "subset_orbit_bound",
     "subset_orbit_count_exact", "subset_rank", "subsets_action_lift",
-    "tuples_of_partitions_count", "weak_composition_count",
+    "tuples_of_partitions_count",
 ]

@@ -6,6 +6,12 @@ binary64, and echoes its inputs. Comparisons are exact whenever every
 exponent in the expression is an integer; only fractional exponents fall
 back to floats, with a relative tolerance of 1e-9 and an explicit
 "indeterminate" verdict inside the tolerance band.
+
+bounds_report gathers every row for (H, k). Each row family has one builder,
+which reads its facts from their one owner: count_upper_bound, predicates,
+census_rows (the census of classcount.coloring_census), subset_orbit_bound,
+and the large-base rows product_orbit_identity and large_base_count_bound,
+which take n(S_m, B) from the caller so a report counts it once.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from .classcount import (
     clifford_count,
     coloring_census,
     count_upper_fraction,
-    nonregular_orbit_stats,
 )
 from .errors import (
     BudgetExceeded,
@@ -247,6 +252,37 @@ def predicates(group: PermGroup, k: int) -> list[BoundReport]:
 
 
 # ---------------------------------------------------------------------------
+# The non-regular coloring orbits.
+
+
+def census_rows(group: PermGroup, k: int) -> list[BoundReport]:
+    """The non-regular orbit bounds t < 2*k**max_sigma and |Delta| <= (|H|-1)*k**max_sigma.
+
+    t and |Delta| come from coloring_census, the census clifford_count reads.
+    A violation means a bug, so it raises InvariantViolation; when the budgets
+    refuse the census, both rows read indeterminate with the refusal in
+    their note.
+    """
+    names = ("nonregular-orbit-count", "nonregular-union-size")
+    try:
+        census = coloring_census(group, k)
+    except BudgetExceeded as exc:
+        return [_refused(name, {"k": k}, f"orbit census skipped: {exc}") for name in names]
+    nonregular, delta, order = len(census.reps), census.delta, group.order
+    max_sigma = max_cycle_count(group)
+    orbit_bound, delta_bound = 2 * k ** max_sigma, (order - 1) * k ** max_sigma
+    if not nonregular < orbit_bound:
+        raise InvariantViolation(
+            f"non-regular orbit count {nonregular} >= 2*k**max_sigma = {orbit_bound}")
+    if not delta <= delta_bound:
+        raise InvariantViolation(
+            f"non-regular union {delta} > (|H|-1)*k**max_sigma = {delta_bound}")
+    base = {"k": k, "n": group.degree, "order": order, "max_sigma": max_sigma}
+    return [BoundReport(name, lhs, rhs, True, "exact", dict(base))
+            for name, lhs, rhs in zip(names, (nonregular, delta), (orbit_bound, delta_bound))]
+
+
+# ---------------------------------------------------------------------------
 # Subset-action orbit counts and the large-base bounds.
 
 
@@ -295,27 +331,21 @@ def subset_orbit_bound(m: int, ell: int, k: int, budgets: Budgets = DEFAULT) -> 
                        "float", inputs, asymptotic=True)
 
 
-def product_orbit_identity(m: int, ell: int, t: int, k: int,
+def product_orbit_identity(m: int, ell: int, t: int, k: int, single: int,
                            budgets: Budgets = DEFAULT) -> BoundReport:
     """n((S_m)^t, tuples of colorings) = n(S_m, colorings)**t, both sides exact.
 
-    The direct power acts coordinatewise on t-tuples of k-colorings of the
-    ell-subsets, equivalently on colorings of t disjoint copies of the
-    subset domain. The lhs enumerates that group explicitly and runs
-    Burnside on it; the rhs raises the single-factor cycle-type count to the
-    t-th power. holds=False signals an implementation bug.
+    single is n(S_m, B), as subset_orbit_count_exact gives it. The direct
+    power acts coordinatewise on t-tuples of k-colorings of the ell-subsets,
+    equivalently on colorings of t disjoint copies of the subset domain. The
+    lhs enumerates that group explicitly and runs Burnside on it; the rhs
+    raises single to the t-th power. holds=False signals an implementation
+    bug.
 
     Note the identity is about tuples of colorings, not colorings of the
     product-action domain: already for m=3, t=2, k=2 the latter space has
     36 orbits while the tuple space has 4**2 = 16.
     """
-    return _product_orbit_identity(m, ell, t, k, subset_orbit_count_exact(m, ell, k, budgets),
-                                   budgets)
-
-
-def _product_orbit_identity(m: int, ell: int, t: int, k: int, single: int,
-                            budgets: Budgets) -> BoundReport:
-    """product_orbit_identity on single = n(S_m, B), counted by the caller."""
     if t < 1:
         raise ValueError("t must be >= 1")
     c = math.comb(m, ell)
@@ -337,21 +367,16 @@ def _product_orbit_identity(m: int, ell: int, t: int, k: int, single: int,
     return BoundReport("product-orbit-identity", lhs, rhs, lhs == rhs, "exact", inputs)
 
 
-def large_base_count_bound(m: int, ell: int, t: int, k: int,
-                           budgets: Budgets = DEFAULT) -> BoundReport:
+def large_base_count_bound(group: PermGroup, m: int, ell: int, t: int, k: int,
+                           single: int) -> BoundReport:
     """k(G) < 5**(m*t) * (2**t * n((S_m)^t, B_t) + k**(2n/3)) for product-action groups.
 
-    The n(...) term is computed exactly through the product identity;
-    k**(2n/3) is exact when 3 | 2n. The verdict compares against the exact
-    count of the full product-action family when that fits the budgets.
+    group is the S_m-family group on the C(m,ell)**t points being counted,
+    and single is n(S_m, B), as subset_orbit_count_exact gives it; the
+    n(...) term is single**t, by the product identity. k**(2n/3) is exact
+    when 3 | 2n. The verdict compares against the exact count of group when
+    that fits its budgets.
     """
-    return _large_base_count_bound(None, m, ell, t, k,
-                                   subset_orbit_count_exact(m, ell, k, budgets), budgets)
-
-
-def _large_base_count_bound(group: PermGroup | None, m: int, ell: int, t: int, k: int,
-                            single: int, budgets: Budgets) -> BoundReport:
-    """large_base_count_bound on single = n(S_m, B), counting group (None: build the family)."""
     n = math.comb(m, ell) ** t
     nterm = single ** t
     outer = 5 ** (m * t)
@@ -364,8 +389,6 @@ def _large_base_count_bound(group: PermGroup | None, m: int, ell: int, t: int, k
                                                 + float(k) ** (2 * n / 3)))
         mode = "float"
     try:
-        if group is None:
-            group = family("product", (m, ell, t), budgets)
         lhs = auto_count(group, k).value
     except (BudgetExceeded, Infeasible) as exc:
         return BoundReport("large-base-count-bound", None, rhs, "indeterminate", mode,
@@ -521,22 +544,11 @@ def bounds_report(group: PermGroup, k: int
     """
     reports = [count_upper_bound(group, k)]
     reports.extend(predicates(group, k))
-    try:
-        stats = nonregular_orbit_stats(group, k)
-    except BudgetExceeded as exc:
-        reports.append(_refused("nonregular-orbit-count", {"k": k},
-                                f"orbit census skipped: {exc}"))
-    else:  # nonregular_orbit_stats raises on a violation, so both bounds hold
-        base = {"k": k, "n": group.degree, "order": group.order,
-                "max_sigma": max_cycle_count(group)}
-        reports.append(BoundReport("nonregular-orbit-count", stats.nonregular_orbits,
-                                   stats.orbit_bound, True, "exact", dict(base)))
-        reports.append(BoundReport("nonregular-union-size", stats.delta_size,
-                                   stats.delta_bound, True, "exact", dict(base)))
+    reports.extend(census_rows(group, k))
     match = large_base_match(group)
     if match is not None:
         m, ell, t = match
-        budgets = group.budgets  # the large-base checks take no group
+        budgets = group.budgets
         subset = subset_orbit_bound(m, ell, k, budgets)  # lhs: n(S_m, B), the op's one count
         reports.append(subset)
         inputs = {"m": m, "ell": ell, "t": t, "k": k}
@@ -546,13 +558,16 @@ def bounds_report(group: PermGroup, k: int
             reports.append(_refused("large-base-count-bound", dict(inputs), note, asymptotic=True))
         else:
             try:
-                reports.append(_product_orbit_identity(m, ell, t, k, subset.lhs, budgets))
+                reports.append(product_orbit_identity(m, ell, t, k, subset.lhs, budgets))
             except BudgetExceeded as exc:
                 reports.append(_refused("product-orbit-identity", inputs,
                                         f"power group not built: {exc}"))
-            # the bound is about the S_m family, which every match but subsets-alt is
-            counted = None if group.family[0] == "subsets-alt" else group
-            reports.append(_large_base_count_bound(counted, m, ell, t, k, subset.lhs, budgets))
+            # the bound is about the S_m family, which every match but subsets-alt is;
+            # the product family's lift degree passed this budget when group was built
+            counted = group
+            if group.family[0] == "subsets-alt":
+                counted = family("product", (m, ell, t), budgets)
+            reports.append(large_base_count_bound(counted, m, ell, t, k, subset.lhs))
     try:
         semi = semiprimitive_report(group, k)
     except (BudgetExceeded, NotSemiprimitive):

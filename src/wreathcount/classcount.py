@@ -16,7 +16,7 @@ kept deliberately separate so they can cross-check each other:
   cost follows |Delta| rather than k**n. It takes the full census instead
   when k**n is at most a measured multiple of the seeds' bound U on |Delta|.
   Nothing in a walk decodes a coloring. The census stays on the group per k,
-  where nonregular_orbit_stats and bounds.semiprimitive_report read it too.
+  where bounds.census_rows and bounds.semiprimitive_report read it too.
 * brute_force_count: union-find over conjugation by the generators of
   Z_k wr H, walking every element by its integer code without storing the
   group.
@@ -24,7 +24,7 @@ kept deliberately separate so they can cross-check each other:
   cyclic top groups; None for every other group.
 
 coloring_orbit_reps is the full census of every orbit, behind
-nonregular_orbits' census, direct_orbit_count and the verify suites: from
+nonregular_orbits' census and the verify suites: from
 2**15 colorings up to 2**31 (int32's range) numpy labels every coloring with
 its orbit minimum, then with its orbit's rank, in one int32 array (4 bytes a
 coloring), taking the generators' images block by block from the same
@@ -81,15 +81,8 @@ _WALK_COST_RATIO = 5
 _SWEEP_BLOCK = 1 << 16
 
 
-def encode_coloring(coloring, k: int) -> int:
-    """Mixed-radix encoding, point 0 most significant, so integer order = lex order."""
-    e = 0
-    for digit in coloring:
-        e = e * k + digit
-    return e
-
-
 def decode_coloring(e: int, k: int, n: int) -> tuple[int, ...]:
+    """The coloring of code e: mixed radix, point 0 most significant, so code order = lex order."""
     digits = [0] * n
     for i in range(n - 1, -1, -1):
         e, digits[i] = divmod(e, k)
@@ -361,18 +354,6 @@ class CountResult:
         }
 
 
-@dataclass(frozen=True)
-class OrbitStats:
-    """Orbit census of H on colorings; an orbit is regular when its size is |H|."""
-
-    total_orbits: int
-    nonregular_orbits: int
-    delta_size: int            # number of colorings lying in non-regular orbits
-    # the checked bounds 2*k**max_sigma and (|H|-1)*k**max_sigma; None for trivial H
-    orbit_bound: int | None = None
-    delta_bound: int | None = None
-
-
 def burnside_orbit_count(group: PermGroup, k: int) -> int:
     """Orbit count of the group on k-colorings: (1/|H|) sum over h of k**sigma(h).
 
@@ -488,36 +469,6 @@ def route_values(group: PermGroup, k: int) -> dict[str, int]:
     return ran
 
 
-def direct_orbit_count(group: PermGroup, k: int) -> int:
-    """Orbit count by explicit enumeration; the cross-check for Burnside."""
-    return len(coloring_orbit_reps(group, k))
-
-
-def nonregular_orbit_stats(group: PermGroup, k: int) -> OrbitStats:
-    """Census of non-regular coloring orbits, with its unconditional size bounds.
-
-    For nontrivial H, the number t of non-regular orbits satisfies
-    t < 2 * k**max_sigma and the union Delta of those orbits satisfies
-    |Delta| <= (|H| - 1) * k**max_sigma. Violations mean a bug, so they raise;
-    the result carries both bounds. The census is clifford_count's.
-    """
-    census = coloring_census(group, k)
-    nonregular, delta = len(census.reps), census.delta
-    order = group.order
-    orbit_bound = delta_bound = None
-    if order > 1:
-        ms = max_cycle_count(group)
-        orbit_bound, delta_bound = 2 * k ** ms, (order - 1) * k ** ms
-        if not nonregular < orbit_bound:
-            raise InvariantViolation(
-                f"non-regular orbit count {nonregular} >= 2*k**max_sigma = {orbit_bound}")
-        if not delta <= delta_bound:
-            raise InvariantViolation(
-                f"non-regular union {delta} > (|H|-1)*k**max_sigma = {delta_bound}")
-    return OrbitStats(total_orbits=census.regular + nonregular, nonregular_orbits=nonregular,
-                      delta_size=delta, orbit_bound=orbit_bound, delta_bound=delta_bound)
-
-
 def count_upper_fraction(group: PermGroup, k: int, e: int) -> Fraction:
     """Exact value of the bound k**n/|H| + 2*e*k**max_sigma."""
     n = group.degree
@@ -530,9 +481,8 @@ def auto_count(group: PermGroup, k: int) -> CountResult:
     Raises Infeasible with the tightest available bracket when no exact
     method fits the group's budgets.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    # closed forms come before anything that would materialize the element set
+    # closed forms come before anything that would materialize the element set;
+    # closed_form also refuses k < 1
     result = closed_form(group, k)
     if result is not None:
         return result

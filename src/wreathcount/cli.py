@@ -284,6 +284,7 @@ def _parse_m_list(text: str) -> list[int]:
 
 def _cmd_scan(args) -> int:
     budgets = _budgets_from_args(args)
+    k = _resolve_k(args, budgets)
     m_values = _parse_m_list(args.m)
     if args.probe_fixed_subsets:
         results = bounds_mod.fixed_subset_fraction_probe(m_values, budgets)
@@ -303,7 +304,7 @@ def _cmd_scan(args) -> int:
                                     else f"counterexample at cycle type {w[0]} ell={w[1]}"))
         return 0
 
-    rows = bounds_mod.counterexample_scan(m_values, args.k, budgets)
+    rows = bounds_mod.counterexample_scan(m_values, k, budgets)
     header = ["param", "k", "n", "order", "value", "bound", "holds", "mode"]
     fields = [[r.param, str(r.k), str(r.n), str(r.order), "" if r.value is None else str(r.value),
                r.bound, str(r.holds).lower(), r.mode] for r in rows]

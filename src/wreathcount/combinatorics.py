@@ -1,4 +1,4 @@
-"""Exact counting helpers: partitions, Stirling numbers, compositions.
+"""Exact counting helpers: partitions, Stirling numbers, fixed subsets.
 
 Every function here returns unbounded Python ints; no floats enter any
 counting path. A partition, and so the cycle type of a permutation, is the
@@ -13,7 +13,6 @@ grows like exp(pi * sqrt(2n/3)), so it checks max_partition_size.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -76,13 +75,6 @@ def stirling_first(j: int, m: int) -> int:
     if j > m:
         return 0
     return _stirling_row(m)[j]
-
-
-def weak_composition_count(n: int, k: int) -> int:
-    """Number of k-tuples of nonnegative integers summing to n: C(n+k-1, k-1)."""
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
-    return math.comb(n + k - 1, k - 1)
 
 
 def fixed_subset_polynomial(parts: Sequence[int], degree: int) -> list[int]:

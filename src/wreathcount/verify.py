@@ -9,14 +9,16 @@ summary line. The suites re-check the exact identities the counts rest on:
   also runs), clifford and brute both ran, and the agreed value equals its
   frozen golden in TRIANGULATION_GOLDENS on all 16 cells; three golden cases
   also check clifford alone.
-* burnside: the Burnside orbit count equals direct orbit enumeration, and
-  equals C(n+k-1, k-1) for the symmetric group.
+* burnside: the Burnside orbit count equals the number of orbits in the
+  full census (coloring_orbit_reps), and equals C(n+k-1, k-1) for the
+  symmetric group.
 * formulas: the fixed-subset formula, Stirling rows, tuples of partitions
   (clifford on S_n, n 1..7, k 1..3) and the cyclic closed form (exact on
   prime n, upper bound on n 2..8, k 1..4) against direct enumeration and
   clifford.
 * bounds: the unconditional predicates, the class-count upper bound, the
-  orbit census, the inertia sum and the subset and product orbit identities.
+  two census rows (bounds.census_rows), the inertia sum and the subset and
+  product orbit identities.
 * semiprimitive: block decomposition reports, with their exact (r, |K|)
   and exact orbit-count chain, and their rejections.
 """
@@ -93,13 +95,13 @@ def _golden(budgets: Budgets, spec: str, k: int, want: int):
 def _burnside_direct(budgets: Budgets, spec: str, k: int):
     group = parse_group_spec(spec, budgets)
     averaged = classcount.burnside_orbit_count(group, k)
-    direct = classcount.direct_orbit_count(group, k)
+    direct = len(classcount.coloring_orbit_reps(group, k))
     _expect(averaged == direct, f"burnside {averaged} != direct {direct}")
 
 
 def _compositions(budgets: Budgets, n: int, k: int):
     got = classcount.burnside_orbit_count(parse_group_spec(f"symmetric:{n}", budgets), k)
-    want = combinatorics.weak_composition_count(n, k)
+    want = math.comb(n + k - 1, k - 1)
     _expect(got == want, f"symmetric:{n} k={k}: burnside {got} != C(n+k-1,k-1) {want}")
 
 
@@ -184,8 +186,10 @@ def _upper_bound_holds(budgets: Budgets, spec: str, k: int):
     _expect(rep.holds is True, f"lhs={rep.lhs} rhs={rep.rhs} holds={rep.holds}")
 
 
-def _orbit_census(budgets: Budgets, spec: str, k: int):
-    classcount.nonregular_orbit_stats(parse_group_spec(spec, budgets), k)  # raises on violation
+def _census_rows_hold(budgets: Budgets, spec: str, k: int):
+    # census_rows raises on a violation; a refused census fails here with its note
+    for rep in bounds_mod.census_rows(parse_group_spec(spec, budgets), k):
+        _expect(rep.holds is True, f"{rep.name}: {rep.note}")
 
 
 def _inertia_identity(budgets: Budgets, spec: str, k: int):
@@ -217,7 +221,8 @@ def _product_identity(budgets: Budgets):
     for m in (2, 3, 4):
         for t in (1, 2):
             for k in (1, 2):
-                rep = bounds_mod.product_orbit_identity(m, 1, t, k, budgets)
+                single = bounds_mod.subset_orbit_count_exact(m, 1, k, budgets)
+                rep = bounds_mod.product_orbit_identity(m, 1, t, k, single, budgets)
                 _expect(rep.holds is True, f"m={m} t={t} k={k}: {rep.lhs} != {rep.rhs}")
 
 
@@ -296,7 +301,7 @@ SUITES = {
         *[case for spec in ORACLE_SPECS for k in (2, 3) for case in (
             (f"predicates {spec} k={k}", _predicates_hold, (spec, k)),
             (f"count-upper-bound {spec} k={k}", _upper_bound_holds, (spec, k)),
-            (f"orbit census {spec} k={k}", _orbit_census, (spec, k)),
+            (f"orbit census {spec} k={k}", _census_rows_hold, (spec, k)),
             (f"inertia identity {spec} k={k}", _inertia_identity, (spec, k)))],
         ("lifted cycle-count-half-bound S_m ell-subsets", _lifted_half_bound, ()),
         ("product action orbit identity", _product_identity, ()),

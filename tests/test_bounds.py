@@ -16,13 +16,13 @@ from wreathcount import (
     block_decomposition,
     bounds_report,
     burnside_orbit_count,
+    census_rows,
     count_upper_bound,
     counterexample_scan,
     fixed_subset_fraction_probe,
     is_semiregular,
     large_base_count_bound,
     large_base_match,
-    nonregular_orbit_stats,
     parse_group_spec,
     predicates,
     product_orbit_identity,
@@ -141,6 +141,22 @@ def test_unconditional_predicates_hold_on_regular_groups():
             assert reports["cycle-count-half-bound"].holds is True, spec
 
 
+def test_census_rows():
+    # (t, |Delta|) against (2*k**max_sigma, (|H|-1)*k**max_sigma) at k = 2
+    for spec, t, delta, max_sigma in (("symmetric:3", 4, 8, 2), ("wreath-cyclic:2", 6, 16, 3),
+                                      ("cyclic:4", 3, 4, 2)):
+        group = parse_group_spec(spec)
+        bounds = (2 * 2 ** max_sigma, (group.order - 1) * 2 ** max_sigma)
+        rows = census_rows(group, 2)
+        assert [(r.name, r.lhs, r.rhs, r.holds) for r in rows] == [
+            ("nonregular-orbit-count", t, bounds[0], True),
+            ("nonregular-union-size", delta, bounds[1], True)]
+        assert rows[0].inputs == {"k": 2, "n": group.degree, "order": group.order,
+                                  "max_sigma": max_sigma}
+    with pytest.raises(ValueError, match="nontrivial group"):
+        census_rows(parse_group_spec("gens:2,()"), 2)
+
+
 def test_subset_orbit_counts_match_known_graph_numbers():
     # 2-colorings of pairs under S_m are graphs on m vertices up to iso
     assert subset_orbit_count_exact(4, 2, 2) == 11
@@ -173,33 +189,42 @@ def test_subset_orbit_bound():
 def test_product_orbit_identity_small_grid():
     expected = {(2, 2): 9, (3, 2): 16, (4, 2): 25}
     for (m, t), value in expected.items():
-        rep = product_orbit_identity(m, 1, t, 2)
+        rep = product_orbit_identity(m, 1, t, 2, subset_orbit_count_exact(m, 1, 2))
         assert rep.lhs == rep.rhs == value
         assert rep.holds is True
         assert rep.mode == "exact"
     for m in (2, 3, 4):
-        rep = product_orbit_identity(m, 1, 1, 2)
-        assert rep.lhs == rep.rhs == subset_orbit_count_exact(m, 1, 2)
-    assert product_orbit_identity(3, 1, 2, 1).lhs == 1
+        single = subset_orbit_count_exact(m, 1, 2)
+        rep = product_orbit_identity(m, 1, 1, 2, single)
+        assert rep.lhs == rep.rhs == single
+    assert product_orbit_identity(3, 1, 2, 1, subset_orbit_count_exact(3, 1, 1)).lhs == 1
 
 
 def test_product_orbit_identity_budget():
     with pytest.raises(BudgetExceeded):
-        product_orbit_identity(4, 1, 12, 2)
+        product_orbit_identity(4, 1, 12, 2, subset_orbit_count_exact(4, 1, 2))
 
 
 def test_product_orbit_identity_enumerates_no_coloring():
     # the Burnside sum runs over conjugacy classes, so k**(t*C) = 64 needs no coloring budget
     tight = DEFAULT.with_overrides(max_coloring_space=10)
-    assert product_orbit_identity(3, 1, 2, 2, tight).holds is True
+    single = subset_orbit_count_exact(3, 1, 2, tight)
+    assert product_orbit_identity(3, 1, 2, 2, single, tight).holds is True
+
+
+def _bound_on_family(spec, k):
+    """large_base_count_bound on a large-base family spec, with its own n(S_m, B)."""
+    group = parse_group_spec(spec)
+    m, ell, t = group.family[1]
+    return large_base_count_bound(group, m, ell, t, k, subset_orbit_count_exact(m, ell, k))
 
 
 def test_large_base_count_bound():
-    rep = large_base_count_bound(6, 1, 1, 2)
+    rep = _bound_on_family("product:6,1,1", 2)
     assert (rep.lhs, rep.rhs, rep.holds, rep.mode) == (65, 468750, True, "exact")
-    rep = large_base_count_bound(3, 1, 2, 2)
+    rep = _bound_on_family("product:3,1,2", 2)
     assert (rep.lhs, rep.rhs, rep.holds, rep.mode) == (108, 2000000, True, "exact")
-    rep = large_base_count_bound(5, 2, 1, 2)
+    rep = _bound_on_family("product:5,2,1", 2)
     assert rep.lhs == 136
     assert rep.mode == "float"  # 2n = 20 is not a multiple of 3
     assert rep.holds is True
@@ -209,7 +234,7 @@ def test_float_sides_past_binary64_read_inf():
     # each float expression overflows binary64; its side reads inf, not an OverflowError
     rep = count_upper_bound(parse_group_spec("cyclic:2002", Budgets(max_subgroup_order=0)), 2)
     assert (rep.rhs, rep.mode) == (math.inf, "float")  # e = 5.0 ** (2002 / 3)
-    rep = large_base_count_bound(4, 1, 1, 10 ** 200)  # 2n = 8 is not a multiple of 3
+    rep = _bound_on_family("product:4,1,1", 10 ** 200)  # 2n = 8 is not a multiple of 3
     assert (rep.rhs, rep.mode) == (math.inf, "float")
 
 
@@ -307,10 +332,10 @@ def test_semiprimitive_e_k_matches_every_coloring_on_random_groups(group):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: nonregular_orbit_stats(parse_group_spec("cyclic:3"), 0),
+    lambda: census_rows(parse_group_spec("cyclic:3"), 0),
     lambda: subset_orbit_bound(5, 2, 0),
     lambda: semiprimitive_report(parse_group_spec("cyclic:4"), 0),
-], ids=["nonregular_orbit_stats", "subset_orbit_bound", "semiprimitive_report"])
+], ids=["census_rows", "subset_orbit_bound", "semiprimitive_report"])
 def test_k_below_one_is_refused(call):
     with pytest.raises(ValueError, match="k must be >= 1"):
         call()
@@ -376,9 +401,10 @@ def test_refused_large_base_rows_read_indeterminate(spec, budgets, identity_refu
 def test_large_base_bound_on_matched_family():
     # end to end: match a family spec, then check the bound it names
     spec = "subsets:6,1"
-    match = large_base_match(parse_group_spec(spec))
+    group = parse_group_spec(spec)
+    match = large_base_match(group)
     assert match == (6, 1, 1)
-    rep = large_base_count_bound(*match, 2)
+    rep = large_base_count_bound(group, *match, 2, subset_orbit_count_exact(6, 1, 2))
     assert rep.lhs == auto_count(parse_group_spec(spec), 2).value
     assert rep.holds is True
 

@@ -25,17 +25,24 @@ from wreathcount import (
     coloring_orbit_reps,
     count_by_method,
     decode_coloring,
-    encode_coloring,
-    nonregular_orbit_stats,
     nonregular_orbits,
     parse_group_spec,
     partition_count,
     schmid_cyclic,
     tuples_of_partitions_count,
 )
-from wreathcount.classcount import METHODS
+from wreathcount.bounds import census_rows
+from wreathcount.classcount import METHODS, coloring_census
 from wreathcount.permgroup import inverse, is_identity
 from wreathcount.verify import ORACLE_SPECS
+
+
+def encode(coloring, k):
+    """The code of a coloring, decode_coloring's inverse: point 0 is the most significant digit."""
+    e = 0
+    for digit in coloring:
+        e = e * k + digit
+    return e
 
 
 def test_coloring_codes_roundtrip():
@@ -45,7 +52,7 @@ def test_coloring_codes_roundtrip():
         coloring = decode_coloring(e, k, n)
         assert len(coloring) == n
         assert all(0 <= c < k for c in coloring)
-        assert encode_coloring(coloring, k) == e
+        assert encode(coloring, k) == e
         seen.add(coloring)
     assert len(seen) == k ** n
     assert decode_coloring(0, k, n) == (0, 0, 0, 0)
@@ -67,7 +74,7 @@ def _orbit_reps_scan(group, k):
             moved = [0] * n
             for i, d in enumerate(digits):
                 moved[images[i]] = d
-            y = encode_coloring(moved, k)
+            y = encode(moved, k)
             if y < e:
                 break
             fixes += y == e
@@ -145,7 +152,7 @@ def test_orbit_reps_are_orbit_minima():
     reps = coloring_orbit_reps(grp, 2)
     for code, size in reps:
         coloring = decode_coloring(code, 2, 4)
-        orbit = {encode_coloring([coloring[inverse(g)[i]] for i in range(4)], 2)
+        orbit = {encode([coloring[inverse(g)[i]] for i in range(4)], 2)
                  for g in grp.elements}
         assert min(orbit) == code
         assert len(orbit) == size
@@ -258,8 +265,8 @@ def generator_sets(draw):
 @given(group=generator_sets(), k=st.integers(1, 3))
 def test_nonregular_orbits_match_census_on_random_generator_sets(group, k):
     assert _seeded_walk(group, k) == nonregular_orbits(group, k) == _nonregular_census(group, k)
-    stats = nonregular_orbit_stats(group, k)
-    assert stats.total_orbits == burnside_orbit_count(group, k)
+    census = coloring_census(group, k)
+    assert census.regular + len(census.reps) == burnside_orbit_count(group, k)
 
 
 def test_burnside_counts():
@@ -320,15 +327,6 @@ def test_clifford_counts_each_distinct_stabilizer_once(spec, k, monkeypatch):
     assert len(counted) < sum(1 for _, size in reps if size != grp.order)
 
 
-def test_nonregular_orbit_stats():
-    stats = nonregular_orbit_stats(parse_group_spec("symmetric:3"), 2)
-    assert (stats.total_orbits, stats.nonregular_orbits, stats.delta_size) == (4, 4, 8)
-    stats = nonregular_orbit_stats(parse_group_spec("wreath-cyclic:2"), 2)
-    assert (stats.total_orbits, stats.nonregular_orbits, stats.delta_size) == (6, 6, 16)
-    stats = nonregular_orbit_stats(parse_group_spec("gens:2,()"), 2)
-    assert (stats.total_orbits, stats.nonregular_orbits, stats.delta_size) == (4, 0, 0)
-
-
 def test_a_refused_closure_is_not_retried(spy):
     from wreathcount import permgroup
 
@@ -345,20 +343,17 @@ def test_cached_census_is_still_refused_under_a_tighter_budget():
     from wreathcount import classcount
 
     grp = parse_group_spec("cyclic:4")
-    stats = nonregular_orbit_stats(grp, 2)
-    assert (stats.nonregular_orbits, stats.delta_size) == (3, 4)
-    assert (stats.orbit_bound, stats.delta_bound) == (8, 12)  # max_sigma = 2
     census = classcount.coloring_census(grp, 2)
     assert classcount.coloring_census(grp, 2) is census  # kept on the group object
     tight = parse_group_spec("cyclic:4", Budgets(max_coloring_space=8))
     for call in (lambda: classcount.coloring_census(tight, 2),
-                 lambda: nonregular_orbit_stats(tight, 2),
                  lambda: clifford_count(tight, 2)):
         with pytest.raises(BudgetExceeded,
                            match=r"k\*\*n = 16 exceeds the max_coloring_space budget 8"):
             call()
+    assert [row.holds for row in census_rows(tight, 2)] == ["indeterminate"] * 2
     assert classcount.coloring_census(grp, 2) is census and grp._census == {2: census}
-    assert nonregular_orbit_stats(grp, 2) == stats
+    assert [(row.lhs, row.rhs) for row in census_rows(grp, 2)] == [(3, 8), (4, 12)]
 
 
 def test_auto_count_dispatch():
@@ -428,30 +423,45 @@ def test_invariant_check_survives_optimize_flag():
     assert "below the orbit-count lower bound" in res.stderr
 
 
-@pytest.mark.parametrize("patch, message", [
+_CLIFFORD = "cc.clifford_count(parse_group_spec('dihedral:4'), 2)"
+_CENSUS_ROWS = "bd.census_rows(parse_group_spec('dihedral:4'), 2)"
+
+
+@pytest.mark.parametrize("patch, call, message", [
     # a trivial stabilizer for every non-regular orbit breaks |I_H(c)| * |orbit| = |H|
     ("cc.coloring_stabilizers = lambda group, colorings: "
-     "(PermGroup([], degree=group.degree) for _ in colorings)",
+     "(PermGroup([], degree=group.degree) for _ in colorings)", _CLIFFORD,
      "InvariantViolation: orbit-stabilizer"),
     # an orbit walk that calls every coloring fixed would skip its stabilizer
     ("cc.nonregular_orbits = lambda group, k: "
-     "([(e, 1) for e in range(k ** 4)], k ** 4)",
+     "([(e, 1) for e in range(k ** 4)], k ** 4)", _CLIFFORD,
      "InvariantViolation: coloring (0, 0, 0, 1) has orbit size 1 but is moved"),
     # a walk that drops one non-regular orbit leaves k**n - |Delta| off a multiple of |H|
     ("walk = cc.nonregular_orbits\n"
      "def dropping(group, k):\n"
      "    reps, delta = walk(group, k)\n"
      "    return reps[:-1], delta - reps[-1][1]\n"
-     "cc.nonregular_orbits = dropping",
+     "cc.nonregular_orbits = dropping", _CLIFFORD,
      "InvariantViolation: regular part k**n - |Delta| = 16 - 15 not divisible by |H| = 8"),
-], ids=["orbit-stabilizer", "fixed-coloring", "regular-divisibility"])
-def test_orbit_stabilizer_checks_survive_optimize_flag(patch, message):
-    script = ("import sys\n"
+    # a census with its 6 non-regular orbits listed three times breaks t < 2*k**max_sigma
+    ("census = bd.coloring_census\n"
+     "bd.coloring_census = lambda group, k: "
+     "dataclasses.replace(census(group, k), reps=census(group, k).reps * 3)", _CENSUS_ROWS,
+     "InvariantViolation: non-regular orbit count 18 >= 2*k**max_sigma = 16"),
+    # and one with |Delta| = 100 breaks |Delta| <= (|H| - 1)*k**max_sigma
+    ("census = bd.coloring_census\n"
+     "bd.coloring_census = lambda group, k: dataclasses.replace(census(group, k), delta=100)",
+     _CENSUS_ROWS, "InvariantViolation: non-regular union 100 > (|H|-1)*k**max_sigma = 56"),
+], ids=["orbit-stabilizer", "fixed-coloring", "regular-divisibility", "census-orbit-count",
+        "census-union-size"])
+def test_orbit_stabilizer_checks_survive_optimize_flag(patch, call, message):
+    script = ("import dataclasses, sys\n"
+              "import wreathcount.bounds as bd\n"
               "import wreathcount.classcount as cc\n"
               "from wreathcount import PermGroup, parse_group_spec\n"
               f"{patch}\n"
               "print(sys.flags.optimize)\n"
-              "cc.clifford_count(parse_group_spec('dihedral:4'), 2)\n")
+              f"{call}\n")
     res = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                          text=True)
     assert res.stdout == "1\n"

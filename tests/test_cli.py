@@ -327,9 +327,10 @@ def test_bounds_budget_refusal_notes(run_cli):
     doc = json.loads(out)
     refusal = "coloring space k**n = 16 exceeds the max_coloring_space budget 8"
     census_rows = [r for r in doc["reports"] if r["name"].startswith("nonregular-")]
-    assert census_rows == [{"name": "nonregular-orbit-count", "lhs": None, "rhs": None,
+    assert census_rows == [{"name": name, "lhs": None, "rhs": None,
                             "holds": "indeterminate", "mode": "exact", "inputs": {"k": "2"},
-                            "note": f"orbit census skipped: {refusal}"}]
+                            "note": f"orbit census skipped: {refusal}"}
+                           for name in ("nonregular-orbit-count", "nonregular-union-size")]
     semi = doc["semiprimitive"]
     assert semi["e_k"] is None
     assert semi["note"] == f"e_K skipped: {refusal}"
@@ -544,6 +545,16 @@ def test_scan_probe(run_cli):
     code, out, _ = run_cli("scan", "--m", "4,5", "--probe-fixed-subsets")
     assert code == 0
     assert out == "m=4: clean\nm=5: clean\n"
+
+
+@pytest.mark.parametrize("argv", [["--m", "2"], ["--probe-fixed-subsets", "--m", "5"]])
+def test_scan_refuses_k_below_one(run_cli, spy, argv):
+    from wreathcount import actions
+
+    families = []
+    spy(actions, "family", families)
+    assert run_cli("scan", *argv, "--k", "0") == (1, "", "error: --k must be >= 1\n")
+    assert families == []  # refused before any group is built
 
 
 def test_seed_flag_accepted(run_cli):

@@ -14,7 +14,6 @@ from wreathcount import (
     partition_enum,
     stirling_first,
     tuples_of_partitions_count,
-    weak_composition_count,
 )
 from wreathcount.combinatorics import is_prime
 
@@ -85,13 +84,6 @@ def test_partition_enum_streams():
         tracemalloc.stop()
     assert count == partition_count(40)
     assert peak < 1_000_000, peak
-
-
-def test_weak_composition_count():
-    for n in range(9):
-        for k in range(1, 6):
-            assert weak_composition_count(n, k) == math.comb(n + k - 1, k - 1)
-    assert weak_composition_count(6, 3) == 28
 
 
 def test_tuples_of_partitions_single():

@@ -709,9 +709,10 @@ _REFUSALS = {
     "product_action": (lambda b: product_action_build(
         [(0, 1, 2)] * 3, (0, 1, 2), 3, 1, b), "max_lift_degree"),
     "subset_orbit_count": (lambda b: subset_orbit_count_exact(6, 3, 2, b), "max_lift_degree"),
-    "product_identity_lift": (lambda b: product_orbit_identity(3, 1, 4, 2, b),
+    # 4 = n(S_3, 2-colorings of the points), the count the identity compares against
+    "product_identity_lift": (lambda b: product_orbit_identity(3, 1, 4, 2, 4, b),
                               "max_lift_degree"),
-    "product_identity_order": (lambda b: product_orbit_identity(3, 1, 2, 2, b),
+    "product_identity_order": (lambda b: product_orbit_identity(3, 1, 2, 2, 4, b),
                                "max_group_order"),
     "partition_enum": (lambda b: partition_enum(12, b), "max_partition_size"),
     "fixed_subset_probe": (lambda b: fixed_subset_fraction_probe([12], b),
