@@ -43,7 +43,6 @@ from .classcount import (
 from .errors import (
     BudgetExceeded,
     DivisibilityViolation,
-    Infeasible,
     InvariantViolation,
     NotSemiprimitive,
 )
@@ -111,14 +110,40 @@ def _binary64(expr):
         return math.inf
 
 
-def _tolerant_less(lhs, rhs):
-    """lhs < rhs for exact lhs and possibly-float rhs, with 1e-9 relative tolerance."""
-    if isinstance(rhs, float) and math.isinf(rhs):  # rhs is past binary64; is lhs?
+def _mode(rhs) -> str:
+    """A report's mode: "float" for a binary64 rhs, "exact" for any other."""
+    return "float" if isinstance(rhs, float) else "exact"
+
+
+def _less(lhs, rhs):
+    """lhs < rhs for an exact lhs: exactly against an int or Fraction rhs.
+
+    Against a float rhs, a 1e-9 relative tolerance band reads "indeterminate".
+    """
+    if not isinstance(rhs, float):
+        return lhs < rhs
+    if math.isinf(rhs):  # rhs is past binary64; is lhs?
         return lhs <= sys.float_info.max or "indeterminate"
     l, r = Fraction(lhs), Fraction(rhs)
     if abs(l - r) <= _TOL * max(Fraction(1), abs(r)):
         return "indeterminate"
     return l < r
+
+
+def _refused(name: str, inputs: dict, note: str, rhs=None, **fields) -> BoundReport:
+    """The indeterminate report that stands for one the budgets refused."""
+    return BoundReport(name, None, rhs, "indeterminate", _mode(rhs), inputs,
+                       note=note, **fields)
+
+
+def _count_row(name: str, group: PermGroup, k: int, rhs, inputs: dict,
+               **fields) -> BoundReport:
+    """The report of k(G) < rhs, k(G) by auto_count; indeterminate when the budgets refuse it."""
+    try:
+        lhs = auto_count(group, k).value
+    except BudgetExceeded as exc:
+        return _refused(name, inputs, f"count not computed: {exc}", rhs, **fields)
+    return BoundReport(name, lhs, rhs, _less(lhs, rhs), _mode(rhs), inputs, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -147,27 +172,17 @@ def count_upper_bound(group: PermGroup, k: int) -> BoundReport:
         raise ValueError("bound needs a nontrivial group")
     n = group.degree
     max_sigma = max_cycle_count(group)
-    e, e_source, mode = _exact_e(group), "exact-lattice", "exact"
+    e, e_source = _exact_e(group), "exact-lattice"
     if e is None:
         e_source = "five-pow-n-third"
-        if n % 3 == 0:
-            e = 5 ** (n // 3)
-        else:
-            e, mode = _binary64(lambda: 5.0 ** (n / 3)), "float"
-    if mode == "exact":
+        e = 5 ** (n // 3) if n % 3 == 0 else _binary64(lambda: 5.0 ** (n / 3))
+    if isinstance(e, int):
         rhs: object = count_upper_fraction(group, k, e)
     else:
         rhs = _binary64(lambda: float(Fraction(k ** n, group.order))
                         + 2.0 * e * float(k ** max_sigma))
     inputs = {"k": k, "n": n, "order": group.order, "max_sigma": max_sigma, "e": e}
-    try:
-        lhs = auto_count(group, k).value
-    except (Infeasible, BudgetExceeded) as exc:
-        return BoundReport("count-upper-bound", None, rhs, "indeterminate", mode,
-                           inputs, e_source=e_source, note=f"count not computed: {exc}")
-    holds = (lhs < rhs) if mode == "exact" else _tolerant_less(lhs, rhs)
-    return BoundReport("count-upper-bound", lhs, rhs, holds, mode,
-                       inputs, e_source=e_source)
+    return _count_row("count-upper-bound", group, k, rhs, inputs, e_source=e_source)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +304,8 @@ def census_rows(group: PermGroup, k: int) -> list[BoundReport]:
 def subset_orbit_count_exact(m: int, ell: int, k: int,
                              budgets: Budgets = DEFAULT) -> int:
     """n(S_m, k-colorings of the ell-subsets), exactly, via per-cycle-type Burnside."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     budgets.check("max_lift_degree", math.comb(m, ell), f"C({m},{ell})")
     fact = math.factorial(m)
     total = 0
@@ -325,10 +342,9 @@ def subset_orbit_bound(m: int, ell: int, k: int, budgets: Budgets = DEFAULT) -> 
     try:
         lhs = subset_orbit_count_exact(m, ell, k, budgets)
     except BudgetExceeded as exc:
-        return BoundReport("subset-orbit-bound", None, rhs, "indeterminate", "float",
-                           inputs, asymptotic=True, note=str(exc))
-    return BoundReport("subset-orbit-bound", lhs, rhs, _tolerant_less(lhs, rhs),
-                       "float", inputs, asymptotic=True)
+        return _refused("subset-orbit-bound", inputs, str(exc), rhs, asymptotic=True)
+    return BoundReport("subset-orbit-bound", lhs, rhs, _less(lhs, rhs), "float",
+                       inputs, asymptotic=True)
 
 
 def product_orbit_identity(m: int, ell: int, t: int, k: int, single: int,
@@ -348,6 +364,8 @@ def product_orbit_identity(m: int, ell: int, t: int, k: int, single: int,
     """
     if t < 1:
         raise ValueError("t must be >= 1")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     c = math.comb(m, ell)
     budgets.check("max_lift_degree", t * c, f"product Burnside degree t*C({m},{ell})")
     # the closure would refuse too, but only after building up to the whole budget
@@ -383,19 +401,10 @@ def large_base_count_bound(group: PermGroup, m: int, ell: int, t: int, k: int,
     inputs = {"m": m, "ell": ell, "t": t, "k": k, "n": n, "n_term": nterm}
     if (2 * n) % 3 == 0:
         rhs: object = outer * (2 ** t * nterm + k ** (2 * n // 3))
-        mode = "exact"
     else:
         rhs = _binary64(lambda: float(outer) * (float(2 ** t * nterm)
                                                 + float(k) ** (2 * n / 3)))
-        mode = "float"
-    try:
-        lhs = auto_count(group, k).value
-    except (BudgetExceeded, Infeasible) as exc:
-        return BoundReport("large-base-count-bound", None, rhs, "indeterminate", mode,
-                           inputs, asymptotic=True, note=f"count not computed: {exc}")
-    holds = (lhs < rhs) if mode == "exact" else _tolerant_less(lhs, rhs)
-    return BoundReport("large-base-count-bound", lhs, rhs, holds, mode,
-                       inputs, asymptotic=True)
+    return _count_row("large-base-count-bound", group, k, rhs, inputs, asymptotic=True)
 
 
 def large_base_match(group: PermGroup) -> tuple[int, int, int] | None:
@@ -487,13 +496,9 @@ def semiprimitive_report(group: PermGroup, k: int) -> SemiprimitiveReport:
     term2 = Fraction(k ** n, group.order)
     if n % 2 == 0:
         chain_rhs: object = quot_count + term2 + Fraction(n * k ** (n // 2), group.order)
-        chain_mode = "exact"
-        chain_holds: object = lhs < chain_rhs
     else:
         chain_rhs = _binary64(lambda: float(quot_count) + float(term2)
                               + n * float(k) ** (n / 2) / group.order)
-        chain_mode = "float"
-        chain_holds = _tolerant_less(lhs, chain_rhs)
 
     # e_K: largest class count among coloring stabilizers meeting K trivially,
     # over the inertia groups clifford_count counts
@@ -520,18 +525,12 @@ def semiprimitive_report(group: PermGroup, k: int) -> SemiprimitiveReport:
         quotient_order=quotient.order, kernel_semiregular=kernel_semiregular,
         cycle_bound_holds=cycle_bound, alpha_bound_holds=alpha_bound,
         orbit_count=lhs, quotient_orbit_count=quot_count, chain_rhs=chain_rhs,
-        chain_holds=chain_holds, chain_mode=chain_mode, e_k=e_k,
+        chain_holds=_less(lhs, chain_rhs), chain_mode=_mode(chain_rhs), e_k=e_k,
         e_k_quotient_bound_holds=e_k_quot, e_k_five_eighths_holds=e_k_58, note=note)
 
 
 # ---------------------------------------------------------------------------
 # Every report for one (H, k).
-
-
-def _refused(name: str, inputs: dict, note: str, asymptotic: bool = False) -> BoundReport:
-    """The indeterminate report that stands for one the budgets refused."""
-    return BoundReport(name, None, None, "indeterminate", "exact", inputs,
-                       asymptotic=asymptotic, note=note)
 
 
 def bounds_report(group: PermGroup, k: int

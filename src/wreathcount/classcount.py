@@ -32,10 +32,11 @@ tables; smaller spaces go through the seeded walk, started at every code.
 
 burnside_orbit_count, (1/|H|) sum of k**sigma(h), gives the orbit count
 alone, which lower-bounds the class count. auto_count is the one dispatch:
-closed form, else clifford, else brute, else Infeasible with a bracket.
-route_values runs every route that fits the budgets and raises when two
-disagree. count_by_method runs one of METHODS (count --method): auto_count,
-one route, or route_values' agreed value.
+it tries closed form, clifford and brute in turn, each refusing through its
+own budget check, and raises Infeasible, a BudgetExceeded with a bracket,
+when all three refuse. route_values runs every route that fits the budgets
+and raises when two disagree. count_by_method runs one of METHODS
+(count --method): auto_count, one route, or route_values' agreed value.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import ceil
 
 from . import combinatorics
@@ -87,19 +87,6 @@ def decode_coloring(e: int, k: int, n: int) -> tuple[int, ...]:
     for i in range(n - 1, -1, -1):
         e, digits[i] = divmod(e, k)
     return tuple(digits)
-
-
-def _decoder(k: int, n: int):
-    """decode_coloring for one (k, n): one divmod and two lookups in digit tables.
-
-    The tables hold the digit tuples of the first n//2 points and of the
-    rest: k**(n//2) and k**(n - n//2) entries, at most (k**n)**(2/3) for
-    n >= 2.
-    """
-    top = list(product(range(k), repeat=n // 2))
-    bottom = list(product(range(k), repeat=n - n // 2))
-    radix = len(bottom)
-    return lambda e: top[e // radix] + bottom[e % radix]
 
 
 def _generator_steps(group: PermGroup, k: int
@@ -319,9 +306,8 @@ def coloring_census(group: PermGroup, k: int) -> Census:
             if size == 1 and hi[enc // radix] + lo[enc % radix] != enc:
                 raise InvariantViolation(
                     f"coloring {decode_coloring(enc, k, n)} has orbit size 1 but is moved")
-    moved = [enc for enc, size in reps if size != 1]
-    decode = _decoder(k, n) if moved else None  # n >= 2 whenever a coloring moves
-    stabs = coloring_stabilizers(group, map(decode, moved))
+    stabs = coloring_stabilizers(group, (decode_coloring(enc, k, n)
+                                         for enc, size in reps if size != 1))
     inertia = [group if size == 1 else next(stabs) for _, size in reps]
     for (enc, size), stab in zip(reps, inertia):
         if stab.order * size != order:
@@ -476,25 +462,26 @@ def count_upper_fraction(group: PermGroup, k: int, e: int) -> Fraction:
 
 
 def auto_count(group: PermGroup, k: int) -> CountResult:
-    """Dispatch: closed form when the family allows it, else clifford, else brute.
+    """Dispatch: the first of closed form, clifford and brute that gives a count.
 
-    Raises Infeasible with the tightest available bracket when no exact
-    method fits the group's budgets.
+    closed_form gives None where the family has no formula; clifford and
+    brute refuse through their own budget checks with BudgetExceeded, which
+    moves on to the next route. When all three refuse, raises Infeasible
+    with the tightest available bracket.
     """
     # closed forms come before anything that would materialize the element set;
-    # closed_form also refuses k < 1
-    result = closed_form(group, k)
-    if result is not None:
-        return result
+    # closed_form also refuses k < 1. The routes are named here, not in a module
+    # tuple, so a replaced module attribute is the route that runs.
+    for route in (closed_form, clifford_count, brute_force_count):
+        try:
+            result = route(group, k)
+        except BudgetExceeded:
+            continue
+        if result is not None:
+            return result
 
     n = group.degree
-    space = k ** n
-    if space <= group.budgets.max_coloring_space:
-        return clifford_count(group, k)
-    if space * group.order <= group.budgets.max_group_order:
-        return brute_force_count(group, k)
-
-    lower = ceil(Fraction(space, group.order))
+    lower = ceil(Fraction(k ** n, group.order))
     # e <= 5**(n/3) for any permutation group; round the exponent up to stay integral
     upper = count_upper_fraction(group, k, 5 ** ((n + 2) // 3))
     raise Infeasible(lower, upper)

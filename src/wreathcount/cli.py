@@ -349,13 +349,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout was closed before the output was written", file=sys.stderr)
         return 1
-    except Infeasible as exc:
-        print(f"budget refusal: {exc}", file=sys.stderr)
-        if exc.lower is not None:
-            print(f"bracket: {exc.lower} <= value < {exc.upper}", file=sys.stderr)
-        return 2
     except BudgetExceeded as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
+        if isinstance(exc, Infeasible):
+            print(f"bracket: {exc.lower} <= value < {exc.upper}", file=sys.stderr)
         return 2
     except (WreathcountError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,8 +41,8 @@ class NotSemiprimitive(WreathcountError):
     """Group fails the preconditions of the semiprimitive decomposition report."""
 
 
-class Infeasible(WreathcountError):
-    """No exact counting method fits the budgets.
+class Infeasible(BudgetExceeded):
+    """No exact counting method fits the budgets: a BudgetExceeded with a bracket.
 
     Carries the tightest bracket available without enumeration:
     ``lower`` <= k(G) < ``upper``.

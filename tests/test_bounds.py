@@ -239,11 +239,11 @@ def test_float_sides_past_binary64_read_inf():
 
 
 def test_infinite_rhs_decides_only_a_binary64_lhs():
-    from wreathcount.bounds import _tolerant_less
+    from wreathcount.bounds import _less
 
-    assert _tolerant_less(5, math.inf) is True
-    assert _tolerant_less(2 ** 1023, math.inf) is True
-    assert _tolerant_less(2 ** 1024, math.inf) == "indeterminate"
+    assert _less(5, math.inf) is True
+    assert _less(2 ** 1023, math.inf) is True
+    assert _less(2 ** 1024, math.inf) == "indeterminate"
 
 
 def test_large_base_match():
@@ -335,7 +335,10 @@ def test_semiprimitive_e_k_matches_every_coloring_on_random_groups(group):
     lambda: census_rows(parse_group_spec("cyclic:3"), 0),
     lambda: subset_orbit_bound(5, 2, 0),
     lambda: semiprimitive_report(parse_group_spec("cyclic:4"), 0),
-], ids=["census_rows", "subset_orbit_bound", "semiprimitive_report"])
+    lambda: subset_orbit_count_exact(3, 1, -5),
+    lambda: product_orbit_identity(3, 1, 2, 0, 0),
+], ids=["census_rows", "subset_orbit_bound", "semiprimitive_report",
+        "subset_orbit_count_exact", "product_orbit_identity"])
 def test_k_below_one_is_refused(call):
     with pytest.raises(ValueError, match="k must be >= 1"):
         call()

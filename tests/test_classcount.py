@@ -83,15 +83,6 @@ def _orbit_reps_scan(group, k):
     return reps
 
 
-def test_split_table_decoder_matches_decode_coloring():
-    from wreathcount.classcount import _decoder
-
-    for k, n in ((1, 3), (2, 1), (2, 5), (3, 4)):
-        decode = _decoder(k, n)
-        assert [decode(e) for e in range(k ** n)] == [decode_coloring(e, k, n)
-                                                      for e in range(k ** n)]
-
-
 def test_orbit_reps_symmetric3():
     reps = coloring_orbit_reps(parse_group_spec("symmetric:3"), 2)
     assert reps == [(0, 1), (1, 3), (3, 3), (7, 1)]
@@ -368,6 +359,17 @@ def test_auto_count_dispatch():
     assert (res.method, res.value) == ("brute", 13)
 
 
+def test_auto_count_moves_past_a_refusing_route(monkeypatch):
+    from wreathcount import classcount
+
+    def refuse(group, k):
+        raise BudgetExceeded("clifford refused")
+
+    monkeypatch.setattr(classcount, "clifford_count", refuse)
+    res = auto_count(parse_group_spec("cyclic:4"), 2)  # default budgets fit clifford
+    assert (res.method, res.value) == ("brute", 13)
+
+
 @pytest.mark.parametrize("spec, k, want", [
     ("cyclic:1", 3, 3),        # trivial top group: k**n
     ("symmetric:5", 2, 36),    # pairs of partitions of total size 5
@@ -478,6 +480,7 @@ def test_auto_count_huge_symmetric_without_materializing():
 def test_auto_count_infeasible_bracket():
     with pytest.raises(Infeasible) as exc:
         auto_count(parse_group_spec("dihedral:40"), 2)
+    assert isinstance(exc.value, BudgetExceeded)  # one refusal type for every caller
     assert exc.value.lower == 13743895348
     assert exc.value.upper == Fraction(128000068719476736, 5)
     assert exc.value.lower <= exc.value.upper

@@ -148,6 +148,12 @@ def test_budget_refusal_exits_two(run_cli):
     code, _, err = run_cli("count", "--group", "dihedral:40", "--k", "2")
     assert code == 2
     assert "bracket: 13743895348 <= value" in err
+    # 3**20 colorings pass the census's int32 labels, so clifford refuses; brute
+    # refuses 3**20 * 10240 elements, and the refusal carries the bracket
+    code, _, err = run_cli("count", "--group", "wreath-cyclic:10", "--k", "3",
+                           "--budget-max-colorings", "4000000000")
+    assert code == 2
+    assert err.splitlines()[-1] == "bracket: 340507 <= value < 1859618350686784401/10240"
     code, _, err = run_cli("count", "--group", "cyclic:4", "--k", "2",
                            "--method", "clifford", "--budget-max-colorings", "8")
     assert code == 2
