@@ -2,7 +2,7 @@
 
 The count k(X wr H) depends on the base group X only through k = k(X), so the
 whole API takes an integer k and a permutation group H. Three independent
-counting routes (stabilizer sums, brute-force union-find, family closed
+counting routes (stabilizer sums, a brute-force class walk, family closed
 forms) cross-check each other; Burnside orbit counting gives the orbit
 count, a lower bound. A bounds module evaluates the exact inequalities that
 govern the census of coloring orbits, and the verify module holds the

@@ -16,8 +16,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
-from operator import eq, mul
+from itertools import combinations
+from operator import eq
 from typing import Sequence
 
 from .budgets import DEFAULT, Budgets
@@ -161,10 +161,10 @@ class WreathGroup:
 
     Elements are pairs (v, h) with v in (Z_k)^n and h in H; the product is
     (v, h)(w, g) = (v + h.w, h g) where (h.w)_i = w_{h^-1(i)}. The order
-    k**n * |H| is checked against H's budgets up front, but no element is
-    stored: conjugates() walks every element by its integer code
-    v * |H| + index(h), with v read in base k, point 0 most significant, and
-    index(h) the position of h in H's sorted element list.
+    k**n * |H| is checked against H's budgets up front, before any table is
+    built, and no element is stored: classes() walks every element by its
+    integer code v * |H| + index(h), with v read in base k, point 0 most
+    significant, and index(h) the position of h in H's sorted element list.
     """
 
     def __init__(self, k: int, top: PermGroup):
@@ -217,41 +217,64 @@ class WreathGroup:
             code, digits[i] = divmod(code, self.k)
         return (tuple(digits), self.top.elements[hidx])
 
-    def conjugates(self):
-        """Yield (x, images) for every element code x, in increasing order.
+    def classes(self):
+        """Yield each conjugacy class as a list of element codes, by smallest member.
 
-        images[j] is the code of g x g^-1 for g = generators()[j], from
-        (e_i, 1)(v, h)(e_i, 1)^-1 = (v + e_i - e_{h(i)}, h) and
-        (0, g)(v, h)(0, g)^-1 = (g.v, g h g^-1). Per generator only an |H|
-        table is kept (h(i), or the index of g h g^-1), so memory stays
-        O(|H| + n) beyond the caller's.
+        A breadth-first walk from each code not yet seen, under conjugation by
+        generators(): (e_i, 1)(v, h)(e_i, 1)^-1 = (v + e_i - e_{h(i)}, h) and
+        (0, g)(v, h)(0, g)^-1 = (g.v, g h g^-1). A class is complete before
+        the next walk starts. Beyond the class being walked, memory is one
+        byte per element (the seen marks) and tables of O(|H| + k**(n/2))
+        entries per generator.
         """
         k, n = self.k, self.n
         elems = self.top.elements
         order = len(elems)
-        index = {h: i for i, h in enumerate(elems)}
-        # a unit step of digit j moves the code by steps[j]
+        # digit j of the code y is (y // steps[j]) % k
         steps = [k ** (n - 1 - j) * order for j in range(n)]
-        tops = self.top.generators
-        top_conj = [[index[compose(compose(g, h), inverse(g))] for h in elems] for g in tops]
-        # (g.v)_{g(j)} = v_j, so g.v has code sum_j v_j * steps[g(j)]
-        top_steps = [[steps[g[j]] for j in range(n)] for g in tops]
-        base = self._base_points()
-        h_on_base = [[h[i] for i in base] for h in elems]
-        wrap = [(k - 1) * s for s in steps]
-        x = 0
-        for v in product(range(k), repeat=n):
-            # code shift of v + e_j (up) and v - e_j (down), digit by digit mod k
-            up = [s if d < k - 1 else -w for s, w, d in zip(steps, wrap, v)]
-            down = [-s if d else w for s, w, d in zip(steps, wrap, v)]
-            moved = [sum(map(mul, v, ts)) for ts in top_steps]
-            for hidx in range(order):
-                # h(i) == i leaves x fixed; up[i] + down[i] would wrap twice
-                images = [x if hi == i else x + up[i] + down[hi]
-                          for i, hi in zip(base, h_on_base[hidx])]
-                images += [gv + conj[hidx] for gv, conj in zip(moved, top_conj)]
-                yield x, images
-                x += 1
+        # base unit e_i: (step of digit i, its wrap, step of digit h(i) per h, 0 where
+        # h(i) == i); +1 at digit i and -1 at digit h(i), each mod k
+        units = [(steps[i], (k - 1) * steps[i],
+                  [0 if h[i] == i else steps[h[i]] for h in elems])
+                 for i in self._base_points()]
+        # lifted top generator g: (g.v)_{g(j)} = v_j, so g.v = sum_j v_j * steps[g(j)],
+        # split as hi[q] + lo[r] with (q, r) = divmod(v, radix), q the first n//2 digits
+        radix = k ** (n - n // 2)
+        index = {h: i for i, h in enumerate(elems)}
+
+        def half(g, points):
+            part = [0]
+            for j in points:
+                part = [p + d * steps[g[j]] for p in part for d in range(k)]
+            return part
+
+        tops = [(half(g, range(n // 2)), half(g, range(n // 2, n)),
+                 [index[compose(compose(g, h), inverse(g))] for h in elems])
+                for g in self.top.generators if not is_identity(g)]
+        last = k - 1
+        seen = bytearray(self.order)
+        for start in range(self.order):
+            if seen[start]:
+                continue
+            seen[start] = 1
+            cls = [start]
+            for y in cls:  # grows while it is walked
+                v, hidx = divmod(y, order)
+                q, r = divmod(v, radix)
+                for hi, lo, conj in tops:
+                    z = hi[q] + lo[r] + conj[hidx]
+                    if not seen[z]:
+                        seen[z] = 1
+                        cls.append(z)
+                for si, wi, moved in units:
+                    sj = moved[hidx]
+                    if sj:
+                        z = (y + (-wi if y // si % k == last else si)
+                             + (-sj if y // sj % k else last * sj))
+                        if not seen[z]:
+                            seen[z] = 1
+                            cls.append(z)
+            yield cls
 
 
 def build_wreath_group(k: int, top: PermGroup) -> WreathGroup:

@@ -17,9 +17,10 @@ kept deliberately separate so they can cross-check each other:
   when k**n is at most a measured multiple of the seeds' bound U on |Delta|.
   Nothing in a walk decodes a coloring. The census stays on the group per k,
   where bounds.census_rows and bounds.semiprimitive_report read it too.
-* brute_force_count: union-find over conjugation by the generators of
-  Z_k wr H, walking every element by its integer code without storing the
-  group.
+* brute_force_count: the number of conjugacy classes of Z_k wr H that
+  WreathGroup.classes walks breadth-first on integer element codes, under
+  conjugation by the generators, with one seen byte per element and no
+  element stored.
 * closed_form: family formulas for the trivial, symmetric and prime-degree
   cyclic top groups; None for every other group.
 
@@ -57,7 +58,6 @@ from .errors import (
 )
 from .permgroup import (
     PermGroup,
-    UnionFind,
     class_count,
     coloring_stabilizers,
     conjugacy_classes,
@@ -379,22 +379,15 @@ def clifford_count(group: PermGroup, k: int) -> CountResult:
 
 
 def brute_force_count(group: PermGroup, k: int) -> CountResult:
-    """k(X wr H) by union-find over conjugation in Z_k wr H, element by element.
+    """k(X wr H) by walking every conjugacy class of Z_k wr H, element by element.
 
     Independent of the Clifford route end to end: no coloring enumeration,
-    no stabilizers. Every element of the wreath group is visited by its
-    integer code and merged with its conjugate by each generator as that
-    conjugate is computed; the class count is the order minus the merges.
+    no stabilizers. WreathGroup.classes walks each class breadth-first on
+    integer element codes under conjugation by the generators; the count is
+    the number of walks.
     """
     wr = build_wreath_group(k, group)
-    uf = UnionFind(wr.order)
-    union = uf.union
-    merges = 0
-    for x, images in wr.conjugates():
-        for y in images:
-            if y != x and union(x, y):
-                merges += 1
-    return CountResult(k=k, group=group, method="brute", value=wr.order - merges)
+    return CountResult(k=k, group=group, method="brute", value=sum(1 for _ in wr.classes()))
 
 
 def schmid_cyclic(k: int, n: int) -> tuple[int | None, int]:

@@ -488,11 +488,14 @@ def _conjugations(group: PermGroup) -> list[list[int]]:
     are looked up by position, so no product outlives its lookup.
     """
     elements = group.elements
+    if group.degree == 1:  # the trivial group; itemgetter of one index returns an int
+        return [[0] for _ in group.generators]
     position = dict(zip(elements, range(len(elements))))
     maps = []
     for g in group.generators:
-        g_of, g_inv = g.__getitem__, inverse(g)
-        maps.append([position[tuple(map(g_of, map(x.__getitem__, g_inv)))] for x in elements])
+        # x * g^-1 picks x at g^-1's images; g * (x * g^-1) picks g at those
+        x_ginv = itemgetter(*inverse(g))
+        maps.append([position[itemgetter(*x_ginv(x))(g)] for x in elements])
     return maps
 
 
@@ -828,7 +831,16 @@ def max_subgroup_class_count(group: PermGroup) -> int:
     """e(H): the largest class count over all subgroups; inherits the budgets of subgroups.
 
     Conjugate subgroups are isomorphic, so one subgroup per class suffices.
+    A proper subgroup S has k(S) <= |S| <= |H|/p, with p the smallest prime
+    dividing |H|, so when p * k(H) >= |H| (every abelian H, for one) e(H) is
+    k(H) and the walk is skipped.
     """
+    # the walk's own order check, made first: a group past it is refused either way
+    group.budgets.check("max_subgroup_order", group.order, "subgroup lattice: |H|")
+    order, own = group.order, class_count(group)
+    p = next((d for d in range(2, order + 1) if order % d == 0), 1)
+    if p * own >= order:
+        return own
     return max(map(class_count, subgroups(group)))
 
 

@@ -67,10 +67,16 @@ def test_auto_e_source_records_the_source_it_resolved_to():
     assert (rep.e_source, rep.rhs) == ("exact-lattice", 36)
     rep = count_upper_bound(parse_group_spec("cyclic:4", Budgets(max_subgroup_order=3)), 2)
     assert (rep.e_source, rep.mode) == ("five-pow-n-third", "float")
-    # a walk refused by its subgroup count falls back too: symmetric:3 holds 6 subgroups
-    reports, _ = bounds_report(parse_group_spec("symmetric:3", Budgets(max_subgroup_count=3)), 2)
+    # a walk refused by its subgroup count falls back too: wreath-cyclic:3 needs the walk
+    # (2 * k(H) = 16 < |H| = 24) and holds more than 3 subgroups
+    capped = Budgets(max_subgroup_count=3)
+    reports, _ = bounds_report(parse_group_spec("wreath-cyclic:3", capped), 2)
     assert (len(reports), reports[0].e_source, reports[0].rhs) == (
-        9, "five-pow-n-third", Fraction(124, 3))
+        9, "five-pow-n-third", Fraction(4808, 3))
+    # symmetric:3 needs no walk (2 * k(H) = |H|), so its e(H) = k(H) = 3 stays exact
+    reports, _ = bounds_report(parse_group_spec("symmetric:3", capped), 2)
+    assert (len(reports), reports[0].e_source, reports[0].rhs) == (
+        9, "exact-lattice", Fraction(76, 3))
 
 
 def test_bounds_report_returns_the_reports_and_the_decomposition():

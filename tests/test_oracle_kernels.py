@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from wreathcount import (
     PermGroup,
+    brute_force_count,
     build_wreath_group,
     burnside_orbit_count,
     clifford_count,
@@ -109,21 +110,40 @@ def test_routes_agree_across_many_stabilizer_blocks():
     assert (res.value, res.orbit_count) == (409600, 147456)
 
 
-@pytest.mark.parametrize("spec", ["symmetric:3", "dihedral:4", "quaternion"])
-@pytest.mark.parametrize("k", [2, 3])
+def _reference_classes(wr):
+    """Conjugacy classes of the wreath group as sets of codes, walked with multiply/inverse."""
+    code = {wr.decode(x): x for x in range(wr.order)}
+    gens = [(g, wr.inverse(g)) for g in wr.generators()]
+    classes, seen = [], set()
+    for element, x in code.items():
+        if x in seen:
+            continue
+        seen.add(x)
+        cls, front = {x}, [element]
+        while front:
+            a = front.pop()
+            for g, ginv in gens:
+                y = code[wr.multiply(wr.multiply(g, a), ginv)]
+                if y not in seen:
+                    seen.add(y)
+                    cls.add(y)
+                    front.append(wr.decode(y))
+        classes.append(frozenset(cls))
+    return classes
+
+
+@pytest.mark.parametrize("spec", ["symmetric:3", "dihedral:4", "quaternion",
+                                  "gens:5,(1 2),(4 5)", "gens:3,()"])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_coded_conjugation_matches_the_group_product(spec, k):
     wr = build_wreath_group(k, parse_group_spec(spec))
-    gens = [(g, wr.inverse(g)) for g in wr.generators()]
-    codes = []
-    for x, images in wr.conjugates():
-        codes.append(x)
-        element = wr.decode(x)
-        assert len(images) == len(gens)
-        for (g, ginv), y in zip(gens, images):
-            assert wr.decode(y) == wr.multiply(wr.multiply(g, element), ginv), (x, g)
-    assert codes == list(range(wr.order))
     # the codes name every element once
-    assert len({wr.decode(x) for x in codes}) == wr.order
+    assert len({wr.decode(x) for x in range(wr.order)}) == wr.order
+    classes = list(wr.classes())
+    starts = [cls[0] for cls in classes]
+    assert starts == list(map(min, classes)) == sorted(starts)
+    assert sum(map(len, classes)) == wr.order
+    assert set(map(frozenset, classes)) == set(_reference_classes(wr))
 
 
 @pytest.mark.parametrize("spec", ["symmetric:3", "dihedral:4", "gens:5,(1 2),(4 5)",
@@ -134,8 +154,21 @@ def test_wreath_generators_take_one_unit_vector_per_orbit(spec, k):
     wr = build_wreath_group(k, top)
     base = len(orbits(top)) if k > 1 else 0
     assert len(wr.generators()) == base + len(top.generators)
-    _, images = next(wr.conjugates())
-    assert len(images) == len(wr.generators())
+
+
+def test_brute_force_holds_one_byte_per_element_plus_the_class():
+    import tracemalloc
+
+    group = parse_group_spec("dihedral:6")
+    group.elements  # H's closure and element list are not the walk's
+    order = 4 ** group.degree * group.order
+    tracemalloc.start()
+    try:
+        assert brute_force_count(group, 4).value == 640
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * order, (peak, order)
 
 
 def _convolution_reference(k, n):

@@ -47,6 +47,7 @@ from wreathcount import (
     subsets_action_lift,
 )
 from wreathcount import classcount, permgroup
+from wreathcount.verify import ORACLE_SPECS
 from wreathcount.permgroup import (
     UnionFind,
     _closure,
@@ -680,6 +681,30 @@ def test_max_subgroup_class_count_builds_no_group_from_elements(spy):
     spy(PermGroup, "from_elements", wrapped)
     assert max_subgroup_class_count(grp) == 8  # the abelian base (Z_2)^3
     assert wrapped == []
+
+
+@pytest.mark.parametrize("spec", [*ORACLE_SPECS, "cyclic:60"])
+def test_e_shortcut_equals_the_subgroup_walk(spec):
+    grp = parse_group_spec(spec)
+    assert max_subgroup_class_count(grp) == max(map(class_count, subgroups(grp)))
+
+
+def test_e_of_an_abelian_group_walks_no_subgroup(spy):
+    grp = parse_group_spec("cyclic:200")
+    walked = []
+    spy(permgroup, "subgroups", walked)
+    assert max_subgroup_class_count(grp) == 200
+    assert walked == []
+
+
+@pytest.mark.parametrize("spec", ["alternating:5", "subsets:5,2", "dihedral:12", "quaternion",
+                                  "symmetric:1", "cyclic:1"])
+def test_conjugation_maps_equal_the_composed_conjugates(spec):
+    grp = parse_group_spec(spec)
+    position = {x: i for i, x in enumerate(grp.elements)}
+    want = [[position[compose(compose(g, x), inverse(g))] for x in grp.elements]
+            for g in grp.generators]
+    assert permgroup._conjugations(grp) == want
 
 
 # every budget refusal, keyed by test id: (call on budgets b, the field set to 10)
