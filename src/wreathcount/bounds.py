@@ -633,23 +633,39 @@ def fixed_subset_fraction_probe(m_values: Sequence[int],
     ell-subsets < (3/4)C(m,ell) for all 1 <= ell < m/2.
 
     The claim is only guaranteed for large m, so this probes rather than
-    asserts. Exhaustive over cycle types (both sides depend only on the
-    type). Returns (m, witness) pairs with witness = (parts, ell) for the
-    first counterexample found, or None when the instance is clean.
+    asserts. Both sides depend only on the cycle type, and it suffices to
+    walk the p(m - L) types with exactly L = floor(3m/4) cycles, by a
+    refinement lemma: splitting one cycle into two never lowers a
+    coefficient of fixed_subset_polynomial (a union of whole cycles stays
+    one), and a type with fewer than L cycles has a cycle of length >= 2 to
+    split, so a type with at most L cycles fails at some ell if and only if
+    a type with exactly L cycles fails there. The walk is exact, not a
+    sample.
+
+    Returns (m, witness) pairs. The witness is None when the instance is
+    clean; otherwise it is (parts, ell) with parts the first type with
+    exactly L cycles, in reverse-lexicographic order, that fails at some
+    ell, and ell its smallest failing ell. Each m is checked against
+    max_partition_size before its walk, in partition_enum's words.
     """
     results = []
     for m in m_values:
+        budgets.check("max_partition_size", m, "partition size n")
+        cycles = 3 * m // 4
+        top = max(m - 1, 0) // 2  # ell runs over 1 <= ell < m/2
+        thresholds = [3 * math.comb(m, ell) for ell in range(top + 1)]
         witness = None
-        for parts in combinatorics.partition_enum(m, budgets):
-            if 4 * len(parts) > 3 * m:
-                continue
-            # fix[ell] = ell-subsets fixed by this type, for every 1 <= ell < m/2
-            fix = combinatorics.fixed_subset_polynomial(parts, max(m - 1, 0) // 2)
-            for ell in range(1, (m + 1) // 2):
-                if 4 * fix[ell] >= 3 * math.comb(m, ell):
-                    witness = (parts, ell)
-                    break
-            if witness:
+        # an L-cycle type is a partition of m - L plus one on each of L parts;
+        # padding keeps the reverse-lexicographic order of partition_enum
+        for extra in combinatorics.partition_enum(m - cycles, budgets):
+            if len(extra) > cycles:
+                continue  # only at m = 1, where no type has L = 0 cycles
+            parts = tuple(e + 1 for e in extra) + (1,) * (cycles - len(extra))
+            fix = combinatorics.fixed_subset_polynomial(parts, top)
+            ell = next((ell for ell in range(1, top + 1)
+                        if 4 * fix[ell] >= thresholds[ell]), None)
+            if ell is not None:
+                witness = (parts, ell)
                 break
         results.append((m, witness))
     return results

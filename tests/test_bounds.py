@@ -24,12 +24,15 @@ from wreathcount import (
     large_base_count_bound,
     large_base_match,
     parse_group_spec,
+    partition_enum,
     predicates,
     product_orbit_identity,
     semiprimitive_report,
     subset_orbit_bound,
     subset_orbit_count_exact,
 )
+from wreathcount import bounds
+from wreathcount.combinatorics import fixed_subset_polynomial
 from wreathcount.permgroup import compose, inverse
 
 from test_actions import transitive_groups
@@ -382,10 +385,43 @@ def test_counterexample_scan_skips_over_budget():
     assert all(row.value is None for row in skipped)
 
 
+def _failing_ells(parts, m, comb=math.comb):
+    # every 1 <= ell < m/2 at which this type fixes at least (3/4)comb(m, ell) ell-subsets
+    fix = fixed_subset_polynomial(parts, m // 2)
+    return [ell for ell in range(1, (m + 1) // 2) if 4 * fix[ell] >= 3 * comb(m, ell)]
+
+
 def test_fixed_subset_fraction_probe_clean_small_range():
-    results = fixed_subset_fraction_probe(range(2, 9))
-    assert [m for m, _ in results] == list(range(2, 9))
-    assert all(witness is None for _, witness in results)
+    # the reference walks every cycle type with at most floor(3m/4) cycles
+    m_values = range(37)
+    results = fixed_subset_fraction_probe(m_values)
+    assert [m for m, _ in results] == list(m_values)
+    for m, witness in results:
+        clean = not any(_failing_ells(parts, m) for parts in partition_enum(m)
+                        if 4 * len(parts) <= 3 * m)
+        assert (witness is None) == clean, m
+
+
+@pytest.mark.parametrize("m, divisor, low", [(16, 2, 1), (20, 28, 8), (24, 60, 10)])
+def test_fixed_subset_fraction_probe_witness_is_the_first_failing_type(monkeypatch,
+                                                                       m, divisor, low):
+    # lower the thresholds from ell = low up so that some type fails; at
+    # (16, 2, 1) types with fewer than floor(3m/4) cycles fail too
+    real = math.comb
+
+    def comb(n, k):
+        return real(n, k) // divisor if k >= low else real(n, k)
+
+    monkeypatch.setattr(bounds.math, "comb", comb)
+    (_, witness), = fixed_subset_fraction_probe([m])
+    parts, ell = witness
+    cycles = 3 * m // 4
+    assert len(parts) == cycles
+    failing = _failing_ells(parts, m, comb)
+    assert failing and failing[0] == ell
+    # partition_enum streams reverse-lexicographic order
+    types = [p for p in partition_enum(m) if len(p) == cycles]
+    assert not any(_failing_ells(p, m, comb) for p in types[:types.index(parts)])
 
 
 @pytest.mark.parametrize("spec, budgets, identity_refusal, bound_refusal", [

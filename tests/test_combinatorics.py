@@ -5,6 +5,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreathcount import (
     DEFAULT,
@@ -15,7 +17,7 @@ from wreathcount import (
     stirling_first,
     tuples_of_partitions_count,
 )
-from wreathcount.combinatorics import is_prime
+from wreathcount.combinatorics import fixed_subset_polynomial, is_prime
 
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 
@@ -141,6 +143,18 @@ def test_fix_subsets_total_over_sizes():
         m = sum(parts)
         total = sum(fix_subsets_formula(parts, ell) for ell in range(m + 1))
         assert total == 2 ** len(parts)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rest=st.lists(st.integers(1, 12), max_size=7), length=st.integers(2, 12), data=st.data())
+def test_splitting_a_cycle_never_lowers_a_fixed_subset_count(rest, length, data):
+    # the refinement lemma the fixed-subset probe rests on: a union of whole
+    # cycles stays one after a cycle is cut in two
+    cut = data.draw(st.integers(1, length - 1))
+    degree = sum(rest) + length
+    before = fixed_subset_polynomial(rest + [length], degree)
+    after = fixed_subset_polynomial(rest + [cut, length - cut], degree)
+    assert all(a >= b for a, b in zip(after, before))
 
 
 def test_fix_subsets_budget_refusal():
