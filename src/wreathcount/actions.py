@@ -17,8 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from operator import eq
-from typing import Sequence
+from operator import eq, itemgetter
+from typing import Callable, Sequence
 
 from .budgets import DEFAULT, Budgets
 from .errors import (
@@ -32,7 +32,6 @@ from .permgroup import (
     all_block_systems,
     compose,
     cycle_count,
-    cycles,
     from_cycles,
     inverse,
     is_identity,
@@ -46,7 +45,19 @@ from .permgroup import (
 
 def cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
     """Cycle lengths, fixed points as 1s, weakly decreasing: the partition of the class."""
-    return tuple(sorted(map(len, cycles(p, include_fixed=True)), reverse=True))
+    lengths = []
+    seen = [False] * len(p)
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        length, pt = 0, start
+        while not seen[pt]:
+            seen[pt] = True
+            pt = p[pt]
+            length += 1
+        lengths.append(length)
+    lengths.sort(reverse=True)
+    return tuple(lengths)
 
 
 def cycle_type_class_size(parts: Sequence[int]) -> int:
@@ -75,21 +86,28 @@ def subsets_action_lift(p: tuple[int, ...], ell: int,
     if not 1 <= ell <= m:
         raise ValueError(f"need 1 <= ell <= {m}, got {ell}")
     budgets.check("max_lift_degree", math.comb(m, ell), f"lifted degree C({m},{ell})")
-    rank = _colex_ranks(m, ell)
-    p_of = p.__getitem__
-    # rank lists the subsets in rank order, so position r holds the image of subset r
-    return tuple([rank[frozenset(map(p_of, s))] for s in rank])
+    rank, to_colex = _subset_tables(m, ell)
+    # combinations walks the index subsets S in lex order, so the bits of p's
+    # images sum to the bitmask of p(S) at S's lex position
+    return to_colex(tuple(map(rank.__getitem__,
+                              map(sum, combinations([1 << j for j in p], ell)))))
 
 
 @lru_cache(maxsize=8)
-def _colex_ranks(m: int, ell: int) -> dict[frozenset[int], int]:
-    """subset -> subset_rank(subset) for every ell-subset of {0..m-1}, in rank order.
+def _subset_tables(m: int, ell: int) -> tuple[dict[int, int], Callable[[tuple], tuple]]:
+    """bitmask -> subset_rank of every ell-subset of {0..m-1}, and the reorder from lex to colex.
 
-    Colex order is lex order on the reversed sorted tuples. The cache is
-    small because a table holds C(m, ell) subsets.
+    Colex order on equal-size subsets is the numeric order of their
+    bitmasks. The reorder maps values listed by subset in lex order to the
+    same values in colex order. The cache is small because a table holds
+    C(m, ell) subsets, yet it holds the m - 1 tables that verify's half-bound
+    loop cycles through for each m <= 6.
     """
-    ordered = sorted(combinations(range(m), ell), key=lambda c: c[::-1])
-    return {frozenset(c): r for r, c in enumerate(ordered)}
+    masks = list(map(sum, combinations([1 << i for i in range(m)], ell)))  # lex order
+    lex_of = sorted(range(len(masks)), key=masks.__getitem__)  # lex positions in colex order
+    rank = {masks[i]: r for r, i in enumerate(lex_of)}
+    # one subset when ell == m: itemgetter of a single index would return a scalar
+    return rank, itemgetter(*lex_of) if len(lex_of) > 1 else tuple
 
 
 def sigma_prime(p: tuple[int, ...], ell: int, budgets: Budgets = DEFAULT) -> int:

@@ -72,9 +72,11 @@ from .permgroup import (
 # (about 0.03 s); `verify burnside` imports numpy anyway
 _NUMPY_MIN_SPACE = 1 << 15
 # the seeded walk's cost per coloring it visits over the numpy census's cost per
-# coloring of the whole space: 0.65-0.92 us against 0.10-0.19 us (2-core Xeon,
-# Python 3.11, numpy 2.4), so nonregular_orbits takes the census once the space
-# is at most this many times the seeds' bound U on |Delta|
+# coloring of the whole space, so nonregular_orbits takes the census once the
+# space is at most this many times the seeds' bound U on |Delta|. Measured:
+# 0.44-0.97 us against 0.05-0.09 us (2-core Xeon, Python 3.11, numpy 2.4), a
+# ratio of 8-19; it stays 5 because dihedral:15 at k = 2 has k**n = 8.3 U, and
+# any ratio above that would pay numpy's import on a 2**15-coloring space
 _WALK_COST_RATIO = 5
 # colorings per numpy block: the generator images and gathered labels of one
 # block are int32 buffers small enough to stay in cache
@@ -119,6 +121,13 @@ def _orbit_reps_numpy(group: PermGroup, k: int, space: int) -> list[tuple[int, i
     import numpy as np
 
     radix, steps = _generator_steps(group, k)
+    for hi, lo in steps:
+        # the gathers below run unchecked, so every image hi[q] + lo[r] must
+        # be a code in [0, space); each label stays one, as a minimum of codes
+        if min(hi) + min(lo) < 0 or max(hi) + max(lo) >= space:
+            raise InvariantViolation(
+                f"generator table images span {min(hi) + min(lo)}..{max(hi) + max(lo)}, "
+                f"outside the coloring codes 0..{space - 1}")
     steps = [(np.array(hi, dtype=np.int32)[:, None], np.array(lo, dtype=np.int32))
              for hi, lo in steps]
     # the one whole-space array; every other buffer holds one block of whole
@@ -128,24 +137,32 @@ def _orbit_reps_numpy(group: PermGroup, k: int, space: int) -> list[tuple[int, i
     spans = [(q * radix, min(q + rows, height) * radix) for q in range(0, height, rows)]
     images = np.empty((min(rows, height), radix), dtype=np.int32)
     buf = np.empty(images.size, dtype=np.int32)
+    lower = np.empty(images.size, dtype=bool)
 
-    def relax(a, b, idx):
-        # label[x] = min(label[x], label[idx[x]]); label[x] stays in x's orbit and <= x
+    def gather(a, b, idx):
+        # label[idx] into buf: mode="wrap" writes out unbuffered and bounds no
+        # index, where the default mode="raise" checks each one and copies out
         out = buf[:b - a]
-        np.take(label, idx, out=out)
-        np.minimum(label[a:b], out, out=label[a:b])
+        np.take(label, idx, out=out, mode="wrap")
+        return out
 
+    # label[x] = min(label[x], label[g(x)]) for each generator g, block by block,
+    # until a whole sweep lowers no label, then label[x] = label[label[x]];
+    # label[x] stays in x's orbit and <= x
     while True:
-        before = label.sum(dtype=np.int64)
+        changed = False  # set by the first block whose gathered labels undercut its own
         for hi, lo in steps:
             for a, b in spans:
                 block = images[:(b - a) // radix]
                 np.add(hi[a // radix:b // radix], lo, out=block)  # g(x) = hi[q] + lo[r]
-                relax(a, b, block.ravel())
-        if label.sum(dtype=np.int64) == before:
+                seg, out = label[a:b], gather(a, b, block.ravel())
+                changed = changed or np.less(out, seg, out=lower[:b - a]).any()
+                np.minimum(seg, out, out=seg)
+        if not changed:
             break
         for a, b in spans:  # pointer jump
-            relax(a, b, label[a:b])
+            seg = label[a:b]
+            np.minimum(seg, gather(a, b, seg), out=seg)
     # no generator lowers a label, so label[x] <= label[g(x)] around every finite
     # cycle of g: label is constant on each orbit, hence the orbit minimum
 

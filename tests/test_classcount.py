@@ -15,6 +15,7 @@ from wreathcount import (
     BudgetExceeded,
     Budgets,
     Infeasible,
+    InvariantViolation,
     PermGroup,
     auto_count,
     burnside_orbit_count,
@@ -97,14 +98,18 @@ def test_orbit_reps_scan_mode_agrees():
 
 
 @pytest.mark.parametrize("spec", ["symmetric:3", "cyclic:4", "dihedral:4", "wreath-cyclic:2",
-                                  "gens:4,(1 2)(3 4),(1 3)(2 4)"])
+                                  "gens:4,(1 2)(3 4),(1 3)(2 4)", "gens:5,(1 2 3),(4 5)"])
 def test_numpy_orbit_walk_agrees_with_scan(spec, monkeypatch):
     from wreathcount import classcount
 
     monkeypatch.setattr(classcount, "_NUMPY_MIN_SPACE", 1)  # every space takes the numpy path
     grp = parse_group_spec(spec)
     for k in (1, 2, 3):
-        assert coloring_orbit_reps(grp, k) == _orbit_reps_scan(grp, k)
+        want = _orbit_reps_scan(grp, k)
+        # one block; blocks of a few q-rows with a shorter last one; one row a block
+        for block in (classcount._SWEEP_BLOCK, 20, 1):
+            monkeypatch.setattr(classcount, "_SWEEP_BLOCK", block)
+            assert coloring_orbit_reps(grp, k) == want, block
 
 
 def test_numpy_orbit_walk_reps_are_orbit_minima():
@@ -237,6 +242,23 @@ def test_numpy_census_past_2_pow_22(spy):
     reps = coloring_orbit_reps(grp, 2)
     assert kernel == [grp]
     assert len(reps) == burnside_orbit_count(grp, 2) == 364724
+
+
+@pytest.mark.parametrize("past", [True, False], ids=["at-k-pow-n", "below-zero"])
+def test_numpy_census_refuses_a_generator_table_outside_the_codes(past, monkeypatch):
+    from wreathcount import classcount
+
+    steps = classcount._generator_steps
+
+    def bad_steps(group, k):  # one image hi[0] + lo[r] at k**n, or at -1
+        radix, tables = steps(group, k)
+        hi, lo = tables[0]
+        hi[0] = k ** group.degree - max(lo) if past else -min(lo) - 1
+        return radix, tables
+
+    monkeypatch.setattr(classcount, "_generator_steps", bad_steps)
+    with pytest.raises(InvariantViolation, match="outside the coloring codes"):
+        coloring_orbit_reps(parse_group_spec("cyclic:15"), 2)  # 2**15: the numpy census
 
 
 def test_numpy_census_refuses_past_int32_labels():
