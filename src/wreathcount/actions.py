@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from operator import eq, itemgetter
-from typing import Callable, Sequence
 
 from .budgets import DEFAULT, Budgets
 from .errors import (
@@ -29,6 +29,7 @@ from .errors import (
 )
 from .permgroup import (
     PermGroup,
+    _conjugations,
     all_block_systems,
     compose,
     cycle_count,
@@ -241,35 +242,54 @@ class WreathGroup:
         A breadth-first walk from each code not yet seen, under conjugation by
         generators(): (e_i, 1)(v, h)(e_i, 1)^-1 = (v + e_i - e_{h(i)}, h) and
         (0, g)(v, h)(0, g)^-1 = (g.v, g h g^-1). A class is complete before
-        the next walk starts. Beyond the class being walked, memory is one
-        byte per element (the seen marks) and tables of O(|H| + k**(n/2))
-        entries per generator.
+        the next walk starts.
+
+        Each code y is split once, as q = y // R and rest = y % R (cheaper
+        than a divmod call): q holds the first n_q digits of v, and
+        rest = (the other digits) * |H| + index(h).
+        n_q minimizes k**n_q + R, where R = k**(n - n_q) * |H|, so both are
+        near sqrt(|G|) unless |H| > k**n, when R = |H|. A lifted
+        generator g sends y to A_g[q] + B_g[rest], where B_g folds in g's
+        conjugation of index(h). A base unit e_i adds U[q] + V[rest] to y,
+        from the pair of tables kept for the point h(i), with h read from
+        one table over rest; it skips h with h(i) == i, which it fixes.
+
+        Beyond the class being walked, memory is one byte per element (the
+        seen marks) and O(n * (k**n_q + R)) table entries: a pair of tables
+        per lifted generator and per point j != i in the orbit of a base
+        point i, one of k**n_q entries and one of R. No table is indexed by
+        h and a digit string together, which would cost k**(n/2) * |H|
+        entries.
         """
         k, n = self.k, self.n
         elems = self.top.elements
         order = len(elems)
-        # digit j of the code y is (y // steps[j]) % k
-        steps = [k ** (n - 1 - j) * order for j in range(n)]
-        # base unit e_i: (step of digit i, its wrap, step of digit h(i) per h, 0 where
-        # h(i) == i); +1 at digit i and -1 at digit h(i), each mod k
-        units = [(steps[i], (k - 1) * steps[i],
-                  [0 if h[i] == i else steps[h[i]] for h in elems])
-                 for i in self._base_points()]
-        # lifted top generator g: (g.v)_{g(j)} = v_j, so g.v = sum_j v_j * steps[g(j)],
-        # split as hi[q] + lo[r] with (q, r) = divmod(v, radix), q the first n//2 digits
-        radix = k ** (n - n // 2)
-        index = {h: i for i, h in enumerate(elems)}
+        steps = [k ** (n - 1 - j) * order for j in range(n)]  # the place value of digit j
+        n_q = min(range(n + 1), key=lambda t: k ** t + k ** (n - t) * order)
+        radix = k ** (n - n_q) * order
+        zeros = [0] * k
 
-        def half(g, points):
-            part = [0]
-            for j in points:
-                part = [p + d * steps[g[j]] for p in part for d in range(k)]
-            return part
+        def split(columns, last):
+            # columns[j][d]: what digit j adds to the image code when it reads d
+            return _digit_sums(columns[:n_q]), _digit_sums(columns[n_q:] + [last])
 
-        tops = [(half(g, range(n // 2)), half(g, range(n // 2, n)),
-                 [index[compose(compose(g, h), inverse(g))] for h in elems])
-                for g in self.top.generators if not is_identity(g)]
-        last = k - 1
+        # lifted top generator g: (g.v)_{g(j)} = v_j, so digit j moves to place g(j)
+        tops = [split([[d * steps[g[j]] for d in range(k)] for j in range(n)], conj)
+                for g, conj in zip(self.top.generators, _conjugations(self.top))
+                if not is_identity(g)]
+
+        def unit(i, j):
+            # +1 mod k at digit i and -1 mod k at digit j
+            columns = [zeros] * n
+            columns[i] = [steps[i]] * (k - 1) + [(1 - k) * steps[i]]
+            columns[j] = [(k - 1) * steps[j]] + [-steps[j]] * (k - 1)
+            return split(columns, [0] * order)
+
+        units = []
+        for i in self._base_points():
+            pairs = {j: unit(i, j) for j in {h[i] for h in elems} if j != i}
+            units.append([pairs.get(h[i]) for h in elems])
+        hof = list(range(order)) * (radix // order)  # index(h) of each rest
         seen = bytearray(self.order)
         for start in range(self.order):
             if seen[start]:
@@ -277,22 +297,30 @@ class WreathGroup:
             seen[start] = 1
             cls = [start]
             for y in cls:  # grows while it is walked
-                v, hidx = divmod(y, order)
-                q, r = divmod(v, radix)
-                for hi, lo, conj in tops:
-                    z = hi[q] + lo[r] + conj[hidx]
+                q, rest = y // radix, y % radix
+                for a, b in tops:
+                    z = a[q] + b[rest]
                     if not seen[z]:
                         seen[z] = 1
                         cls.append(z)
-                for si, wi, moved in units:
-                    sj = moved[hidx]
-                    if sj:
-                        z = (y + (-wi if y // si % k == last else si)
-                             + (-sj if y // sj % k else last * sj))
+                hidx = hof[rest]
+                for pairs in units:
+                    uv = pairs[hidx]
+                    if uv is not None:
+                        u, v = uv
+                        z = y + u[q] + v[rest]
                         if not seen[z]:
                             seen[z] = 1
                             cls.append(z)
             yield cls
+
+
+def _digit_sums(columns: Sequence[Sequence[int]]) -> list[int]:
+    """sum_j columns[j][d_j] for every digit string d, first digit most significant."""
+    sums = [0]
+    for column in columns:
+        sums = [s + c for s in sums for c in column]
+    return sums
 
 
 def build_wreath_group(k: int, top: PermGroup) -> WreathGroup:

@@ -404,7 +404,9 @@ def brute_force_count(group: PermGroup, k: int) -> CountResult:
     the number of walks.
     """
     wr = build_wreath_group(k, group)
-    return CountResult(k=k, group=group, method="brute", value=sum(1 for _ in wr.classes()))
+    # map drops each class before the next walk starts; the loop variable of
+    # sum(1 for _ in ...) would hold it through that walk
+    return CountResult(k=k, group=group, method="brute", value=sum(map(bool, wr.classes())))
 
 
 def schmid_cyclic(k: int, n: int) -> tuple[int | None, int]:

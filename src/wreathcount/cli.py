@@ -3,7 +3,10 @@
 Subcommands: count, classify, bounds, verify, scan. Each one calls the
 library entry point its flags name (count calls classcount.count_by_method
 with its --method, bounds calls bounds.bounds_report, verify runs a suite of
-wreathcount.verify) and renders the result.
+wreathcount.verify) and renders the result. One table, _COMMANDS, names
+each subcommand's help, argument adder and handler; main builds the parser
+of the subcommand argv names and no other (all five when it names none), and
+json is imported only when JSON is written, so start-up pays for neither.
 Output is a human table by default, or machine JSON/CSV; JSON and CSV are
 byte-identical across runs for a fixed invocation and seed (class counts
 travel as decimal strings, and timings are never serialized).
@@ -17,10 +20,9 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import bounds as bounds_mod
 from . import verify
@@ -73,37 +75,6 @@ def _add_common(p: _Parser, with_group: bool = True, with_k: bool = True):
     p.add_argument("--budget-max-lift", type=_budget_limit, default=None, metavar="N")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="wreathcount",
-                     description="Exact conjugacy class counts for wreath products X wr H.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="count classes of X wr H")
-    _add_common(p)
-    p.add_argument("--method", choices=METHODS, default="auto")
-
-    p = sub.add_parser("classify", help="structural classification of H")
-    _add_common(p, with_k=False)
-
-    p = sub.add_parser("bounds", help="evaluate the bound and predicate reports for (H, k)")
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="run a cross-check suite")
-    p.add_argument("suite", choices=tuple(verify.SUITES))
-    p.add_argument("--seed", type=int, default=0, help="seed for the sampled formula checks")
-    _add_common(p, with_group=False, with_k=False)
-
-    p = sub.add_parser("scan", help="exact counts for the counterexample family")
-    p.add_argument("--m", default="2,3", metavar="LIST",
-                   help="comma-separated m values (default 2,3)")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--probe-fixed-subsets", action="store_true",
-                   help="probe the fixed-subset fraction claim instead of counting")
-    _add_common(p, with_group=False, with_k=False)
-
-    return parser
-
-
 def _budgets_from_args(args) -> Budgets:
     return from_env().with_overrides(
         max_group_order=args.budget_max_order,
@@ -125,6 +96,8 @@ def _resolve_k(args, budgets: Budgets) -> int:
 
 
 def _emit_json(obj) -> None:
+    import json  # only the JSON outputs need it, so start-up does not pay for it
+
     print(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False))
 
 
@@ -146,6 +119,11 @@ def _table(rows: list[list[str]], header: list[str]) -> str:
 
 # ---------------------------------------------------------------------------
 # count
+
+
+def _count_args(p: _Parser):
+    _add_common(p)
+    p.add_argument("--method", choices=METHODS, default="auto")
 
 
 def _cmd_count(args) -> int:
@@ -264,12 +242,27 @@ def _cmd_bounds(args) -> int:
 # verify
 
 
+def _verify_args(p: _Parser):
+    p.add_argument("suite", choices=tuple(verify.SUITES))
+    p.add_argument("--seed", type=int, default=0, help="seed for the sampled formula checks")
+    _add_common(p, with_group=False, with_k=False)
+
+
 def _cmd_verify(args) -> int:
     return verify.run_suite(args.suite, _budgets_from_args(args), args.seed)
 
 
 # ---------------------------------------------------------------------------
 # scan
+
+
+def _scan_args(p: _Parser):
+    p.add_argument("--m", default="2,3", metavar="LIST",
+                   help="comma-separated m values (default 2,3)")
+    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--probe-fixed-subsets", action="store_true",
+                   help="probe the fixed-subset fraction claim instead of counting")
+    _add_common(p, with_group=False, with_k=False)
 
 
 def _parse_m_list(text: str) -> list[int]:
@@ -324,24 +317,46 @@ def _cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# name -> (help, argument adder, handler), in the order the top-level help lists them
+_COMMANDS = {
+    "count": ("count classes of X wr H", _count_args, _cmd_count),
+    "classify": ("structural classification of H",
+                 lambda p: _add_common(p, with_k=False), _cmd_classify),
+    "bounds": ("evaluate the bound and predicate reports for (H, k)", _add_common, _cmd_bounds),
+    "verify": ("run a cross-check suite", _verify_args, _cmd_verify),
+    "scan": ("exact counts for the counterexample family", _scan_args, _cmd_scan),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser with command's subparser alone, or with all of them when command names none.
+
+    A subparser's parse, help and errors do not depend on its siblings, so
+    main builds only the one argv names; without a known command (no
+    arguments, -h, a typo) every subparser is built, for the top-level help
+    and the invalid-choice error.
+    """
+    parser = _Parser(prog="wreathcount",
+                     description="Exact conjugacy class counts for wreath products X wr H.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+        if command not in _COMMANDS or command == name:
+            add_arguments(sub.add_parser(name, help=help_text))
+    return parser
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # exact values and --k may pass 4300 digits
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    dispatch = {
-        "count": _cmd_count,
-        "classify": _cmd_classify,
-        "bounds": _cmd_bounds,
-        "verify": _cmd_verify,
-        "scan": _cmd_scan,
-    }
     try:
-        code = dispatch[args.command](args)
+        code = _COMMANDS[args.command][2](args)
         sys.stdout.flush()  # inside the try, so a closed pipe is caught here
         return code
     except BrokenPipeError:

@@ -13,8 +13,8 @@ grows like exp(pi * sqrt(2n/3)), so it checks max_partition_size.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
-from typing import Iterator, Sequence
 
 from .budgets import DEFAULT, Budgets
 from .errors import InvariantViolation

@@ -23,11 +23,11 @@ group orders this package targets (closure budget defaults to 10**6 elements).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import reduce
 from itertools import islice, repeat
 from operator import and_, eq, getitem, itemgetter
-from typing import Iterable, Iterator, Sequence
 
 from .budgets import DEFAULT, Budgets
 from .errors import BudgetExceeded, DegreeMismatch, InvariantViolation, ParseError

@@ -26,7 +26,6 @@ summary line. The suites re-check the exact identities the counts rest on:
 from __future__ import annotations
 
 import math
-import random
 from itertools import permutations
 
 from . import bounds as bounds_mod
@@ -124,6 +123,8 @@ def _fix_exhaustive(budgets: Budgets, m: int):
 
 
 def _fix_sampled(budgets: Budgets, seed: int):
+    import random  # only this suite samples, so start-up does not pay for it
+
     rng = random.Random(seed)
     for _ in range(50):
         images = list(range(12))

@@ -122,6 +122,59 @@ def test_usage_errors_exit_one(run_cli):
     assert run_cli("scan", "--seed", "1")[0] == 1  # --seed is verify-only
 
 
+_PARSER_CASES = {
+    "count": ["--group", "cyclic:3", "--group", "dihedral:4", "--k", "2", "--method", "all",
+              "--output", "csv", "--budget-max-order", "100"],
+    "classify": ["--group", "alternating:5", "--output", "json"],
+    "bounds": ["--group", "cyclic:4", "--x-gens", "(1 2)", "--budget-max-lift", "9"],
+    "verify": ["oracles", "--seed", "3", "--budget-max-colorings", "7"],
+    "scan": ["--m", "2,3", "--k", "3", "--probe-fixed-subsets"],
+}
+
+
+@pytest.mark.parametrize("command", list(_PARSER_CASES))
+def test_one_subcommand_parser_parses_helps_and_fails_as_the_full_one(command, capsys):
+    from wreathcount.cli import _UsageError, build_parser
+
+    argv = [command, *_PARSER_CASES[command]]
+    assert build_parser(command).parse_args(argv) == build_parser().parse_args(argv)
+
+    helps = []
+    for parser in (build_parser(command), build_parser()):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "-h"])
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and helps[0].startswith(f"usage: wreathcount {command} ")
+
+    for bad in (["--bogus"], [*_PARSER_CASES[command], "--bogus", "1"],
+                [*_PARSER_CASES[command], "--output", "xml"]):
+        errors = []
+        for parser in (build_parser(command), build_parser()):
+            with pytest.raises(_UsageError) as exc:
+                parser.parse_args([command, *bad])
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1], bad
+
+
+def test_an_unknown_command_builds_every_subparser(capsys):
+    from wreathcount.cli import build_parser
+
+    for command in ("nosuchcommand", "-h", None):
+        with pytest.raises(SystemExit):
+            build_parser(command).parse_args(["-h"])
+        assert "{count,classify,bounds,verify,scan}" in capsys.readouterr().out
+
+
+def test_start_up_imports_no_typing_json_or_random():
+    # -S: site's .pth files may import these themselves; wreathcount must not
+    code = ("import sys, wreathcount.cli; "
+            "print(sorted({'typing', 'json', 'random'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "[]"
+
+
 def test_parse_error_reports_column(run_cli):
     code, _, err = run_cli("count", "--group", "gens:4,(1 2", "--k", "2")
     assert code == 1
