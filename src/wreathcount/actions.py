@@ -117,18 +117,17 @@ def sigma_prime(p: tuple[int, ...], ell: int, budgets: Budgets = DEFAULT) -> int
 
 
 def fix_subsets_direct(p: tuple[int, ...], ell: int, budgets: Budgets = DEFAULT) -> int:
-    """Number of ell-subsets fixed setwise by p, by direct enumeration."""
+    """Number of ell-subsets fixed setwise by p: the fixed points of its subset lift.
+
+    The empty set is the one 0-subset, and p fixes it.
+    """
     m = len(p)
     if not 0 <= ell <= m:
         raise ValueError(f"need 0 <= ell <= {m}")
-    budgets.check("max_lift_degree", math.comb(m, ell), f"C({m},{ell})")
-    # a subset's bitmask is the sum of its points' bits; both combinations
-    # walks visit the same index subsets in the same order, so the second
-    # yields the bits of the image p(S) next to the bits of each S
-    bits = [1 << i for i in range(m)]
-    image_bits = [1 << j for j in p]
-    return sum(map(eq, map(sum, combinations(bits, ell)),
-                   map(sum, combinations(image_bits, ell))))
+    if ell == 0:
+        return 1
+    lifted = subsets_action_lift(p, ell, budgets)
+    return sum(map(eq, lifted, range(len(lifted))))
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +138,11 @@ def product_action_build(coords: Sequence[tuple[int, ...]], top: tuple[int, ...]
                          m: int, ell: int, budgets: Budgets = DEFAULT) -> tuple[int, ...]:
     """Permutation of the C(m,ell)^t tuples realized by (coords, top).
 
-    A point is a t-tuple (w_1, ..., w_t) of subset ranks, encoded in mixed
-    radix with coordinate 0 most significant. The image tuple takes, at
-    position j, coords[top^-1(j)] applied to w_{top^-1(j)}.
+    A point is a t-tuple (w_0, ..., w_{t-1}) of subset ranks, encoded in
+    mixed radix with coordinate 0 most significant. The image tuple takes,
+    at position top(j), coords[j] applied to w_j. So the images are the
+    _digit_sums of one column per coordinate j: coords[j] at the place value
+    of digit top(j).
     """
     t = len(coords)
     if len(top) != t:
@@ -153,22 +154,20 @@ def product_action_build(coords: Sequence[tuple[int, ...]], top: tuple[int, ...]
                 f"coordinate degree {len(c)} != C({m},{ell}) = {base}")
     degree = base ** t
     budgets.check("max_lift_degree", degree, f"product action degree C({m},{ell})**{t}")
-    topinv = inverse(top)
-    images = [0] * degree
-    for point in range(degree):
-        # decode tuple, most significant = coordinate 0
-        w = []
-        rem = point
-        for _ in range(t):
-            rem, digit = divmod(rem, base)
-            w.append(digit)
-        w.reverse()
-        img = 0
-        for j in range(t):
-            src = topinv[j]
-            img = img * base + coords[src][w[src]]
-        images[point] = img
-    return tuple(images)
+    return tuple(_digit_sums([[base ** (t - 1 - top[j]) * c for c in coords[j]]
+                              for j in range(t)]))
+
+
+def _digit_sums(columns: Sequence[Sequence[int]]) -> list[int]:
+    """sum_j columns[j][d_j] for every digit string d, first digit most significant.
+
+    The one builder of mixed-radix point tables here: the product action's
+    images and the brute-force walk's conjugation tables.
+    """
+    sums = [0]
+    for column in columns:
+        sums = [s + c for s in sums for c in column]
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +312,6 @@ class WreathGroup:
                             seen[z] = 1
                             cls.append(z)
             yield cls
-
-
-def _digit_sums(columns: Sequence[Sequence[int]]) -> list[int]:
-    """sum_j columns[j][d_j] for every digit string d, first digit most significant."""
-    sums = [0]
-    for column in columns:
-        sums = [s + c for s in sums for c in column]
-    return sums
 
 
 def build_wreath_group(k: int, top: PermGroup) -> WreathGroup:

@@ -21,6 +21,7 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from . import combinatorics
 from .actions import (
@@ -51,6 +52,7 @@ from .permgroup import (
     class_count,
     cycle_count,
     cycle_stats,
+    from_cycles,
     is_semiprimitive,
     is_semiregular,
     is_transitive,
@@ -311,12 +313,9 @@ def subset_orbit_count_exact(m: int, ell: int, k: int,
     total = 0
     for parts in combinatorics.partition_enum(m, budgets):
         # one permutation of this cycle type: consecutive runs of points as cycles
-        images = []
-        for length in parts:
-            start = len(images)
-            images.extend(range(start + 1, start + length))
-            images.append(start)
-        total += cycle_type_class_size(parts) * k ** sigma_prime(tuple(images), ell, budgets)
+        rep = from_cycles([range(start, start + length) for start, length
+                           in zip(accumulate(parts, initial=0), parts)], m)
+        total += cycle_type_class_size(parts) * k ** sigma_prime(rep, ell, budgets)
     if total % fact:
         raise DivisibilityViolation("subset-action Burnside sum not divisible by m!")
     return total // fact

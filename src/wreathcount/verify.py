@@ -17,8 +17,10 @@ summary line. The suites re-check the exact identities the counts rest on:
   prime n, upper bound on n 2..8, k 1..4) against direct enumeration and
   clifford.
 * bounds: the unconditional predicates, the class-count upper bound, the
-  two census rows (bounds.census_rows), the inertia sum and the subset and
-  product orbit identities.
+  two census rows (bounds.census_rows), the inertia sum, the lifted
+  cycle-count half bound 2*sigma' - fix <= C(m, ell) (sigma' and fix both
+  read off one subset lift per (p, ell)) and the subset and product orbit
+  identities.
 * semiprimitive: block decomposition reports, with their exact (r, |K|)
   and exact orbit-count chain, and their rejections.
 """
@@ -27,14 +29,15 @@ from __future__ import annotations
 
 import math
 from itertools import permutations
+from operator import eq
 
 from . import bounds as bounds_mod
 from . import classcount, combinatorics
 from .actions import (cycle_type, cycle_type_class_size, fix_subsets_direct,
-                      parse_group_spec, sigma_prime)
+                      parse_group_spec, subsets_action_lift)
 from .budgets import Budgets
 from .errors import NotSemiprimitive
-from .permgroup import class_count, coloring_stabilizers, cycle_string
+from .permgroup import class_count, coloring_stabilizers, cycle_count, cycle_string
 
 # the shared small-group matrix: every (k, H) with k**n * |H| <= 10**6
 ORACLE_SPECS = ("cyclic:2", "cyclic:3", "cyclic:4", "gens:4,(1 2)(3 4),(1 3)(2 4)",
@@ -210,9 +213,9 @@ def _lifted_half_bound(budgets: Budgets):
     for m in range(2, 7):
         for p in permutations(range(m)):
             for ell in range(1, m):
-                sp = sigma_prime(p, ell, budgets)
-                fx = fix_subsets_direct(p, ell, budgets)
-                c = math.comb(m, ell)
+                lifted = subsets_action_lift(p, ell, budgets)
+                c = len(lifted)
+                sp, fx = cycle_count(lifted), sum(map(eq, lifted, range(c)))
                 if 2 * sp - fx > c:  # not _expect: cycle_string(p) runs only on failure
                     raise AssertionError(
                         f"m={m} ell={ell} pi={cycle_string(p)}: 2*{sp}-{fx} > {c}")

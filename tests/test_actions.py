@@ -124,11 +124,14 @@ def test_lift_budget_refusal():
 
 
 def test_sigma_prime_and_fix_match_lift():
+    # fix_subsets_direct reads the lift, so its reference is a count of sets
     for p in _all_perms(5):
-        for ell in range(1, 5):
-            lifted = subsets_action_lift(p, ell)
-            assert sigma_prime(p, ell) == cycle_count(lifted)
-            assert fix_subsets_direct(p, ell) == sum(x == i for i, x in enumerate(lifted))
+        for ell in range(0, 6):
+            if ell:
+                assert sigma_prime(p, ell) == cycle_count(subsets_action_lift(p, ell))
+            fixed = sum({p[x] for x in subset} == set(subset)
+                        for subset in itertools.combinations(range(5), ell))
+            assert fix_subsets_direct(p, ell) == fixed
 
 
 def test_product_action_single_factor_is_lift():
@@ -139,6 +142,43 @@ def test_product_action_single_factor_is_lift():
         p = subsets_action_lift(permutation(a), 2)
         built = product_action_build([p], (0,), 5, 2)
         assert built == p
+
+
+def _product_action_by_points(coords, top, base):
+    # the definition point by point: decode w, coordinate 0 most significant,
+    # then place coords[j][w_j] at position top[j] and re-encode
+    t = len(coords)
+    images = []
+    for point in range(base ** t):
+        w = []
+        for _ in range(t):
+            point, digit = divmod(point, base)
+            w.append(digit)
+        w.reverse()
+        image = [0] * t
+        for j in range(t):
+            image[top[j]] = coords[j][w[j]]
+        images.append(sum(d * base ** (t - 1 - i) for i, d in enumerate(image)))
+    return tuple(images)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_product_action_matches_its_definition(t):
+    rng = random.Random(t)
+    for _ in range(20):
+        m = rng.randint(2, 5)
+        ell = rng.randint(1, m - 1)
+        base = math.comb(m, ell)
+        coords = []
+        for _ in range(t):
+            images = list(range(m))
+            rng.shuffle(images)
+            coords.append(subsets_action_lift(tuple(images), ell))
+        top = list(range(t))
+        rng.shuffle(top)
+        top = tuple(top)
+        assert product_action_build(coords, top, m, ell) == _product_action_by_points(
+            coords, top, base)
 
 
 def test_product_action_group_order():
@@ -190,6 +230,7 @@ def test_family_orders_and_degrees():
         ("subsets:5,2", 10, 120),
         ("subsets-alt:5,2", 10, 60),
         ("product:3,1,2", 9, 72),
+        ("product:2,1,3", 8, 48),
     ]
     for spec, degree, order in cases:
         grp = parse_group_spec(spec)

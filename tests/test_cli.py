@@ -1,6 +1,7 @@
 """Command-line surface: dispatch, formats, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -531,17 +532,31 @@ def test_verify_failure_lines_name_the_permutation(run_cli, monkeypatch):
     from wreathcount import verify
     from wreathcount.permgroup import is_identity
 
-    sigma_prime, fix_subsets_direct = verify.sigma_prime, verify.fix_subsets_direct
-    monkeypatch.setattr(verify, "sigma_prime", lambda p, ell, b: (
-        sigma_prime(p, ell, b) if is_identity(p) else 99))
+    # the half bound reads sigma' off the lift through verify.cycle_count
+    cycle_count, fix_subsets_direct = verify.cycle_count, verify.fix_subsets_direct
+    monkeypatch.setattr(verify, "cycle_count", lambda p: (
+        cycle_count(p) if is_identity(p) else 99))
     monkeypatch.setattr(verify, "fix_subsets_direct", lambda p, ell, b: (
         fix_subsets_direct(p, ell, b) if is_identity(p) or ell != 1 else -1))
     fails = [line for suite in ("bounds", "formulas")
              for line in run_cli("verify", suite)[1].splitlines() if line.startswith("FAIL")]
     assert fails[0] == ("FAIL lifted cycle-count-half-bound S_m ell-subsets: "
-                        "AssertionError: m=2 ell=1 pi=(1 2): 2*99--1 > 2")
+                        "AssertionError: m=2 ell=1 pi=(1 2): 2*99-0 > 2")
     assert fails[1] == ("FAIL fix-subsets formula=direct S_2 exhaustive: "
                         "AssertionError: m=2 ell=1 pi=(1 2): 0 != -1")
+
+
+def test_half_bound_reads_one_lift_per_case(spy):
+    from wreathcount import DEFAULT, actions, verify
+
+    lifts, sigmas, fixes = [], [], []
+    spy(actions, "subsets_action_lift", lifts)
+    spy(actions, "sigma_prime", sigmas)
+    spy(actions, "fix_subsets_direct", fixes)
+    verify._lifted_half_bound(DEFAULT)
+    # one lift per (p, ell) with p in S_m, 2 <= m <= 6, and 1 <= ell < m
+    assert len(lifts) == sum(math.factorial(m) * (m - 1) for m in range(2, 7)) == 4166
+    assert (sigmas, fixes) == ([], [])
 
 
 @pytest.mark.parametrize("suite, summary", [("oracles", "0/19"), ("formulas", "8/10"),
