@@ -13,9 +13,8 @@ once, and the group's family tag holds them. gens alone takes cycle notation.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from operator import eq, itemgetter
@@ -458,14 +457,10 @@ def parse_group_spec(spec: str, budgets: Budgets = DEFAULT) -> PermGroup:
 # Block decompositions.
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(namedtuple("BlockDecomposition", "r blocks kernel quotient")):
     """A block system with primitive quotient, plus kernel and quotient groups."""
 
-    r: int
-    blocks: tuple[tuple[int, ...], ...]
-    kernel: PermGroup
-    quotient: PermGroup
+    __slots__ = ()
 
 
 def induced_block_permutation(h: tuple[int, ...], blocks: Sequence[Sequence[int]]

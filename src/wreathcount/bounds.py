@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 
@@ -65,17 +65,14 @@ from .permgroup import (
 _TOL = Fraction(1, 10 ** 9)
 
 
-@dataclass
-class BoundReport:
-    name: str
-    lhs: object            # int | Fraction | float | None
-    rhs: object
-    holds: object          # True | False | "indeterminate"
-    mode: str              # "exact" | "float"
-    inputs: dict = field(default_factory=dict)
-    e_source: str | None = None
-    asymptotic: bool = False
-    note: str = ""
+class BoundReport(namedtuple("BoundReport", (
+        "name", "lhs", "rhs", "holds", "mode", "inputs", "e_source", "asymptotic", "note"),
+        defaults=(None, False, ""))):
+    # lhs, rhs: int | Fraction | float | None
+    # holds: True | False | "indeterminate"
+    # mode: "exact" | "float"
+    # inputs: dict of the values the sides were computed from
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         def render(x):
@@ -427,29 +424,22 @@ def large_base_match(group: PermGroup) -> tuple[int, int, int] | None:
 # Semiprimitive decomposition report.
 
 
-@dataclass
-class SemiprimitiveReport:
-    r: int
-    blocks: tuple[tuple[int, ...], ...]
-    kernel_order: int
-    quotient_order: int
-    kernel_semiregular: bool
-    cycle_bound_holds: bool          # sigma(h) <= (n/r) * sigma_blocks(h) for all h
-    alpha_bound_holds: bool          # max_sigma/n <= max(1/2, max over h not in K)
-    orbit_count: int                 # n(H, k-colorings of the domain)
-    quotient_orbit_count: int        # n(H/K, k**(n/r)-colorings of the blocks)
-    chain_rhs: object
-    chain_holds: object
-    chain_mode: str
-    e_k: int | None
-    e_k_quotient_bound_holds: bool | None
-    e_k_five_eighths_holds: bool | None
-    note: str = ""
+class SemiprimitiveReport(namedtuple("SemiprimitiveReport", (
+        "r", "blocks", "kernel_order", "quotient_order", "kernel_semiregular",
+        "cycle_bound_holds", "alpha_bound_holds", "orbit_count", "quotient_orbit_count",
+        "chain_rhs", "chain_holds", "chain_mode", "e_k", "e_k_quotient_bound_holds",
+        "e_k_five_eighths_holds", "note"), defaults=("",))):
+    # cycle_bound_holds: sigma(h) <= (n/r) * sigma_blocks(h) for all h
+    # alpha_bound_holds: max_sigma/n <= max(1/2, max over h not in K)
+    # orbit_count: n(H, k-colorings of the domain)
+    # quotient_orbit_count: n(H/K, k**(n/r)-colorings of the blocks)
+    # e_k, e_k_quotient_bound_holds, e_k_five_eighths_holds: None where not computed
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {k: fraction_text(v) if isinstance(v, Fraction)
                 else _json_float(v) if isinstance(v, float) else v
-                for k, v in self.__dict__.items() if k != "blocks"} | {
+                for k, v in self._asdict().items() if k != "blocks"} | {
             "blocks": [list(b) for b in self.blocks]}
 
 
@@ -577,16 +567,9 @@ def bounds_report(group: PermGroup, k: int
 # Scans.
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    param: str
-    k: int
-    n: int
-    order: int
-    value: int | None
-    bound: str
-    holds: object          # True | False | "skipped"
-    mode: str
+class ScanRow(namedtuple("ScanRow", "param k n order value bound holds mode")):
+    # value: int | None; holds: True | False | "skipped"
+    __slots__ = ()
 
 
 def counterexample_scan(m_values: Sequence[int], k: int = 2,

@@ -18,35 +18,34 @@ fail on a bad variable.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .errors import BudgetExceeded
 
 
-@dataclass(frozen=True)
-class Budgets:
-    # order of a closed group: element closure, the brute-force wreath group
-    max_group_order: int = 1_000_000
-    # size of the coloring space k**n a census or walk may span; the numpy
-    # census holds 4 bytes a coloring, 512 MiB at the default 2**27
-    max_coloring_space: int = 1 << 27
-    # degree of a lifted action (subsets, product action, the subset Burnside sum)
-    max_lift_degree: int = 100_000
-    # the subgroup-class walk (exact e(H)) refuses larger groups; bounds then
-    # takes e = 5**(n/3)
-    max_subgroup_order: int = 2_000
-    # safety cap on the subgroups a walk holds: every conjugate of each class
-    # subgroups finds, or each normal subgroup normal_subgroups finds; where
-    # the class walk refuses, bounds takes e = 5**(n/3)
-    max_subgroup_count: int = 20_000
-    # normal-subgroup enumeration refuses larger groups
-    max_normal_order: int = 100_000
-    # partition_enum refuses larger n (it streams p(n) partitions, so this bounds time)
-    max_partition_size: int = 64
+class Budgets(namedtuple("Budgets", (
+        "max_group_order", "max_coloring_space", "max_lift_degree", "max_subgroup_order",
+        "max_subgroup_count", "max_normal_order", "max_partition_size"),
+        defaults=(1_000_000, 1 << 27, 100_000, 2_000, 20_000, 100_000, 64))):
+    # max_group_order: order of a closed group (element closure, the
+    # brute-force wreath group)
+    # max_coloring_space: size of the coloring space k**n a census or walk may
+    # span; the numpy census holds 4 bytes a coloring, 512 MiB at the default 2**27
+    # max_lift_degree: degree of a lifted action (subsets, product action, the
+    # subset Burnside sum)
+    # max_subgroup_order: the subgroup-class walk (exact e(H)) refuses larger
+    # groups; bounds then takes e = 5**(n/3)
+    # max_subgroup_count: safety cap on the subgroups a walk holds: every
+    # conjugate of each class subgroups finds, or each normal subgroup
+    # normal_subgroups finds; where the class walk refuses, bounds takes e = 5**(n/3)
+    # max_normal_order: normal-subgroup enumeration refuses larger groups
+    # max_partition_size: partition_enum refuses larger n (it streams p(n)
+    # partitions, so this bounds time)
+    __slots__ = ()
 
     def with_overrides(self, **kw) -> "Budgets":
         kw = {k: v for k, v in kw.items() if v is not None}
-        return replace(self, **kw) if kw else self
+        return self._replace(**kw) if kw else self
 
     def check(self, field: str, value: int, what: str) -> None:
         """Refuse with BudgetExceeded when value passes the named budget."""

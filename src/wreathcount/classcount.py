@@ -42,8 +42,8 @@ and raises when two disagree. count_by_method runs one of METHODS
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
@@ -287,12 +287,12 @@ def nonregular_orbits(group: PermGroup, k: int) -> tuple[list[tuple[int, int]], 
     return _seeded_walk(group, k, seeds)
 
 
-@dataclass
-class Census:
-    reps: list[tuple[int, int]]      # nonregular_orbits(group, k)
-    delta: int
-    regular: int                     # (k**n - |Delta|)/|H| regular orbits
-    inertia: list[PermGroup]         # I_H(c) of each rep, in order: H for a fixed coloring
+class Census(namedtuple("Census", "reps delta regular inertia")):
+    # reps: nonregular_orbits(group, k), (coloring code, orbit size) pairs
+    # delta: |Delta|, the colorings in non-regular orbits
+    # regular: (k**n - |Delta|)/|H| regular orbits
+    # inertia: I_H(c) of each rep, in order: H for a fixed coloring
+    __slots__ = ()
 
 
 def coloring_census(group: PermGroup, k: int) -> Census:
@@ -335,15 +335,12 @@ def coloring_census(group: PermGroup, k: int) -> Census:
     return census
 
 
-@dataclass
-class CountResult:
+class CountResult(namedtuple("CountResult", "k group method value orbit_count",
+                             defaults=(None,))):
     """One class count with enough context to audit it."""
 
-    k: int
-    group: PermGroup
-    method: str                 # clifford | brute | closed-form | all:<routes>
-    value: int
-    orbit_count: int | None = None
+    # method: clifford | brute | closed-form | all:<routes>
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         # class counts travel as decimal strings: they routinely pass 2**64

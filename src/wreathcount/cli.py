@@ -5,8 +5,10 @@ library entry point its flags name (count calls classcount.count_by_method
 with its --method, bounds calls bounds.bounds_report, verify runs a suite of
 wreathcount.verify) and renders the result. One table, _COMMANDS, names
 each subcommand's help, argument adder and handler; main builds the parser
-of the subcommand argv names and no other (all five when it names none), and
-json is imported only when JSON is written, so start-up pays for neither.
+of the subcommand argv names and no other (all five when it names none),
+json is imported only when JSON is written, and the result records are
+named tuples, so start-up pays for neither json nor the data-class module
+(with the inspect, ast and dis modules it imports).
 Output is a human table by default, or machine JSON/CSV; JSON and CSV are
 byte-identical across runs for a fixed invocation and seed (class counts
 travel as decimal strings, and timings are never serialized).

@@ -23,8 +23,8 @@ group orders this package targets (closure budget defaults to 10**6 elements).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import reduce
 from itertools import islice, repeat
 from operator import and_, eq, getitem, itemgetter
@@ -644,13 +644,9 @@ def is_primitive(group: PermGroup) -> bool:
     return is_transitive(group) and not all_block_systems(group)
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    transitive: bool
-    semiregular: bool
-    primitive: bool
-    semiprimitive: bool
-    normal_subgroup_count: int
+class StructureReport(namedtuple("StructureReport", (
+        "transitive", "semiregular", "primitive", "semiprimitive", "normal_subgroup_count"))):
+    __slots__ = ()
 
 
 def structure_classify(group: PermGroup) -> StructureReport:
@@ -784,11 +780,11 @@ def subgroups(group: PermGroup) -> list[PermGroup]:
     return _wrap_lattice(group, reps)
 
 
-@dataclass(frozen=True)
-class NumericInvariants:
-    mu: int          # minimal degree: fewest points moved by a nonidentity element
-    b: int           # minimal base size
-    max_sigma: int   # largest cycle count (fixed points included) of a nonidentity element
+class NumericInvariants(namedtuple("NumericInvariants", "mu b max_sigma")):
+    # mu: minimal degree, the fewest points moved by a nonidentity element
+    # b: minimal base size
+    # max_sigma: largest cycle count (fixed points included) of a nonidentity element
+    __slots__ = ()
 
 
 def _min_base_size(group: PermGroup) -> int:

@@ -470,16 +470,16 @@ _CENSUS_ROWS = "bd.census_rows(parse_group_spec('dihedral:4'), 2)"
     # a census with its 6 non-regular orbits listed three times breaks t < 2*k**max_sigma
     ("census = bd.coloring_census\n"
      "bd.coloring_census = lambda group, k: "
-     "dataclasses.replace(census(group, k), reps=census(group, k).reps * 3)", _CENSUS_ROWS,
+     "census(group, k)._replace(reps=census(group, k).reps * 3)", _CENSUS_ROWS,
      "InvariantViolation: non-regular orbit count 18 >= 2*k**max_sigma = 16"),
     # and one with |Delta| = 100 breaks |Delta| <= (|H| - 1)*k**max_sigma
     ("census = bd.coloring_census\n"
-     "bd.coloring_census = lambda group, k: dataclasses.replace(census(group, k), delta=100)",
+     "bd.coloring_census = lambda group, k: census(group, k)._replace(delta=100)",
      _CENSUS_ROWS, "InvariantViolation: non-regular union 100 > (|H|-1)*k**max_sigma = 56"),
 ], ids=["orbit-stabilizer", "fixed-coloring", "regular-divisibility", "census-orbit-count",
         "census-union-size"])
 def test_orbit_stabilizer_checks_survive_optimize_flag(patch, call, message):
-    script = ("import dataclasses, sys\n"
+    script = ("import sys\n"
               "import wreathcount.bounds as bd\n"
               "import wreathcount.classcount as cc\n"
               "from wreathcount import PermGroup, parse_group_spec\n"

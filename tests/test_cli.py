@@ -27,8 +27,7 @@ def _off_by_one(monkeypatch, route):
 
     def off_by_one(group, k):
         res = real(group, k)
-        res.value += 1
-        return res
+        return res._replace(value=res.value + 1)
 
     monkeypatch.setattr(classcount, route, off_by_one)
 
@@ -166,10 +165,12 @@ def test_an_unknown_command_builds_every_subparser(capsys):
         assert "{count,classify,bounds,verify,scan}" in capsys.readouterr().out
 
 
-def test_start_up_imports_no_typing_json_or_random():
+def test_start_up_imports_no_typing_json_random_dataclasses_or_inspect():
     # -S: site's .pth files may import these themselves; wreathcount must not
+    # (dataclasses pulls in inspect, ast, dis and tokenize; the records are named tuples)
     code = ("import sys, wreathcount.cli; "
-            "print(sorted({'typing', 'json', 'random'} & set(sys.modules)))")
+            "print(sorted({'typing', 'json', 'random', 'dataclasses', 'inspect'}"
+            " & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr
